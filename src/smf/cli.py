@@ -2,7 +2,8 @@
 
 Every command writes its outputs plus a ``manifest.json`` into ``--out-dir``
 (default ``./smf-out``).  The manifest records the subcommand, every
-resolved option, the SHA-256 of each input file, and the package version;
+resolved option (input paths made absolute, so a run can be repeated from
+any directory), the SHA-256 of each input file, and the package version;
 ``smf rerun manifest.json`` re-executes the run and reproduces all output
 files byte for byte (the manifest itself carries the wall-clock duration
 and is excluded from that guarantee).
@@ -245,15 +246,9 @@ def _read_vocab(path: str) -> tuple:
 
 
 def _load_topic_model(args) -> TopicModel:
-    from .solver import SolveResult
-
     factors = FactorPair(w=read_matrix(args.w), h=read_matrix(args.h),
                          orientation=Orientation.BOTH)
-    dummy = SolveResult(factors=factors, objective=float("nan"),
-                        objective_trace=[], iterations=0, converged=False,
-                        best_restart=0)
-    return TopicModel(factors=factors, vocabulary=_read_vocab(args.vocab),
-                      solve_result=dummy)
+    return TopicModel(factors=factors, vocabulary=_read_vocab(args.vocab))
 
 
 def _cmd_topics_top_terms(args, out_dir: str):
@@ -304,9 +299,8 @@ def _add_solver_flags(parser) -> None:
     parser.add_argument("--max-iter", type=int, default=500)
     parser.add_argument("--tol", type=float, default=1e-8,
                         help="relative objective convergence tolerance")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("SMF_THREADS", "1")),
-                        help="restart parallelism (default $SMF_THREADS or 1)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored; restarts run serially")
     parser.add_argument("--binary", action="store_true",
                         help="write matrices in the binary container")
 
@@ -318,15 +312,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # Input paths are made absolute, so a manifest reruns from any directory.
+    path = os.path.abspath
 
     p = sub.add_parser("factorize", help="fit W,H to a data matrix")
-    p.add_argument("input", help="data matrix (CSV or binary)")
+    p.add_argument("input", type=path, help="data matrix (CSV or binary)")
     _add_solver_flags(p)
     _add_out_dir(p)
 
     p = sub.add_parser("analyze", help="uniqueness and bounds report")
-    p.add_argument("w", help="W matrix path")
-    p.add_argument("h", help="H matrix path")
+    p.add_argument("w", type=path, help="W matrix path")
+    p.add_argument("h", type=path, help="H matrix path")
     p.add_argument("--orientation", default="w-rows",
                    choices=[o.value for o in Orientation])
     p.add_argument("--zero-tol", type=float, default=1e-6,
@@ -343,13 +339,13 @@ def _build_parser() -> argparse.ArgumentParser:
     fsub = faces.add_subparsers(dest="faces_command", required=True)
 
     p = fsub.add_parser("ingest", help="directory of PGMs to a data matrix")
-    p.add_argument("directory")
+    p.add_argument("directory", type=path)
     p.add_argument("--binary", action="store_true")
     _add_out_dir(p)
 
     p = fsub.add_parser("reconstruct", help="rebuild one image from factors")
-    p.add_argument("w")
-    p.add_argument("h")
+    p.add_argument("w", type=path)
+    p.add_argument("h", type=path)
     p.add_argument("--row", type=int, required=True,
                    help="0-based image index")
     p.add_argument("--binary", action="store_true",
@@ -357,46 +353,46 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_out_dir(p)
 
     p = fsub.add_parser("retrieve", help="nearest stored image for a query")
-    p.add_argument("query", help="query image (PGM)")
-    p.add_argument("w")
-    p.add_argument("h")
+    p.add_argument("query", type=path, help="query image (PGM)")
+    p.add_argument("w", type=path)
+    p.add_argument("h", type=path)
     _add_out_dir(p)
 
     p = fsub.add_parser("error", help="mean squared reconstruction error")
-    p.add_argument("input", help="data matrix the factors were fit to")
-    p.add_argument("w")
-    p.add_argument("h")
+    p.add_argument("input", type=path, help="data matrix the factors were fit to")
+    p.add_argument("w", type=path)
+    p.add_argument("h", type=path)
     _add_out_dir(p)
 
     topics = sub.add_parser("topics", help="bag-of-words topic pipeline")
     tsub = topics.add_subparsers(dest="topics_command", required=True)
 
     p = tsub.add_parser("build", help="corpus text to doc-term matrix")
-    p.add_argument("corpus", help="one document per line, UTF-8")
-    p.add_argument("--stop-words", default=None,
+    p.add_argument("corpus", type=path, help="one document per line, UTF-8")
+    p.add_argument("--stop-words", type=path, default=None,
                    help="file with one stop word per line")
     p.add_argument("--min-doc-fraction", type=float, default=0.005,
                    help="minimum document frequency for a term (default 0.005)")
     _add_out_dir(p)
 
     p = tsub.add_parser("fit", help="fit topics to a doc-term matrix")
-    p.add_argument("doc_term", help="doc-term count matrix (CSV or binary)")
-    p.add_argument("vocab", help="vocabulary sidecar, one term per line")
+    p.add_argument("doc_term", type=path, help="doc-term count matrix (CSV or binary)")
+    p.add_argument("vocab", type=path, help="vocabulary sidecar, one term per line")
     _add_solver_flags(p)
     p.set_defaults(orientation="both")
     _add_out_dir(p)
 
     p = tsub.add_parser("top-terms", help="most probable terms per topic")
-    p.add_argument("w")
-    p.add_argument("h")
-    p.add_argument("vocab")
+    p.add_argument("w", type=path)
+    p.add_argument("h", type=path)
+    p.add_argument("vocab", type=path)
     p.add_argument("--k", type=int, default=5)
     _add_out_dir(p)
 
     p = tsub.add_parser("histogram", help="documents per most-probable topic")
-    p.add_argument("w")
-    p.add_argument("h")
-    p.add_argument("vocab")
+    p.add_argument("w", type=path)
+    p.add_argument("h", type=path)
+    p.add_argument("vocab", type=path)
     _add_out_dir(p)
 
     p = sub.add_parser("rerun", help="re-execute a recorded run")

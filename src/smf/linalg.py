@@ -49,11 +49,6 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(np.sum(m * m)))
 
 
-def _svd(m: np.ndarray):
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return u, s, vt
-
-
 def numerical_rank(a, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above ``rank_tol`` times the largest one."""
     m = _as_matrix(a)
@@ -86,7 +81,7 @@ def pseudoinverse(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     m = _as_matrix(a)
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    u, s, vt = _svd(m)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
     if s[0] <= 0.0:
         return np.zeros((m.shape[1], m.shape[0]))
     keep = s > rank_tol * s[0]

@@ -11,7 +11,6 @@ initializations.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -20,9 +19,9 @@ import numpy as np
 
 from .factors import FactorPair, Orientation
 from .linalg import (
+    _as_matrix,
     _simplex_rows_raw,
     frobenius_norm,
-    numerical_rank,
     pseudoinverse,
     row_normalize,
     simplex_project_rows,
@@ -112,11 +111,24 @@ def _check_x(x) -> np.ndarray:
     return m
 
 
-def _check_h_rank(h: np.ndarray, rank_tol: float) -> None:
-    if numerical_rank(h, rank_tol) < h.shape[0]:
+def _full_rank_pinv(h: np.ndarray, rank_tol: float) -> Optional[np.ndarray]:
+    # pinv(H) from a single SVD, or None when H lacks full row rank.  On
+    # full-rank input this is pseudoinverse()'s arithmetic, bit for bit.
+    u, s, vt = np.linalg.svd(h, full_matrices=False)
+    if s[0] <= 0.0 or s[-1] <= rank_tol * s[0]:
+        return None
+    return (vt.T * (1.0 / s)) @ u.T
+
+
+def _checked_pinv(h, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # A caller's H as a finite non-empty matrix, with its pseudoinverse.
+    hm = _as_matrix(h, "H")
+    hp = _full_rank_pinv(hm, rank_tol)
+    if hp is None:
         raise RankDeficientError(
-            f"H of shape {h.shape} does not have full row rank"
+            f"H of shape {hm.shape} does not have full row rank"
         )
+    return hm, hp
 
 
 def concentrate_w(x, h, rank_tol: float = 1e-10) -> np.ndarray:
@@ -125,9 +137,8 @@ def concentrate_w(x, h, rank_tol: float = 1e-10) -> np.ndarray:
     Raises :class:`RankDeficientError` if H lacks full row rank.
     """
     xm = _check_x(x)
-    hm = np.asarray(h, dtype=np.float64)
-    _check_h_rank(hm, rank_tol)
-    return xm @ pseudoinverse(hm, rank_tol)
+    _, hp = _checked_pinv(h, rank_tol)
+    return xm @ hp
 
 
 def objective_terms(x, h, config: SolverConfig) -> dict[str, float]:
@@ -141,9 +152,7 @@ def objective_terms(x, h, config: SolverConfig) -> dict[str, float]:
     identically zero and only the residual and H terms remain.
     """
     xm = _check_x(x)
-    hm = np.asarray(h, dtype=np.float64)
-    _check_h_rank(hm, config.rank_tol)
-    hp = pseudoinverse(hm, config.rank_tol)
+    hm, hp = _checked_pinv(h, config.rank_tol)
     w = xm @ hp
     if config.mode is Mode.PROJECTED:
         w = _feasible_w(w, config.orientation)
@@ -169,19 +178,15 @@ def objective(x, h, config: SolverConfig) -> float:
     return float(sum(objective_terms(x, h, config).values()))
 
 
-def _objective_value(x, h, config) -> float:
-    # Internal twin of objective() that reports +inf instead of raising on a
-    # rank-deficient H, so the line search can reject such steps.
-    obj, _, _, _ = _eval(x, h, config)
-    return obj
-
-
 def _eval(x, h, config):
     """Objective value plus the intermediates the gradient reuses.
 
     Returns ``(value, hp, w, z)``; rank-deficient H yields
     ``(inf, None, None, None)``.
     """
+    # Not _full_rank_pinv: vt.T / s rounds differently from vt.T * (1/s),
+    # and the descent's path follows those last bits, so sharing either
+    # arithmetic with the warm start changes every fit and its step count.
     u, s, vt = np.linalg.svd(h, full_matrices=False)
     if s[0] <= 0.0 or s[-1] <= config.rank_tol * s[0]:
         return np.inf, None, None, None
@@ -207,8 +212,11 @@ def _smooth_step(t: np.ndarray, mu: float) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(np.clip(-t / mu, -500.0, 500.0)))
 
 
-def _gradient(x, h, config, mu: float = 0.0, parts=None) -> np.ndarray:
+def _gradient(h, hp, w, z, config, mu: float = 0.0) -> np.ndarray:
     """Analytic (sub)gradient / search direction with respect to H.
+
+    ``hp``, ``w`` and ``z`` are pinv(H), W and the residual X - W H as
+    :func:`_eval` returns them.
 
     PENALTY mode: the residual and W-dependent penalty terms are
     differentiated through W = X pinv(H) using the full-row-rank derivative
@@ -222,14 +230,6 @@ def _gradient(x, h, config, mu: float = 0.0, parts=None) -> np.ndarray:
     penalty terms enter the direction.
     """
     p1, p2 = config.penalty_sum1, config.penalty_nonneg
-    if parts is None:
-        hp = pseudoinverse(h, config.rank_tol)
-        w = x @ hp
-        if config.mode is Mode.PROJECTED:
-            w = _feasible_w(w, config.orientation)
-        z = x - w @ h
-    else:
-        hp, w, z = parts
     g = np.zeros_like(h)
 
     fro = frobenius_norm(z)
@@ -296,7 +296,7 @@ def _descend(x, h, config: SolverConfig, max_iter: int, conv_tol: float,
     for _ in range(max_iter + 200):
         if len(trace) > max_iter:
             break
-        g = _gradient(x, h, config, mu, parts=(hp, w, z))
+        g = _gradient(h, hp, w, z, config, mu)
         gn = frobenius_norm(g)
         if gn == 0.0:
             converged = True
@@ -361,10 +361,10 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
     floor = 1e-13 * max(1.0, frobenius_norm(x))
     prev = np.inf
     for _ in range(rounds):
-        s = np.linalg.svd(h, compute_uv=False)
-        if s[0] <= 0.0 or s[-1] <= config.rank_tol * s[0]:
+        hp = _full_rank_pinv(h, config.rank_tol)
+        if hp is None:
             break
-        w = _feasible_w(x @ pseudoinverse(h, config.rank_tol), config.orientation)
+        w = _feasible_w(x @ hp, config.orientation)
         gram = w.T @ w
         lip = float(np.linalg.norm(gram, 2))
         if lip <= 0.0:
@@ -428,11 +428,10 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     ----------
     x : array_like, shape (n, m)
         Non-negative data matrix.  With orientation BOTH the rows must
-        already sum to 1.
+        already sum to 1; with a row-stochastic W no row may be all zero.
     config : SolverConfig
     threads : int
-        Number of worker threads across restarts; results are identical for
-        any thread count.
+        Accepted and ignored; restarts run serially.
     progress : callable, optional
         Called as ``progress(iteration, objective)`` after each accepted
         descent step.
@@ -453,16 +452,15 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
             raise InvalidInputError(
                 f"orientation BOTH requires X rows summing to 1 (max deviation {dev:.3e})"
             )
+    # A zero row of X forces w H = 0 with w on the simplex and H >= 0, so H
+    # would need a zero row and could not have full row rank.
+    nonzero = xm.any(axis=1)
+    if config.orientation.w_stochastic and not nonzero.all():
+        raise InvalidInputError(f"row {int(np.argmin(nonzero))} of X is all zero, "
+                                "which a row-stochastic W cannot fit")
 
-    def run(k: int):
-        cb = progress if k == 0 else None
-        return _solve_one(xm, config, k, cb)
-
-    if threads > 1 and config.restarts > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(config.restarts)))
-    else:
-        results = [run(k) for k in range(config.restarts)]
+    results = [_solve_one(xm, config, k, progress if k == 0 else None)
+               for k in range(config.restarts)]
 
     finals = [trace[-1] for _, trace, _ in results]
     best = min(range(config.restarts), key=lambda k: (finals[k], k))

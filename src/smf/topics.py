@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -164,11 +165,12 @@ def read_corpus(matrix_path, vocab_path) -> Corpus:
 
 @dataclass(frozen=True)
 class TopicModel:
-    """Fitted topic model: doubly stochastic factors plus the vocabulary."""
+    """Fitted topic model: doubly stochastic factors plus the vocabulary,
+    and the solver's report (None for factors read from files)."""
 
     factors: FactorPair
     vocabulary: tuple
-    solve_result: SolveResult
+    solve_result: Optional[SolveResult] = None
 
     def __post_init__(self):
         if self.factors.orientation is not Orientation.BOTH:
@@ -187,7 +189,8 @@ def fit_topics(corpus: Corpus, config: SolverConfig, *, threads: int = 1) -> Top
 
     H comes from the solver; the per-document topic mixtures W are then
     recomputed as the simplex-projected rows of X pinv(H), which keeps W on
-    the simplex exactly in either solver mode.
+    the simplex exactly in either solver mode.  ``threads`` is accepted and
+    ignored; restarts run serially.
     """
     if config.orientation is not Orientation.BOTH:
         raise ValueError("fit_topics requires config.orientation = BOTH")

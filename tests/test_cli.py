@@ -100,6 +100,18 @@ def test_factorize_rejects_missing_file(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+def test_factorize_rejects_zero_rows(tmp_path, capsys):
+    x_path, _ = write_instance(tmp_path, seed=4)
+    x = read_matrix(x_path)
+    for name, bad in (("zero-row.csv", np.vstack([x, np.zeros((1, 8))])),
+                      ("zero.csv", np.zeros_like(x))):
+        write_matrix_csv(tmp_path / name, bad)
+        code = run_cli("factorize", tmp_path / name, "--rank", 2,
+                       "--out-dir", tmp_path / "run")
+        assert code == EXIT_INPUT
+        assert "all zero" in capsys.readouterr().err
+
+
 def test_factorize_rejects_negative_data(tmp_path, capsys):
     path = tmp_path / "X.csv"
     write_matrix_csv(path, np.array([[0.5, -0.5], [0.2, 0.8], [0.9, 0.1]]))
@@ -348,6 +360,24 @@ def test_rerun_reproduces_outputs_bitwise(tmp_path):
                    "--out-dir", out2) == EXIT_OK
     for name in ("W.csv", "H.csv", "result.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_rerun_from_another_directory(tmp_path, monkeypatch):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    write_instance(first, seed=5)
+    monkeypatch.chdir(first)
+    assert run_cli("factorize", "X.csv", "--rank", 2, "--restarts", 2,
+                   "--out-dir", "run1") == EXIT_OK
+    manifest = json.loads((first / "run1" / "manifest.json").read_text())
+    assert manifest["inputs"][0]["path"] == str(first / "X.csv")
+    monkeypatch.chdir(second)
+    assert run_cli("rerun", first / "run1" / "manifest.json",
+                   "--out-dir", "run2") == EXIT_OK
+    for name in ("W.csv", "H.csv", "result.json"):
+        want = (first / "run1" / name).read_bytes()
+        assert (second / "run2" / name).read_bytes() == want
 
 
 def test_rerun_analyze_bitwise(tmp_path):

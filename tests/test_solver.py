@@ -17,7 +17,18 @@ from smf import (
     objective,
     objective_terms,
 )
-from smf.solver import EPS_FEAS_PENALTY, EPS_FEAS_PROJECTED, _gradient
+from smf.linalg import frobenius_norm, pseudoinverse
+from smf.solver import (
+    EPS_FEAS_PENALTY,
+    EPS_FEAS_PROJECTED,
+    _eval,
+    _feasible_h,
+    _feasible_w,
+    _gradient,
+    _init_h,
+    _terms_from_parts_z,
+    _warm_start,
+)
 
 
 def cfg(rank=2, orientation=Orientation.W_ROWS_SUM_TO_1, **kw):
@@ -65,6 +76,37 @@ def test_concentrate_w_exact_inverse():
 def test_concentrate_w_rank_deficient_h():
     with pytest.raises(RankDeficientError):
         concentrate_w(np.eye(3), np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]))
+
+
+def test_concentrate_w_validates_h():
+    x = np.eye(3)
+    for h in (np.ones(3), np.zeros((0, 3)), np.array([[np.nan, 1.0, 0.0]])):
+        with pytest.raises(ValueError):
+            concentrate_w(x, h)
+        with pytest.raises(ValueError):
+            objective_terms(x, h, cfg(rank=1))
+
+
+def reference_instances():
+    rng = np.random.default_rng(41)
+    for orientation in Orientation:
+        for trial in range(3):
+            x = rng.uniform(0.0, 1.0, size=(15, 7))
+            if orientation is Orientation.BOTH:
+                x = x / x.sum(axis=1, keepdims=True)
+            h = rng.uniform(0.05, 1.0, size=(2 + trial % 2, 7))
+            yield orientation, x, h
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_concentrate_w_and_terms_equal_pseudoinverse_bitwise(mode):
+    for orientation, x, h in reference_instances():
+        w = x @ pseudoinverse(h)
+        assert np.array_equal(concentrate_w(x, h), w)
+        c = cfg(rank=h.shape[0], orientation=orientation, mode=mode)
+        if mode is Mode.PROJECTED:
+            w = _feasible_w(w, orientation)
+        assert objective_terms(x, h, c) == _terms_from_parts_z(x - w @ h, h, w, c)
 
 
 # ------------------------------------------------- objective frozen examples
@@ -152,7 +194,8 @@ def test_penalty_gradient_matches_finite_differences(orientation):
             x = x / x.sum(axis=1, keepdims=True)
         h = rng.uniform(0.2, 0.8, size=(2, 5))
         c = cfg(orientation=orientation)
-        got = _gradient(x, h, c, mu=0.0)
+        _, hp, w, z = _eval(x, h, c)
+        got = _gradient(h, hp, w, z, c, mu=0.0)
         want = numerical_gradient(x, h, c)
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) / scale < 1e-5
@@ -174,6 +217,26 @@ def test_factorize_validates_input():
         factorize(np.full((2, 5), 0.2), c)
     with pytest.raises(InvalidInputError):
         factorize(np.full((5, 2), 0.2), c)
+
+
+@pytest.mark.parametrize("orientation", [Orientation.W_ROWS_SUM_TO_1,
+                                         Orientation.BOTH])
+def test_factorize_rejects_zero_rows_for_stochastic_w(orientation):
+    # A zero row of X would need a zero row in H; no full-rank H fits it.
+    x, _ = generate(20, 8, 2, seed=29, orientation=orientation)
+    x[7] = 0.0
+    c = cfg(rank=2, orientation=orientation, restarts=1)
+    for bad in (x, np.zeros_like(x)):
+        with pytest.raises(InvalidInputError):
+            factorize(bad, c)
+
+
+def test_factorize_accepts_zero_rows_for_free_w():
+    x, _ = generate(20, 8, 2, seed=29, orientation=Orientation.H_ROWS_SUM_TO_1)
+    x[7] = 0.0
+    res = factorize(x, cfg(rank=2, orientation=Orientation.H_ROWS_SUM_TO_1,
+                           restarts=1))
+    assert np.isfinite(res.objective)
 
 
 def test_factorize_both_requires_stochastic_rows():
@@ -277,3 +340,46 @@ def test_seed_changes_initialization():
     r0 = factorize(x, cfg(rank=3, restarts=1, seed=0, max_iter=5))
     r1 = factorize(x, cfg(rank=3, restarts=1, seed=100, max_iter=5))
     assert r0.objective_trace[0] != r1.objective_trace[0]
+
+
+# ------------------------------------------------ warm-start reference
+
+
+def reference_warm_start(x, h, config, rounds):
+    # The warm start as first written: a singular-value-only SVD for the
+    # rank test, then pseudoinverse() for W.  The solver's single-SVD
+    # version must reproduce it bit for bit.
+    floor = 1e-13 * max(1.0, frobenius_norm(x))
+    prev = np.inf
+    for _ in range(rounds):
+        s = np.linalg.svd(h, compute_uv=False)
+        if s[0] <= 0.0 or s[-1] <= config.rank_tol * s[0]:
+            break
+        w = _feasible_w(x @ pseudoinverse(h, config.rank_tol), config.orientation)
+        gram = w.T @ w
+        lip = float(np.linalg.norm(gram, 2))
+        if lip <= 0.0:
+            break
+        wtx = w.T @ x
+        for _ in range(3):
+            h = _feasible_h(h - (gram @ h - wtx) / lip, config.orientation)
+        loss = frobenius_norm(x - w @ h)
+        if loss < floor or prev - loss < 1e-13 * max(1.0, prev):
+            break
+        prev = loss
+    return h
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_warm_start_matches_reference_bitwise(mode, orientation):
+    for seed in range(3):
+        x, _ = generate(30, 9, 3, seed=seed, noise_sigma=0.02 * seed,
+                        orientation=orientation)
+        c = cfg(rank=3, orientation=orientation, mode=mode)
+        h0 = _init_h(np.random.default_rng(seed), 3, x.shape[1], orientation)
+        if mode is Mode.PROJECTED:
+            h0 = _feasible_h(h0, orientation)
+        for rounds in (1, 7, 200):
+            want = reference_warm_start(x, h0, c, rounds)
+            assert np.array_equal(_warm_start(x, h0, c, rounds), want)
