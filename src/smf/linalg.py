@@ -121,15 +121,17 @@ def _project_once(v: np.ndarray) -> np.ndarray:
 
 
 def _simplex_rows_raw(m: np.ndarray) -> np.ndarray:
-    # Vectorized per-row simplex projection without the exact-sum
-    # canonicalization pass; row sums land within ~1e-15 of 1.  Internal hot
-    # path for iterative solvers; public callers get simplex_project_rows.
-    u = -np.sort(-m, axis=1)
-    cssv = np.cumsum(u, axis=1) - 1.0
-    ind = np.arange(1, m.shape[1] + 1)
-    rho = np.maximum((u * ind > cssv).cumsum(axis=1).argmax(axis=1), 0)
-    theta = cssv[np.arange(m.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(m - theta[:, None], 0.0)
+    # Vectorized simplex projection along the last axis (of a matrix or a
+    # stack of them) without the exact-sum canonicalization pass; sums land
+    # within ~1e-15 of 1.  Internal hot path for iterative solvers; public
+    # callers get simplex_project_rows.
+    u = -np.sort(-m, axis=-1)
+    cssv = np.cumsum(u, axis=-1) - 1.0
+    n = m.shape[-1]
+    rho = (u * np.arange(1, n + 1) > cssv).cumsum(axis=-1).argmax(axis=-1)
+    # cssv at index rho of each row, read through the flat array.
+    theta = cssv.reshape(-1)[np.arange(0, cssv.size, n).reshape(rho.shape) + rho]
+    return np.maximum(m - (theta / (rho + 1.0))[..., None], 0.0)
 
 
 def _canonicalize(w: np.ndarray) -> np.ndarray:

@@ -111,24 +111,35 @@ def _check_x(x) -> np.ndarray:
     return m
 
 
-def _full_rank_pinv(h: np.ndarray, rank_tol: float) -> Optional[np.ndarray]:
-    # pinv(H) from a single SVD, or None when H lacks full row rank.  On
-    # full-rank input this is pseudoinverse()'s arithmetic, bit for bit.
+def _svd(h: np.ndarray, rank_tol: float):
+    # SVD of each H in a stack (k, R, m), and which H have full row rank.
+    # The rank test runs on Python floats (the same IEEE comparisons, with
+    # less overhead on a handful of values); the singular values of a
+    # rank-deficient H become 1, so its stand-in pinv stays finite.
     u, s, vt = np.linalg.svd(h, full_matrices=False)
-    if s[0] <= 0.0 or s[-1] <= rank_tol * s[0]:
-        return None
-    return (vt.T * (1.0 / s)) @ u.T
+    full = [r[0] > 0.0 and r[-1] > rank_tol * r[0] for r in s.tolist()]
+    if not all(full):
+        s = np.where(np.array(full)[:, None], s, 1.0)
+    return u, s, vt, full
+
+
+def _full_rank_pinv(h: np.ndarray, rank_tol: float) -> tuple[np.ndarray, list[bool]]:
+    # pinv of each H in a stack from one SVD, and which H have full row
+    # rank.  On full-rank input this is pseudoinverse()'s arithmetic, bit
+    # for bit.
+    u, s, vt, full = _svd(h, rank_tol)
+    return (vt.transpose(0, 2, 1) * (1.0 / s)[:, None, :]) @ u.transpose(0, 2, 1), full
 
 
 def _checked_pinv(h, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
     # A caller's H as a finite non-empty matrix, with its pseudoinverse.
     hm = _as_matrix(h, "H")
-    hp = _full_rank_pinv(hm, rank_tol)
-    if hp is None:
+    hp, full = _full_rank_pinv(hm[None], rank_tol)
+    if not full[0]:
         raise RankDeficientError(
             f"H of shape {hm.shape} does not have full row rank"
         )
-    return hm, hp
+    return hm, hp[0]
 
 
 def concentrate_w(x, h, rank_tol: float = 1e-10) -> np.ndarray:
@@ -179,24 +190,32 @@ def objective(x, h, config: SolverConfig) -> float:
 
 
 def _eval(x, h, config):
-    """Objective value plus the intermediates the gradient reuses.
+    """Objective values of a stack of H, shape (k, R, m), plus the
+    intermediates the gradient reuses.
 
-    Returns ``(value, hp, w, z)``; rank-deficient H yields
-    ``(inf, None, None, None)``.
+    Yields one ``(value, hp, w, z)`` per H, in order; a rank-deficient H
+    yields ``(inf, None, None, None)``.  Each residual ``z`` is an array of
+    its own, made only when its tuple is asked for, so a caller that drops
+    a rejected tuple before asking for the next holds one candidate
+    residual at a time.
     """
     # Not _full_rank_pinv: vt.T / s rounds differently from vt.T * (1/s),
     # and the descent's path follows those last bits, so sharing either
     # arithmetic with the warm start changes every fit and its step count.
-    u, s, vt = np.linalg.svd(h, full_matrices=False)
-    if s[0] <= 0.0 or s[-1] <= config.rank_tol * s[0]:
-        return np.inf, None, None, None
-    hp = (vt.T / s) @ u.T
+    u, s, vt, full = _svd(h, config.rank_tol)
+    hp = (vt.transpose(0, 2, 1) / s[:, None, :]) @ u.transpose(0, 2, 1)
     w = x @ hp
     if config.mode is Mode.PROJECTED:
         w = _feasible_w(w, config.orientation)
-    z = x - w @ h
-    obj = float(sum(_terms_from_parts_z(z, h, w, config).values()))
-    return obj, hp, w, z
+    for j, ok in enumerate(full):
+        if not ok:
+            yield np.inf, None, None, None
+            continue
+        z = w[j] @ h[j]
+        np.subtract(x, z, out=z)
+        obj = float(sum(_terms_from_parts_z(z, h[j], w[j], config).values()))
+        yield obj, hp[j], w[j], z
+        z = None
 
 
 def _smooth_sign(t: np.ndarray, mu: float) -> np.ndarray:
@@ -274,16 +293,19 @@ _BB_MIN, _BB_MAX = 1e-12, 1e8
 _WARM_START_ROUNDS = 2000
 
 
-def _descend(x, h, config: SolverConfig, max_iter: int, conv_tol: float,
+def _descend(h, config: SolverConfig,
              progress: Optional[Callable[[int, float], None]]):
-    """Projected/penalized gradient descent from ``h``.
+    """Projected/penalized gradient descent from ``h``, as a generator.
 
-    Spectral (Barzilai-Borwein) initial steps are backtracked by halving
-    until the exact objective decreases.  When no decrease is found along
-    the current smoothed direction the smoothing width shrinks before the
-    point is declared stationary.
+    It yields each H it needs evaluated and is sent back that H's
+    :func:`_eval` tuple, so that :func:`_descend_all` can evaluate the
+    candidates of every restart at once; it returns ``(h, trace,
+    converged)``.  Spectral (Barzilai-Borwein) initial steps are backtracked
+    by halving until the exact objective decreases.  When no decrease is
+    found along the current smoothed direction the smoothing width shrinks
+    before the point is declared stationary.
     """
-    obj, hp, w, z = _eval(x, h, config)
+    obj, hp, w, z = yield h
     trace = [obj]
     converged = False
     smoothable = config.mode is Mode.PENALTY and (
@@ -293,8 +315,8 @@ def _descend(x, h, config: SolverConfig, max_iter: int, conv_tol: float,
     g_prev = None
     # Annealing passes that fail to step do not count against max_iter; the
     # mu ladder is finite so the extra budget is bounded.
-    for _ in range(max_iter + 200):
-        if len(trace) > max_iter:
+    for _ in range(config.max_iter + 200):
+        if len(trace) > config.max_iter:
             break
         g = _gradient(h, hp, w, z, config, mu)
         gn = frobenius_norm(g)
@@ -309,15 +331,15 @@ def _descend(x, h, config: SolverConfig, max_iter: int, conv_tol: float,
             sy = float(np.sum(s * y))
             step = float(np.sum(s * s)) / sy if sy > 1e-300 else 1.0 / gn
             step = min(max(step, _BB_MIN), _BB_MAX)
-        accepted = None
         for _ in range(_MAX_HALVINGS):
             cand = h - step * g
             if config.mode is Mode.PROJECTED:
                 cand = _feasible_h(cand, config.orientation)
-            val, hp_c, w_c, z_c = _eval(x, cand, config)
-            if val < obj:
-                accepted = (cand, val, hp_c, w_c, z_c)
+            accepted = yield cand
+            if accepted[0] < obj:
                 break
+            # Free the rejected candidate's arrays before the next evaluation.
+            accepted = None
             step *= 0.5
         if accepted is None:
             if smoothable and mu > _MU_FLOOR:
@@ -327,13 +349,13 @@ def _descend(x, h, config: SolverConfig, max_iter: int, conv_tol: float,
             converged = True
             break
         h_prev, g_prev = h, g
-        cand, val, hp, w, z = accepted
+        val, hp, w, z = accepted
         rel = (obj - val) / max(abs(obj), 1e-300)
         h, obj = cand, val
         trace.append(obj)
         if progress is not None:
             progress(len(trace) - 1, obj)
-        if rel < conv_tol:
+        if rel < config.conv_tol:
             if smoothable and mu > _MU_FLOOR:
                 mu *= 0.1
                 h_prev = g_prev = None
@@ -341,6 +363,31 @@ def _descend(x, h, config: SolverConfig, max_iter: int, conv_tol: float,
             converged = True
             break
     return h, trace, converged
+
+
+def _descend_all(x, h, config: SolverConfig,
+                 progress: Optional[Callable[[int, float], None]]):
+    """Run :func:`_descend` from each H of the stack ``h`` (k, R, m).
+
+    Each tick evaluates the pending H of every restart still descending in
+    one stacked :func:`_eval`, so every restart follows the path it would
+    follow alone.  Returns each restart's ``(h, trace, converged)``.
+    """
+    runs = [_descend(h[k], config, progress if k == 0 else None)
+            for k in range(len(h))]
+    pending = {k: next(run) for k, run in enumerate(runs)}
+    results = [None] * len(runs)
+    while pending:
+        evals = _eval(x, np.array(list(pending.values())), config)
+        for k, ev in zip(list(pending), evals):
+            try:
+                pending[k] = runs[k].send(ev)
+            except StopIteration as done:
+                del pending[k]
+                results[k] = done.value
+            # Free a rejected candidate before the next one is evaluated.
+            ev = None
+    return results
 
 
 def _feasible_w(w: np.ndarray, orientation: Orientation) -> np.ndarray:
@@ -357,36 +404,51 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
     round refreshes W from the current H, projects it feasible, then takes
     a few Lipschitz-step projected gradient updates on H for that fixed W.
     Stops when the loss plateaus or effectively reaches zero.
+
+    ``h`` is a stack (k, R, m) of starting points; the rounds run on all
+    restarts at once, and each restart stops at the round where it would
+    stop alone.  Returns the stack of final H.
     """
     floor = 1e-13 * max(1.0, frobenius_norm(x))
-    prev = np.inf
+    out = h.copy()
+    live = np.arange(len(h))
+    prev = np.full(len(h), np.inf)
     for _ in range(rounds):
-        hp = _full_rank_pinv(h, config.rank_tol)
-        if hp is None:
-            break
+        hp, full = _full_rank_pinv(h, config.rank_tol)
         w = _feasible_w(x @ hp, config.orientation)
-        gram = w.T @ w
-        lip = float(np.linalg.norm(gram, 2))
-        if lip <= 0.0:
-            break
-        wtx = w.T @ x
+        gram = w.transpose(0, 2, 1) @ w
+        # The spectral norm of each gram, as np.linalg.norm(gram, 2) finds
+        # it (the largest singular value) without its per-call overhead.
+        lip = np.linalg.svd(gram, compute_uv=False)[:, 0]
+        go = [k for k, l in enumerate(lip.tolist()) if full[k] and l > 0.0]
+        if len(go) < len(live):
+            # Rank-deficient H or a zero W: that restart stops unchanged.
+            # The others are written again when they stop.
+            out[live] = h
+            if not go:
+                return out
+            live, h, w, gram, lip, prev = (
+                a[go] for a in (live, h, w, gram, lip, prev))
+        wtx = w.transpose(0, 2, 1) @ x
+        step = lip[:, None, None]
         for _ in range(3):
-            h = _feasible_h(h - (gram @ h - wtx) / lip, config.orientation)
-        loss = frobenius_norm(x - w @ h)
-        if loss < floor or prev - loss < 1e-13 * max(1.0, prev):
-            break
-        prev = loss
-    return h
-
-
-def _solve_one(x, config: SolverConfig, restart: int,
-               progress: Optional[Callable[[int, float], None]]):
-    rng = np.random.default_rng(config.seed + restart)
-    h = _init_h(rng, config.rank, x.shape[1], config.orientation)
-    if config.mode is Mode.PROJECTED:
-        h = _feasible_h(h, config.orientation)
-    h = _warm_start(x, h, config, rounds=_WARM_START_ROUNDS)
-    return _descend(x, h, config, config.max_iter, config.conv_tol, progress)
+            h = _feasible_h(h - (gram @ h - wtx) / step, config.orientation)
+        go = []
+        for k, last in enumerate(prev.tolist()):
+            r = w[k] @ h[k]
+            np.subtract(x, r, out=r)
+            loss = frobenius_norm(r)
+            if loss < floor or last - loss < 1e-13 * max(1.0, last):
+                out[live[k]] = h[k]
+            else:
+                prev[k] = loss
+                go.append(k)
+        if len(go) < len(live):
+            if not go:
+                return out
+            live, h, prev = live[go], h[go], prev[go]
+    out[live] = h
+    return out
 
 
 def _snap(arr: np.ndarray, eps: float, upper: bool = False) -> np.ndarray:
@@ -421,17 +483,20 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
 
     Runs ``config.restarts`` independent descents seeded ``config.seed + k``
     and keeps the restart with the lowest final objective (ties go to the
-    lowest restart index).  The returned W is the concentrated least-squares
-    weight matrix post-processed to feasibility for the configured mode.
+    lowest restart index).  The restarts are solved together as one stacked
+    computation, with results bitwise equal to solving them one at a time.
+    The returned W is the concentrated least-squares weight matrix
+    post-processed to feasibility for the configured mode.
 
     Parameters
     ----------
     x : array_like, shape (n, m)
         Non-negative data matrix.  With orientation BOTH the rows must
-        already sum to 1; with a row-stochastic W no row may be all zero.
+        already sum to 1; with a row-stochastic W no row may be all zero
+        and no entry may exceed 1.
     config : SolverConfig
     threads : int
-        Accepted and ignored; restarts run serially.
+        Accepted and ignored; the restarts are solved together.
     progress : callable, optional
         Called as ``progress(iteration, objective)`` after each accepted
         descent step.
@@ -458,9 +523,18 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     if config.orientation.w_stochastic and not nonzero.all():
         raise InvalidInputError(f"row {int(np.argmin(nonzero))} of X is all zero, "
                                 "which a row-stochastic W cannot fit")
+    # Each x_ij is then a convex combination of entries of H, all in [0, 1].
+    if config.orientation.w_stochastic and xm.max() > 1.0 + _X_ROW_SUM_TOL:
+        raise InvalidInputError(f"X has entries above 1 (max {xm.max():.3e}), "
+                                "which a row-stochastic W with H <= 1 cannot fit")
 
-    results = [_solve_one(xm, config, k, progress if k == 0 else None)
-               for k in range(config.restarts)]
+    h0 = np.stack([_init_h(np.random.default_rng(config.seed + k), config.rank,
+                           n_cols, config.orientation)
+                   for k in range(config.restarts)])
+    if config.mode is Mode.PROJECTED:
+        h0 = _feasible_h(h0, config.orientation)
+    h = _warm_start(xm, h0, config, rounds=_WARM_START_ROUNDS)
+    results = _descend_all(xm, h, config, progress)
 
     finals = [trace[-1] for _, trace, _ in results]
     best = min(range(config.restarts), key=lambda k: (finals[k], k))

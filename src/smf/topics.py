@@ -189,8 +189,9 @@ def fit_topics(corpus: Corpus, config: SolverConfig, *, threads: int = 1) -> Top
 
     H comes from the solver; the per-document topic mixtures W are then
     recomputed as the simplex-projected rows of X pinv(H), which keeps W on
-    the simplex exactly in either solver mode.  ``threads`` is accepted and
-    ignored; restarts run serially.
+    the simplex exactly in either solver mode.  Restarts are solved together
+    as one stacked computation, with results bitwise equal to solving them
+    one at a time; ``threads`` is accepted and ignored.
     """
     if config.orientation is not Orientation.BOTH:
         raise ValueError("fit_topics requires config.orientation = BOTH")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -110,6 +111,17 @@ def test_factorize_rejects_zero_rows(tmp_path, capsys):
                        "--out-dir", tmp_path / "run")
         assert code == EXIT_INPUT
         assert "all zero" in capsys.readouterr().err
+
+
+def test_factorize_rejects_data_above_one(tmp_path, capsys):
+    # Rows of W on the simplex and H in [0, 1] cannot reach an entry above 1.
+    x_path, _ = write_instance(tmp_path, seed=4)
+    x = read_matrix(x_path)
+    write_matrix_csv(tmp_path / "big.csv", 2.0 * x / x.max())
+    code = run_cli("factorize", tmp_path / "big.csv", "--rank", 2,
+                   "--out-dir", tmp_path / "run")
+    assert code == EXIT_INPUT
+    assert "above 1" in capsys.readouterr().err
 
 
 def test_factorize_rejects_negative_data(tmp_path, capsys):
@@ -430,8 +442,12 @@ def test_unknown_subcommand_is_usage_error():
 def test_console_script_is_installed():
     exe = shutil.which("smf")
     if exe is None:
+        # Run the checkout under test, installed or not.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(smf.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "smf.cli", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
     else:
         proc = subprocess.run([exe, "--version"], capture_output=True,
                               text=True)

@@ -194,7 +194,7 @@ def test_penalty_gradient_matches_finite_differences(orientation):
             x = x / x.sum(axis=1, keepdims=True)
         h = rng.uniform(0.2, 0.8, size=(2, 5))
         c = cfg(orientation=orientation)
-        _, hp, w, z = _eval(x, h, c)
+        [(_, hp, w, z)] = _eval(x, h[None], c)
         got = _gradient(h, hp, w, z, c, mu=0.0)
         want = numerical_gradient(x, h, c)
         scale = max(1.0, float(np.max(np.abs(want))))
@@ -229,6 +229,20 @@ def test_factorize_rejects_zero_rows_for_stochastic_w(orientation):
     for bad in (x, np.zeros_like(x)):
         with pytest.raises(InvalidInputError):
             factorize(bad, c)
+
+
+def test_factorize_rejects_x_above_one_for_stochastic_w():
+    # A row-stochastic W and 0 <= H <= 1 make every entry of X at most 1.
+    x, _ = generate(20, 8, 2, seed=29, orientation=Orientation.W_ROWS_SUM_TO_1)
+    c = cfg(rank=2, restarts=1)
+    for scale in (2.0, 1e8):
+        with pytest.raises(InvalidInputError, match="above 1"):
+            factorize(x * scale / x.max(), c)
+    # Just under the tolerance still fits, and a free W takes any scale.
+    factorize(x * (1.0 + 1e-7) / x.max(), c)
+    res = factorize(x * 2.0, cfg(rank=2, orientation=Orientation.H_ROWS_SUM_TO_1,
+                                 restarts=1))
+    assert np.isfinite(res.objective)
 
 
 def test_factorize_accepts_zero_rows_for_free_w():
@@ -315,6 +329,25 @@ def test_threaded_restarts_match_sequential():
     assert seq.best_restart == par.best_restart
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_stacked_restarts_match_single_restart_runs(mode, orientation):
+    # Restart j of a k-restart run is the 1-restart run seeded seed + j.
+    x, _ = generate(30, 9, 3, seed=37, noise_sigma=0.03, orientation=orientation)
+    seed = 5
+    res = factorize(x, cfg(rank=3, orientation=orientation, mode=mode,
+                           restarts=4, seed=seed, max_iter=60))
+    for j in range(4):
+        one = factorize(x, cfg(rank=3, orientation=orientation, mode=mode,
+                               restarts=1, seed=seed + j, max_iter=60))
+        assert res.restart_objectives[j] == one.restart_objectives[0]
+        if j == res.best_restart:
+            assert res.factors.w.tobytes() == one.factors.w.tobytes()
+            assert res.factors.h.tobytes() == one.factors.h.tobytes()
+            assert res.objective_trace == one.objective_trace
+            assert res.converged == one.converged
+
+
 def test_progress_callback_sees_descent():
     x, _ = generate(20, 8, 2, seed=19, orientation=Orientation.W_ROWS_SUM_TO_1)
     seen = []
@@ -370,16 +403,40 @@ def reference_warm_start(x, h, config, rounds):
     return h
 
 
+def rounds_until_stop(x, h0, config, limit=2000):
+    # The first round count after which the reference warm start no longer
+    # changes H (0 when it stops before the first update).
+    final = reference_warm_start(x, h0, config, limit)
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if np.array_equal(reference_warm_start(x, h0, config, mid), final):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("orientation", list(Orientation))
 def test_warm_start_matches_reference_bitwise(mode, orientation):
+    # Each H of the stack runs as if alone: restarts that plateau at
+    # different rounds, and a rank-deficient H (two equal rows) that stops
+    # at once while the others go on.
     for seed in range(3):
         x, _ = generate(30, 9, 3, seed=seed, noise_sigma=0.02 * seed,
                         orientation=orientation)
         c = cfg(rank=3, orientation=orientation, mode=mode)
-        h0 = _init_h(np.random.default_rng(seed), 3, x.shape[1], orientation)
+        h0 = np.stack([_init_h(np.random.default_rng(seed + 10 * j), 3, x.shape[1],
+                               orientation) for j in range(4)])
+        h0[2, 1] = h0[2, 0]
         if mode is Mode.PROJECTED:
             h0 = _feasible_h(h0, orientation)
-        for rounds in (1, 7, 200):
-            want = reference_warm_start(x, h0, c, rounds)
-            assert np.array_equal(_warm_start(x, h0, c, rounds), want)
+        for rounds in (1, 7, 200, 2000):
+            got = _warm_start(x, h0, c, rounds)
+            for j in range(len(h0)):
+                assert np.array_equal(got[j], reference_warm_start(x, h0[j], c, rounds))
+    stops = [rounds_until_stop(x, h, c) for h in h0]
+    assert stops[2] == 0
+    assert len({stops[0], stops[1], stops[3]}) == 3
+    assert min(stops[0], stops[1], stops[3]) > 7
