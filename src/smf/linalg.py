@@ -44,9 +44,12 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 def frobenius_norm(a) -> float:
     """Square root of the sum of squared entries."""
     m = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(m)):
+    total = np.sum(m * m)
+    # A NaN or infinite entry makes the sum non-finite, so only then is the
+    # input scanned; finite entries whose squares overflow give inf.
+    if not np.isfinite(total) and not np.all(np.isfinite(m)):
         raise ValueError("input contains non-finite values")
-    return float(np.sqrt(np.sum(m * m)))
+    return float(np.sqrt(total))
 
 
 def numerical_rank(a, rank_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -128,7 +131,8 @@ def _simplex_rows_raw(m: np.ndarray) -> np.ndarray:
     u = -np.sort(-m, axis=-1)
     cssv = np.cumsum(u, axis=-1) - 1.0
     n = m.shape[-1]
-    rho = (u * np.arange(1, n + 1) > cssv).cumsum(axis=-1).argmax(axis=-1)
+    # The last index where the condition holds (it always holds at 0).
+    rho = (n - 1) - (u * np.arange(1, n + 1) > cssv)[..., ::-1].argmax(axis=-1)
     # cssv at index rho of each row, read through the flat array.
     theta = cssv.reshape(-1)[np.arange(0, cssv.size, n).reshape(rho.shape) + rho]
     return np.maximum(m - (theta / (rho + 1.0))[..., None], 0.0)

@@ -189,15 +189,17 @@ def objective(x, h, config: SolverConfig) -> float:
     return float(sum(objective_terms(x, h, config).values()))
 
 
-def _eval(x, h, config):
+def _eval(x, h, config, z, sq):
     """Objective values of a stack of H, shape (k, R, m), plus the
     intermediates the gradient reuses.
 
-    Yields one ``(value, hp, w, z)`` per H, in order; a rank-deficient H
-    yields ``(inf, None, None, None)``.  Each residual ``z`` is an array of
-    its own, made only when its tuple is asked for, so a caller that drops
-    a rejected tuple before asking for the next holds one candidate
-    residual at a time.
+    Returns ``(values, hp, w, z, fro)``: the objective of each H as a list
+    of floats (inf for a rank-deficient H), the stacks pinv(H) and W, the
+    residual stack X - W H written into the buffer ``z`` (k, n, m), and the
+    Frobenius norm of each residual.  Each residual is squared alone into
+    the n×m buffer ``sq``, and the penalty terms are reduced over the whole
+    stack; each value adds its terms as floats in the order of
+    :func:`_terms_from_parts_z`, so it is that function's sum bit for bit.
     """
     # Not _full_rank_pinv: vt.T / s rounds differently from vt.T * (1/s),
     # and the descent's path follows those last bits, so sharing either
@@ -207,15 +209,24 @@ def _eval(x, h, config):
     w = x @ hp
     if config.mode is Mode.PROJECTED:
         w = _feasible_w(w, config.orientation)
-    for j, ok in enumerate(full):
-        if not ok:
-            yield np.inf, None, None, None
-            continue
-        z = w[j] @ h[j]
-        np.subtract(x, z, out=z)
-        obj = float(sum(_terms_from_parts_z(z, h[j], w[j], config).values()))
-        yield obj, hp[j], w[j], z
-        z = None
+    np.matmul(w, h, out=z)
+    np.subtract(x, z, out=z)
+    fro = np.sqrt([np.multiply(r, r, out=sq).sum() for r in z])
+    # np.maximum(a, 0.0) is the ufunc np.clip(a, 0.0, None) calls, without
+    # its wrappers' overhead.
+    p1, p2 = config.penalty_sum1, config.penalty_nonneg
+    terms = [fro]
+    if config.mode is not Mode.PROJECTED:
+        terms.append(p2 * np.maximum(-w, 0.0).sum(axis=(1, 2)))
+        if config.orientation.w_stochastic:
+            terms.append(p1 * np.abs(w.sum(axis=2) - 1.0).sum(axis=1))
+    if config.orientation.h_stochastic:
+        terms.append(p1 * np.abs(h.sum(axis=2) - 1.0).sum(axis=1))
+    terms.append(p2 * np.maximum(-h, 0.0).sum(axis=(1, 2)))
+    terms.append(p2 * np.maximum(h - 1.0, 0.0).sum(axis=(1, 2)))
+    values = [sum(t) if ok else np.inf
+              for t, ok in zip(zip(*(t.tolist() for t in terms)), full)]
+    return values, hp, w, z, fro.tolist()
 
 
 def _smooth_sign(t: np.ndarray, mu: float) -> np.ndarray:
@@ -231,11 +242,11 @@ def _smooth_step(t: np.ndarray, mu: float) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(np.clip(-t / mu, -500.0, 500.0)))
 
 
-def _gradient(h, hp, w, z, config, mu: float = 0.0) -> np.ndarray:
+def _gradient(h, hp, w, z, fro, config, mu: float = 0.0) -> np.ndarray:
     """Analytic (sub)gradient / search direction with respect to H.
 
-    ``hp``, ``w`` and ``z`` are pinv(H), W and the residual X - W H as
-    :func:`_eval` returns them.
+    ``hp``, ``w``, ``z`` and ``fro`` are pinv(H), W, the residual X - W H
+    and its Frobenius norm, one restart's share of :func:`_eval`.
 
     PENALTY mode: the residual and W-dependent penalty terms are
     differentiated through W = X pinv(H) using the full-row-rank derivative
@@ -251,7 +262,6 @@ def _gradient(h, hp, w, z, config, mu: float = 0.0) -> np.ndarray:
     p1, p2 = config.penalty_sum1, config.penalty_nonneg
     g = np.zeros_like(h)
 
-    fro = frobenius_norm(z)
     if fro > 0.0:
         g -= (w.T @ z) / fro
     if config.mode is Mode.PROJECTED:
@@ -293,32 +303,40 @@ _BB_MIN, _BB_MAX = 1e-12, 1e8
 _WARM_START_ROUNDS = 2000
 
 
-def _descend(h, config: SolverConfig,
+def _descend(x, h, config: SolverConfig,
              progress: Optional[Callable[[int, float], None]]):
     """Projected/penalized gradient descent from ``h``, as a generator.
 
-    It yields each H it needs evaluated and is sent back that H's
-    :func:`_eval` tuple, so that :func:`_descend_all` can evaluate the
-    candidates of every restart at once; it returns ``(h, trace,
-    converged)``.  Spectral (Barzilai-Borwein) initial steps are backtracked
-    by halving until the exact objective decreases.  When no decrease is
-    found along the current smoothed direction the smoothing width shrinks
-    before the point is declared stationary.
+    It yields each H it needs evaluated and is sent back that H's share of
+    :func:`_eval`, ``(value, hp, w, z, fro)``, so that :func:`_descend_all`
+    can evaluate the candidates of every restart at once; it returns ``(h,
+    trace, converged)``.  The residual ``z`` is a view of the tick's stack:
+    the gradient is taken from it as soon as a candidate is accepted, and
+    only a smoothing-width drop after a failed line search rebuilds X - W H.
+    A rank-deficient start has no objective and stops at once.
+
+    Spectral (Barzilai-Borwein) initial steps are backtracked by halving
+    until the exact objective decreases.  When no decrease is found along
+    the current smoothed direction the smoothing width shrinks before the
+    point is declared stationary.
     """
-    obj, hp, w, z = yield h
+    obj, hp, w, z, fro = yield h
     trace = [obj]
+    if obj == np.inf:
+        return h, trace, False
+    # Own copies of pinv(H) and W for a rebuild of the residual, so that no
+    # stack of a tick outlives it.
+    hp, w = hp.copy(), w.copy()
     converged = False
     smoothable = config.mode is Mode.PENALTY and (
         config.penalty_sum1 > 0.0 or config.penalty_nonneg > 0.0)
     mu = _MU_START if smoothable else 0.0
     h_prev = None
     g_prev = None
+    g = _gradient(h, hp, w, z, fro, config, mu)
     # Annealing passes that fail to step do not count against max_iter; the
     # mu ladder is finite so the extra budget is bounded.
     for _ in range(config.max_iter + 200):
-        if len(trace) > config.max_iter:
-            break
-        g = _gradient(h, hp, w, z, config, mu)
         gn = frobenius_norm(g)
         if gn == 0.0:
             converged = True
@@ -338,30 +356,33 @@ def _descend(h, config: SolverConfig,
             accepted = yield cand
             if accepted[0] < obj:
                 break
-            # Free the rejected candidate's arrays before the next evaluation.
             accepted = None
             step *= 0.5
         if accepted is None:
             if smoothable and mu > _MU_FLOOR:
                 mu *= 0.1
                 h_prev = g_prev = None
+                g = _gradient(h, hp, w, x - w @ h, fro, config, mu)
                 continue
             converged = True
             break
         h_prev, g_prev = h, g
-        val, hp, w, z = accepted
+        val, hp, w, z, fro = accepted
+        hp, w, accepted = hp.copy(), w.copy(), None
         rel = (obj - val) / max(abs(obj), 1e-300)
         h, obj = cand, val
         trace.append(obj)
         if progress is not None:
             progress(len(trace) - 1, obj)
         if rel < config.conv_tol:
-            if smoothable and mu > _MU_FLOOR:
-                mu *= 0.1
-                h_prev = g_prev = None
-                continue
-            converged = True
+            if not (smoothable and mu > _MU_FLOOR):
+                converged = True
+                break
+            mu *= 0.1
+            h_prev = g_prev = None
+        if len(trace) > config.max_iter:
             break
+        g = _gradient(h, hp, w, z, fro, config, mu)
     return h, trace, converged
 
 
@@ -370,23 +391,25 @@ def _descend_all(x, h, config: SolverConfig,
     """Run :func:`_descend` from each H of the stack ``h`` (k, R, m).
 
     Each tick evaluates the pending H of every restart still descending in
-    one stacked :func:`_eval`, so every restart follows the path it would
+    one stacked :func:`_eval`, whose residual stack is written into one
+    buffer reused by every tick, so every restart follows the path it would
     follow alone.  Returns each restart's ``(h, trace, converged)``.
     """
-    runs = [_descend(h[k], config, progress if k == 0 else None)
+    runs = [_descend(x, h[k], config, progress if k == 0 else None)
             for k in range(len(h))]
     pending = {k: next(run) for k, run in enumerate(runs)}
     results = [None] * len(runs)
+    z = np.empty((len(h),) + x.shape)
+    sq = np.empty(x.shape)
     while pending:
-        evals = _eval(x, np.array(list(pending.values())), config)
-        for k, ev in zip(list(pending), evals):
+        evals = _eval(x, np.array(list(pending.values())), config,
+                      z[:len(pending)], sq)
+        for k, ev in zip(list(pending), zip(*evals)):
             try:
                 pending[k] = runs[k].send(ev)
             except StopIteration as done:
                 del pending[k]
                 results[k] = done.value
-            # Free a rejected candidate before the next one is evaluated.
-            ev = None
     return results
 
 
@@ -407,9 +430,12 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
 
     ``h`` is a stack (k, R, m) of starting points; the rounds run on all
     restarts at once, and each restart stops at the round where it would
-    stop alone.  Returns the stack of final H.
+    stop alone.  Each round's residuals X - W H form one stack, written into
+    a buffer allocated once per call and squared in place, and the losses
+    are one reduction over it.  Returns the stack of final H.
     """
     floor = 1e-13 * max(1.0, frobenius_norm(x))
+    z = np.empty((len(h),) + x.shape)
     out = h.copy()
     live = np.arange(len(h))
     prev = np.full(len(h), np.inf)
@@ -433,11 +459,11 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
         step = lip[:, None, None]
         for _ in range(3):
             h = _feasible_h(h - (gram @ h - wtx) / step, config.orientation)
+        r = np.matmul(w, h, out=z[:len(h)])
+        np.subtract(x, r, out=r)
+        losses = np.sqrt(np.square(r, out=r).sum(axis=(1, 2)))
         go = []
-        for k, last in enumerate(prev.tolist()):
-            r = w[k] @ h[k]
-            np.subtract(x, r, out=r)
-            loss = frobenius_norm(r)
+        for k, (last, loss) in enumerate(zip(prev.tolist(), losses.tolist())):
             if loss < floor or last - loss < 1e-13 * max(1.0, last):
                 out[live[k]] = h[k]
             else:

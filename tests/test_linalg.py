@@ -35,6 +35,28 @@ def test_frobenius_norm_rejects_nan():
         frobenius_norm(np.array([[1.0, np.nan]]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_frobenius_norm_rejects_infinite_entries(bad):
+    with pytest.raises(ValueError):
+        frobenius_norm(np.array([[1.0, bad], [0.0, 2.0]]))
+    with pytest.raises(ValueError):
+        frobenius_norm(np.array([[np.nan, bad]]))
+
+
+def test_frobenius_norm_overflowing_squares_give_inf():
+    # Finite entries whose squares overflow are valid input.
+    with np.errstate(over="ignore"):
+        assert frobenius_norm(np.array([[1e200, -1e200], [0.0, 1.0]])) == np.inf
+
+
+def test_frobenius_norm_is_root_of_summed_squares():
+    rng = np.random.default_rng(13)
+    for shape in [(1, 1), (7, 3), (200, 30), (2400, 81)]:
+        for scale in (1e-150, 1.0, 1e150):
+            a = rng.normal(scale=scale, size=shape)
+            assert frobenius_norm(a) == float(np.sqrt(np.sum(a * a)))
+
+
 # ------------------------------------------------------------ pseudoinverse
 
 
@@ -211,6 +233,34 @@ def test_simplex_project_rows_matches_vector_version():
     rows = simplex_project_rows(m)
     for i in range(m.shape[0]):
         assert np.array_equal(rows[i], simplex_project(m[i]))
+
+
+def simplex_rows_by_cumsum(m):
+    # The row projection with rho found as the first maximum of an integer
+    # cumulative count, as first written, and theta read by take_along_axis.
+    u = -np.sort(-m, axis=-1)
+    cssv = np.cumsum(u, axis=-1) - 1.0
+    n = m.shape[-1]
+    rho = (u * np.arange(1, n + 1) > cssv).cumsum(axis=-1).argmax(axis=-1)
+    theta = np.take_along_axis(cssv, rho[..., None], axis=-1)[..., 0]
+    return np.maximum(m - (theta / (rho + 1.0))[..., None], 0.0)
+
+
+def test_simplex_rows_raw_matches_cumsum_formula_bitwise():
+    rng = np.random.default_rng(31)
+    cases = [
+        rng.normal(size=(40, 7)),
+        rng.normal(scale=5.0, size=(2400, 10)),
+        rng.normal(size=(4, 25, 10)),                   # a stack
+        rng.integers(-2, 3, size=(60, 6)).astype(float),  # tied entries
+        rng.integers(0, 2, size=(3, 20, 5)) / 4.0,       # a tied stack
+        np.zeros((4, 5)),
+        np.full((2, 3, 4), 0.25),
+        np.array([[5.0, 0.0, 0.0], [0.2, 0.3, 0.5]]),   # rho = 0 and n - 1
+        rng.normal(size=(9, 1)),
+    ]
+    for m in cases:
+        assert np.array_equal(_simplex_rows_raw(m), simplex_rows_by_cumsum(m))
 
 
 def test_simplex_rows_raw_tracks_exact_projection():

@@ -1,5 +1,7 @@
 """Unit tests for the constrained factorization solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,14 @@ from smf.linalg import frobenius_norm, pseudoinverse
 from smf.solver import (
     EPS_FEAS_PENALTY,
     EPS_FEAS_PROJECTED,
+    _descend,
+    _descend_all,
     _eval,
     _feasible_h,
     _feasible_w,
     _gradient,
     _init_h,
+    _svd,
     _terms_from_parts_z,
     _warm_start,
 )
@@ -194,8 +199,9 @@ def test_penalty_gradient_matches_finite_differences(orientation):
             x = x / x.sum(axis=1, keepdims=True)
         h = rng.uniform(0.2, 0.8, size=(2, 5))
         c = cfg(orientation=orientation)
-        [(_, hp, w, z)] = _eval(x, h[None], c)
-        got = _gradient(h, hp, w, z, c, mu=0.0)
+        _, [hp], [w], [z], [fro] = _eval(x, h[None], c, np.empty((1,) + x.shape),
+                                         np.empty(x.shape))
+        got = _gradient(h, hp, w, z, fro, c, mu=0.0)
         want = numerical_gradient(x, h, c)
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) / scale < 1e-5
@@ -440,3 +446,79 @@ def test_warm_start_matches_reference_bitwise(mode, orientation):
     assert stops[2] == 0
     assert len({stops[0], stops[1], stops[3]}) == 3
     assert min(stops[0], stops[1], stops[3]) > 7
+
+
+# ------------------------------------------------- stacked descent reference
+
+
+def serial_eval(x, h, config):
+    # One candidate scored alone with per-restart arithmetic: pinv(H) and W
+    # from a stack of one, then its own residual array, frobenius_norm and
+    # _terms_from_parts_z.
+    _, [hp], [w], _, _ = _eval(x, h[None], config, np.empty((1,) + x.shape),
+                               np.empty(x.shape))
+    z = x - w @ h
+    full = _svd(h[None], config.rank_tol)[3][0]
+    value = float(sum(_terms_from_parts_z(z, h, w, config).values())) if full else np.inf
+    return value, hp, w, z, frobenius_norm(z)
+
+
+def serial_descend(x, h, config):
+    # Each restart descends alone, fed one candidate at a time.
+    results = []
+    for h0 in h:
+        run = _descend(x, h0, config, None)
+        cand = next(run)
+        try:
+            while True:
+                cand = run.send(serial_eval(x, cand, config))
+        except StopIteration as done:
+            results.append(done.value)
+    return results
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_stacked_descent_matches_serial_reference_bitwise(mode, orientation):
+    # The stacked residuals, norms and penalty reductions of every tick add
+    # up to the per-restart objective bit for bit, so each restart of a
+    # stack follows the path it follows alone; a rank-deficient start (two
+    # equal rows) stops at once without disturbing the others.
+    for seed in range(2):
+        x, _ = generate(30, 9, 3, seed=seed, noise_sigma=0.03, orientation=orientation)
+        c = cfg(rank=3, orientation=orientation, mode=mode, max_iter=80)
+        h0 = np.stack([_init_h(np.random.default_rng(seed + 10 * j), 3, x.shape[1],
+                               orientation) for j in range(4)])
+        h0[2, 1] = h0[2, 0]
+        if mode is Mode.PROJECTED:
+            h0 = _feasible_h(h0, orientation)
+        for stack in (h0[:1], h0):
+            got = _descend_all(x, stack, c, None)
+            want = serial_descend(x, stack, c)
+            for (gh, gtrace, gconv), (wh, wtrace, wconv) in zip(got, want):
+                assert gh.tobytes() == wh.tobytes()
+                assert gtrace == wtrace
+                assert gconv == wconv
+        assert want[2][1:] == ([np.inf], False)
+        assert all(len(want[j][1]) > 5 for j in (0, 1, 3))
+
+
+# ------------------------------------------------------------- peak memory
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 5])
+def test_factorize_peak_memory_is_one_residual_per_restart(restarts):
+    # The descent keeps one residual stack of the live restarts and no
+    # residual per restart between ticks: the traced peak stays within
+    # restarts + 3 arrays of X's size.
+    x, _ = generate(600, 200, 2, seed=0, orientation=Orientation.BOTH)
+    c = cfg(rank=2, orientation=Orientation.BOTH, mode=Mode.PROJECTED,
+            max_iter=30, restarts=restarts)
+    tracemalloc.start()
+    try:
+        res = factorize(x, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 30
+    assert peak <= (restarts + 3) * x.nbytes
