@@ -4,9 +4,11 @@ The estimator concentrates W out of the problem: for a candidate H, the
 weight matrix is W = X @ pinv(H), and the loss is the Frobenius norm of the
 residual X - W @ H plus weighted penalties for the constraints that W and H
 must satisfy (non-negativity, rows summing to 1 on the stochastic side, and
-H bounded by 1).  Minimization runs projected/penalized gradient descent on
-H with a backtracking line search, restarted from several seeded random
-initializations.
+H bounded by 1).  Each of several seeded random initializations is first
+refined by a warm start of projected alternating least squares whose
+rounds are extrapolated with an adaptive step (Ang & Gillis, 2019); then
+projected/penalized gradient descent on H with a backtracking line search
+minimizes the exact objective.
 """
 
 from __future__ import annotations
@@ -419,28 +421,53 @@ def _feasible_w(w: np.ndarray, orientation: Orientation) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
+# The warm start's extrapolation weight beta: its start, the start of its
+# ceiling, its shrink factor after a discarded round, and the growth
+# factors of beta and of its ceiling after an accepted round.
+_BETA_START = 0.5
+_BETA_CEIL_START = 1.0
+_BETA_SHRINK = 1.5
+_BETA_GROW = 1.01
+_BETA_CEIL_GROW = 1.005
+
+
 def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
-    """Projected alternating least squares on the bilinear loss.
+    """Extrapolated projected alternating least squares on the bilinear loss.
 
     Cheap warm-up that settles both the row space and a feasible
     representative before the exact-objective descent takes over.  Each
-    round refreshes W from the current H, projects it feasible, then takes
-    a few Lipschitz-step projected gradient updates on H for that fixed W.
-    Stops when the loss plateaus or effectively reaches zero.
+    round refreshes W = X pinv(Y), projects it feasible, then takes three
+    Lipschitz-step projected gradient updates on H from Y for that fixed W.
+    After an accepted round H, the next Y is H + beta (H - H_acc) projected
+    feasible, H_acc being the previous accepted H (Ang & Gillis, Neural
+    Computation 31(2), 2019).  An extrapolated round whose loss rises is
+    discarded, shrinks beta and lowers its ceiling, and the next round
+    starts plain from H_acc; it still counts toward ``rounds``.
+
+    A restart stops when the loss effectively reaches zero (returning the
+    new H), when it plateaus (returning whichever of the new H and H_acc
+    has the lower loss), or when Y is rank-deficient or W is zero
+    (returning H_acc, its start if no round was accepted); at the round cap
+    it returns H_acc.
 
     ``h`` is a stack (k, R, m) of starting points; the rounds run on all
-    restarts at once, and each restart stops at the round where it would
-    stop alone.  Each round's residuals X - W H form one stack, written into
-    a buffer allocated once per call and squared in place, and the losses
-    are one reduction over it.  Returns the stack of final H.
+    restarts at once, each with its own beta, ceiling, H_acc, loss and
+    extrapolation flag, and each restart stops at the round where it would
+    stop alone.  Each round's residuals X - W H form one stack, written
+    into a buffer allocated once per call and squared in place, and the
+    losses are one reduction over it.  Returns the stack of final H.
     """
     floor = 1e-13 * max(1.0, frobenius_norm(x))
     z = np.empty((len(h),) + x.shape)
     out = h.copy()
     live = np.arange(len(h))
+    y, acc = h, h.copy()
     prev = np.full(len(h), np.inf)
+    beta = np.full(len(h), _BETA_START)
+    ceil = np.full(len(h), _BETA_CEIL_START)
+    extrapolated = np.zeros(len(h), dtype=bool)
     for _ in range(rounds):
-        hp, full = _full_rank_pinv(h, config.rank_tol)
+        hp, full = _full_rank_pinv(y, config.rank_tol)
         w = _feasible_w(x @ hp, config.orientation)
         gram = w.transpose(0, 2, 1) @ w
         # The spectral norm of each gram, as np.linalg.norm(gram, 2) finds
@@ -448,32 +475,54 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
         lip = np.linalg.svd(gram, compute_uv=False)[:, 0]
         go = [k for k, l in enumerate(lip.tolist()) if full[k] and l > 0.0]
         if len(go) < len(live):
-            # Rank-deficient H or a zero W: that restart stops unchanged.
+            # Rank-deficient Y or a zero W: that restart stops at H_acc.
             # The others are written again when they stop.
-            out[live] = h
+            out[live] = acc
             if not go:
                 return out
-            live, h, w, gram, lip, prev = (
-                a[go] for a in (live, h, w, gram, lip, prev))
+            live, y, acc, w, gram, lip, prev, beta, ceil, extrapolated = (
+                a[go] for a in (live, y, acc, w, gram, lip, prev, beta, ceil,
+                                extrapolated))
         wtx = w.transpose(0, 2, 1) @ x
         step = lip[:, None, None]
+        h = y
         for _ in range(3):
             h = _feasible_h(h - (gram @ h - wtx) / step, config.orientation)
         r = np.matmul(w, h, out=z[:len(h)])
         np.subtract(x, r, out=r)
         losses = np.sqrt(np.square(r, out=r).sum(axis=(1, 2)))
-        go = []
+        go, up, down = [], [], []
         for k, (last, loss) in enumerate(zip(prev.tolist(), losses.tolist())):
-            if loss < floor or last - loss < 1e-13 * max(1.0, last):
+            if loss < floor:
                 out[live[k]] = h[k]
-            else:
-                prev[k] = loss
+            elif extrapolated[k] and loss > last:
                 go.append(k)
+                down.append(k)
+            elif last - loss < 1e-13 * max(1.0, last):
+                out[live[k]] = h[k] if loss <= last else acc[k]
+            else:
+                go.append(k)
+                up.append(k)
+        if not go:
+            return out
+        # A discarded round: the next one starts plain from H_acc.
+        ceil[down] = beta[down]
+        beta[down] /= _BETA_SHRINK
+        y = acc.copy()
+        if up:
+            b = beta[up]
+            y[up] = _feasible_h(h[up] + b[:, None, None] * (h[up] - acc[up]),
+                                config.orientation)
+            acc[up] = h[up]
+            prev[up] = losses[up]
+            beta[up] = np.minimum(ceil[up], _BETA_GROW * b)
+            ceil[up] = np.minimum(1.0, _BETA_CEIL_GROW * ceil[up])
+        extrapolated[:] = False
+        extrapolated[up] = True
         if len(go) < len(live):
-            if not go:
-                return out
-            live, h, prev = live[go], h[go], prev[go]
-    out[live] = h
+            live, y, acc, prev, beta, ceil, extrapolated = (
+                a[go] for a in (live, y, acc, prev, beta, ceil, extrapolated))
+    out[live] = acc
     return out
 
 

@@ -227,12 +227,29 @@ def test_simplex_project_rejects_bad_input():
         simplex_project(np.array([]))
 
 
-def test_simplex_project_rows_matches_vector_version():
+def test_simplex_project_rows_matches_row_loop_bitwise():
+    # The vectorized row projector is simplex_project row by row, bit for
+    # bit: random, tied, shifted (an entry above 2 in magnitude), one- and
+    # two-column input, and rows whose first projection is not a fixed
+    # point and goes through the canonicalization rounds.
     rng = np.random.default_rng(17)
-    m = rng.normal(size=(25, 6))
-    rows = simplex_project_rows(m)
-    for i in range(m.shape[0]):
-        assert np.array_equal(rows[i], simplex_project(m[i]))
+    cases = [
+        rng.normal(size=(25, 6)),
+        rng.normal(size=(200, 10)),
+        rng.uniform(-1.0, 2.0, size=(50, 20)),
+        rng.integers(-2, 3, size=(60, 6)).astype(float),  # tied entries
+        np.full((3, 4), 0.25),
+        rng.normal(scale=50.0, size=(40, 8)),             # shifted rows
+        np.vstack([rng.normal(size=(20, 5)), rng.normal(scale=50.0, size=(20, 5))]),
+        rng.normal(size=(30, 1)),
+        rng.normal(size=(30, 2)),
+    ]
+    raw = _simplex_rows_raw(cases[1])
+    assert (_simplex_rows_raw(raw) != raw).any(axis=1).sum() > 10
+    for m in cases:
+        got = simplex_project_rows(m)
+        assert got.tobytes() == np.vstack([simplex_project(r) for r in m]).tobytes()
+        assert simplex_project_rows(got).tobytes() == got.tobytes()
 
 
 def simplex_rows_by_cumsum(m):

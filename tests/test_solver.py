@@ -385,42 +385,57 @@ def test_seed_changes_initialization():
 
 
 def reference_warm_start(x, h, config, rounds):
-    # The warm start as first written: a singular-value-only SVD for the
-    # rank test, then pseudoinverse() for W.  The solver's single-SVD
-    # version must reproduce it bit for bit.
+    # The extrapolated warm start run for one H alone, with 2-D arithmetic:
+    # a singular-value-only SVD for the rank test, pseudoinverse() for W
+    # and np.linalg.norm(gram, 2) for the step.  The solver's stacked
+    # version must reproduce it bit for bit.  Returns the final H, the
+    # number of rounds that updated H before the stop (None at the cap),
+    # the accepted losses, the number of discarded rounds and the number
+    # of accepted rounds whose new beta is the ceiling.
     floor = 1e-13 * max(1.0, frobenius_norm(x))
     prev = np.inf
-    for _ in range(rounds):
-        s = np.linalg.svd(h, compute_uv=False)
+    beta, ceil = 0.5, 1.0
+    acc = y = h
+    extrapolated = False
+    accepted, discarded, capped = [], 0, 0
+    for t in range(rounds):
+        s = np.linalg.svd(y, compute_uv=False)
         if s[0] <= 0.0 or s[-1] <= config.rank_tol * s[0]:
-            break
-        w = _feasible_w(x @ pseudoinverse(h, config.rank_tol), config.orientation)
+            return acc, t, accepted, discarded, capped
+        w = _feasible_w(x @ pseudoinverse(y, config.rank_tol), config.orientation)
         gram = w.T @ w
         lip = float(np.linalg.norm(gram, 2))
         if lip <= 0.0:
-            break
+            return acc, t, accepted, discarded, capped
         wtx = w.T @ x
+        new = y
         for _ in range(3):
-            h = _feasible_h(h - (gram @ h - wtx) / lip, config.orientation)
-        loss = frobenius_norm(x - w @ h)
-        if loss < floor or prev - loss < 1e-13 * max(1.0, prev):
-            break
-        prev = loss
-    return h
+            new = _feasible_h(new - (gram @ new - wtx) / lip, config.orientation)
+        loss = frobenius_norm(x - w @ new)
+        if loss < floor:
+            return new, t + 1, accepted, discarded, capped
+        if extrapolated and loss > prev:
+            ceil, beta = beta, beta / 1.5
+            y, extrapolated = acc, False
+            discarded += 1
+            continue
+        if prev - loss < 1e-13 * max(1.0, prev):
+            return (new if loss <= prev else acc), t + 1, accepted, discarded, capped
+        y = _feasible_h(new + beta * (new - acc), config.orientation)
+        acc, prev, extrapolated = new, loss, True
+        accepted.append(loss)
+        capped += ceil < 1.01 * beta
+        beta, ceil = min(ceil, 1.01 * beta), min(1.0, 1.005 * ceil)
+    return acc, None, accepted, discarded, capped
 
 
-def rounds_until_stop(x, h0, config, limit=2000):
-    # The first round count after which the reference warm start no longer
-    # changes H (0 when it stops before the first update).
-    final = reference_warm_start(x, h0, config, limit)
-    lo, hi = 0, limit
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if np.array_equal(reference_warm_start(x, h0, config, mid), final):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+# Per orientation, a (seed, noise) instance whose first restart climbs back
+# to the ceiling that a discarded round set, which few short runs do.
+CEILING_INSTANCES = {
+    Orientation.W_ROWS_SUM_TO_1: (20, 0.02),
+    Orientation.H_ROWS_SUM_TO_1: (20, 0.04),
+    Orientation.BOTH: (9, 0.02),
+}
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -428,24 +443,37 @@ def rounds_until_stop(x, h0, config, limit=2000):
 def test_warm_start_matches_reference_bitwise(mode, orientation):
     # Each H of the stack runs as if alone: restarts that plateau at
     # different rounds, and a rank-deficient H (two equal rows) that stops
-    # at once while the others go on.
-    for seed in range(3):
-        x, _ = generate(30, 9, 3, seed=seed, noise_sigma=0.02 * seed,
+    # at once while the others go on; on the first instance the ceiling on
+    # beta binds.
+    discarded = capped = 0
+    for seed, sigma in [CEILING_INSTANCES[orientation]] + [(s, 0.02 * s) for s in range(3)]:
+        x, _ = generate(30, 9, 3, seed=seed, noise_sigma=sigma,
                         orientation=orientation)
         c = cfg(rank=3, orientation=orientation, mode=mode)
         h0 = np.stack([_init_h(np.random.default_rng(seed + 10 * j), 3, x.shape[1],
-                               orientation) for j in range(4)])
+                               orientation) for j in range(5)])
         h0[2, 1] = h0[2, 0]
         if mode is Mode.PROJECTED:
             h0 = _feasible_h(h0, orientation)
         for rounds in (1, 7, 200, 2000):
             got = _warm_start(x, h0, c, rounds)
-            for j in range(len(h0)):
-                assert np.array_equal(got[j], reference_warm_start(x, h0[j], c, rounds))
-    stops = [rounds_until_stop(x, h, c) for h in h0]
+            runs = [reference_warm_start(x, h, c, rounds) for h in h0]
+            for j, run in enumerate(runs):
+                assert np.array_equal(got[j], run[0])
+        for _, _, accepted, n_discarded, n_capped in runs:
+            assert all(b < a for a, b in zip(accepted, accepted[1:]))
+            discarded += n_discarded
+            capped += n_capped
+    stops = [run[1] for run in runs]
     assert stops[2] == 0
-    assert len({stops[0], stops[1], stops[3]}) == 3
-    assert min(stops[0], stops[1], stops[3]) > 7
+    full_rank = [stops[j] for j in (0, 1, 3, 4)]
+    assert None not in full_rank
+    assert len(set(full_rank)) >= 3
+    assert min(full_rank) > 7
+    # The discard path (a loss increase after an extrapolated round) runs,
+    # and so does the ceiling it lowers.
+    assert discarded > 0
+    assert capped > 0
 
 
 # ------------------------------------------------- stacked descent reference
@@ -506,19 +534,32 @@ def test_stacked_descent_matches_serial_reference_bitwise(mode, orientation):
 # ------------------------------------------------------------- peak memory
 
 
+def traced_peak(run):
+    # The result of run() and the peak of the memory it traced.
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("restarts", [1, 2, 5])
 def test_factorize_peak_memory_is_one_residual_per_restart(restarts):
-    # The descent keeps one residual stack of the live restarts and no
-    # residual per restart between ticks: the traced peak stays within
-    # restarts + 3 arrays of X's size.
+    # The warm start and the descent keep one residual stack of the live
+    # restarts and no residual per restart between ticks: the traced peak
+    # stays within restarts + 3 arrays of X's size, for a whole fit and for
+    # a descent of 30 steps per restart from the raw random starts (the
+    # warm start lands this noiseless instance on its solution, so the
+    # fit's own descent stops after a few steps).
     x, _ = generate(600, 200, 2, seed=0, orientation=Orientation.BOTH)
     c = cfg(rank=2, orientation=Orientation.BOTH, mode=Mode.PROJECTED,
             max_iter=30, restarts=restarts)
-    tracemalloc.start()
-    try:
-        res = factorize(x, c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.iterations == 30
+    _, peak = traced_peak(lambda: factorize(x, c))
+    assert peak <= (restarts + 3) * x.nbytes
+    h0 = _feasible_h(np.stack([_init_h(np.random.default_rng(c.seed + k), 2,
+                                       x.shape[1], c.orientation)
+                               for k in range(restarts)]), c.orientation)
+    results, peak = traced_peak(lambda: _descend_all(x, h0, c, None))
+    assert [len(trace) - 1 for _, trace, _ in results] == [30] * restarts
     assert peak <= (restarts + 3) * x.nbytes
