@@ -160,6 +160,30 @@ def _canonicalize(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _canonicalize_rows(w: np.ndarray) -> np.ndarray:
+    # _canonicalize on each row, bit for bit.  The loop there keeps the
+    # longest prefix of the descending-sorted support whose sum is exactly
+    # 1.0 or whose sum without its last entry is below 1.0; that last entry
+    # becomes 1.0 minus that sum unless the prefix sums to 1.0 exactly.
+    order = np.argsort(-w, axis=1, kind="stable")
+    s = np.take_along_axis(w, order, axis=1)
+    cs = np.cumsum(s, axis=1)
+    partial = np.zeros_like(cs)
+    partial[:, 1:] = cs[:, :-1]
+    ok = ((cs == 1.0) | (partial < 1.0)) & (s > 0)
+    n = w.shape[1]
+    k = (n - 1) - ok[:, ::-1].argmax(axis=1)
+    has = ok.any(axis=1)
+    s[(np.arange(n) > k[:, None]) & (s > 0)] = 0.0
+    rows = np.flatnonzero(has & (cs[np.arange(len(w)), k] != 1.0))
+    s[rows, k[rows]] = 1.0 - partial[rows, k[rows]]
+    out = np.empty_like(w)
+    np.put_along_axis(out, order, s, axis=1)
+    # A row without a positive entry becomes the first unit vector.
+    out[~has, 0] = 1.0
+    return out
+
+
 def simplex_project(v) -> np.ndarray:
     """Euclidean projection of a vector onto the probability simplex.
 
@@ -193,7 +217,7 @@ def simplex_project_rows(a) -> np.ndarray:
     Bitwise equal to :func:`simplex_project` applied to each row: one
     vectorized projection (after the same shift of rows with an entry above
     2 in magnitude) and one vectorized fixed-point check, then the
-    canonicalization rounds for the rows that fail it.
+    canonicalization rounds, vectorized, for the rows that fail it.
     """
     m = _as_matrix(a)
     if m.shape[1] == 1:
@@ -203,11 +227,13 @@ def simplex_project_rows(a) -> np.ndarray:
         m = m.copy()
         m[big] -= (m[big].max(axis=1) - 1.0)[:, None]
     w = _simplex_rows_raw(m)
-    for i in np.flatnonzero((_simplex_rows_raw(w) != w).any(axis=1)):
-        v = _canonicalize(w[i])
+    bad = np.flatnonzero((_simplex_rows_raw(w) != w).any(axis=1))
+    if bad.size:
+        v = _canonicalize_rows(w[bad])
         for _ in range(31):
-            if np.array_equal(_project_once(v), v):
+            again = (_simplex_rows_raw(v) != v).any(axis=1)
+            if not again.any():
                 break
-            v = _canonicalize(v)
-        w[i] = v
+            v[again] = _canonicalize_rows(v[again])
+        w[bad] = v
     return w

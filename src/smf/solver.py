@@ -4,9 +4,11 @@ The estimator concentrates W out of the problem: for a candidate H, the
 weight matrix is W = X @ pinv(H), and the loss is the Frobenius norm of the
 residual X - W @ H plus weighted penalties for the constraints that W and H
 must satisfy (non-negativity, rows summing to 1 on the stochastic side, and
-H bounded by 1).  Each of several seeded random initializations is first
-refined by a warm start of projected alternating least squares whose
-rounds are extrapolated with an adaptive step (Ang & Gillis, 2019); then
+H bounded by 1).  Restart 0 starts from the separable anchors of X found
+by successive projection (Gillis & Vavasis, 2014), the others from seeded
+random points; each start is first refined by a warm start of projected
+alternating least squares whose rounds are extrapolated with an adaptive
+step (Ang & Gillis, 2019); then
 projected/penalized gradient descent on H with a backtracking line search
 minimizes the exact objective.
 """
@@ -67,6 +69,10 @@ class Mode(Enum):
 
 @dataclass
 class SolverConfig:
+    """Solver settings.  Of the ``restarts`` starts, restart 0 is the
+    anchor (SPA) start, which does not depend on ``seed``, and restart
+    j >= 1 is the random start seeded ``seed + j``."""
+
     rank: int
     orientation: Orientation = Orientation.W_ROWS_SUM_TO_1
     max_iter: int = 500
@@ -299,6 +305,59 @@ def _init_h(rng: np.random.Generator, rank: int, n_cols: int,
     return h0
 
 
+def _spa(a: np.ndarray, rank: int, rank_tol: float) -> list[int]:
+    """Successive projection (Gillis & Vavasis, IEEE TPAMI 36(4), 2014):
+    ``rank`` rows of ``a``, each the row of largest residual norm once the
+    rows already picked are projected out.  The squared norms are downdated,
+    so no residual matrix is formed.  Picks stop early when the largest
+    residual is at most ``rank_tol`` times the largest row."""
+    norms = np.einsum("ij,ij->i", a, a)
+    cutoff = rank_tol * np.sqrt(norms.max())
+    basis = np.zeros((rank, a.shape[1]))
+    picks = []
+    for i in range(rank):
+        j = int(np.argmax(norms))
+        # Gram-Schmidt twice, so the basis stays orthogonal in floating point.
+        v = a[j] - basis.T @ (basis @ a[j])
+        v -= basis.T @ (basis @ v)
+        length = np.sqrt(v @ v)
+        if not length > cutoff:
+            break
+        basis[i] = v / length
+        norms -= np.square(a @ basis[i])
+        picks.append(j)
+    return picks
+
+
+def _anchor_start(x: np.ndarray, config: SolverConfig) -> Optional[np.ndarray]:
+    """Restart 0's H from the anchors of X, or None if it is rank-deficient.
+
+    With W row-stochastic, rows of X are convex combinations of rows of H,
+    and a unit row of W (an anchor) copies a row of H: H0 is the rows of X
+    that :func:`_spa` picks.  With only H row-stochastic, a column of H
+    supported on one factor (an anchor word, Arora et al., ICML 2013) copies
+    a column of W into X: SPA runs on the columns of X scaled to sum to 1,
+    W0 is the picked columns and H0 is pinv(W0) X, rows scaled to sum to 1.
+    """
+    h_rows = config.orientation is Orientation.H_ROWS_SUM_TO_1
+    if h_rows:
+        sums = x.sum(axis=0)
+        picks = _spa(x.T / np.where(sums > 0.0, sums, 1.0)[:, None], config.rank,
+                     config.rank_tol)
+    else:
+        picks = _spa(x, config.rank, config.rank_tol)
+    if len(picks) < config.rank:
+        return None
+    if h_rows:
+        h = pseudoinverse(x[:, picks], config.rank_tol) @ x
+        sums = h.sum(axis=1, keepdims=True)
+        h = h / np.where(sums > 0.0, sums, 1.0)
+    else:
+        h = x[picks]
+    h = _feasible_h(h, config.orientation)
+    return h if _svd(h[None], config.rank_tol)[3][0] else None
+
+
 _MU_START = 1e-1
 _MU_FLOOR = 1e-9
 _BB_MIN, _BB_MAX = 1e-12, 1e8
@@ -442,11 +501,14 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
     feasible, H_acc being the previous accepted H (Ang & Gillis, Neural
     Computation 31(2), 2019).  An extrapolated round whose loss rises is
     discarded, shrinks beta and lowers its ceiling, and the next round
-    starts plain from H_acc; it still counts toward ``rounds``.
+    starts plain from H_acc; it still counts toward ``rounds``.  A plain
+    round whose loss rises above H_acc's is kept as the next round's plain
+    start, since a round with a projected W need not descend; a second
+    such round in a row stops the restart.
 
     A restart stops when the loss effectively reaches zero (returning the
-    new H), when it plateaus (returning whichever of the new H and H_acc
-    has the lower loss), or when Y is rank-deficient or W is zero
+    new H), when it plateaus or rises twice (returning whichever of the new
+    H and H_acc has the lower loss), or when Y is rank-deficient or W is zero
     (returning H_acc, its start if no round was accepted); at the round cap
     it returns H_acc.
 
@@ -466,6 +528,7 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
     beta = np.full(len(h), _BETA_START)
     ceil = np.full(len(h), _BETA_CEIL_START)
     extrapolated = np.zeros(len(h), dtype=bool)
+    rose = np.zeros(len(h), dtype=bool)
     for _ in range(rounds):
         hp, full = _full_rank_pinv(y, config.rank_tol)
         w = _feasible_w(x @ hp, config.orientation)
@@ -480,9 +543,9 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
             out[live] = acc
             if not go:
                 return out
-            live, y, acc, w, gram, lip, prev, beta, ceil, extrapolated = (
+            live, y, acc, w, gram, lip, prev, beta, ceil, extrapolated, rose = (
                 a[go] for a in (live, y, acc, w, gram, lip, prev, beta, ceil,
-                                extrapolated))
+                                extrapolated, rose))
         wtx = w.transpose(0, 2, 1) @ x
         step = lip[:, None, None]
         h = y
@@ -491,13 +554,16 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
         r = np.matmul(w, h, out=z[:len(h)])
         np.subtract(x, r, out=r)
         losses = np.sqrt(np.square(r, out=r).sum(axis=(1, 2)))
-        go, up, down = [], [], []
+        go, up, down, again = [], [], [], []
         for k, (last, loss) in enumerate(zip(prev.tolist(), losses.tolist())):
             if loss < floor:
                 out[live[k]] = h[k]
             elif extrapolated[k] and loss > last:
                 go.append(k)
                 down.append(k)
+            elif loss > last and not rose[k]:
+                go.append(k)
+                again.append(k)
             elif last - loss < 1e-13 * max(1.0, last):
                 out[live[k]] = h[k] if loss <= last else acc[k]
             else:
@@ -505,10 +571,12 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
                 up.append(k)
         if not go:
             return out
-        # A discarded round: the next one starts plain from H_acc.
+        # A discarded round: the next one starts plain from H_acc.  A plain
+        # round whose loss rose: the next one starts plain from its H.
         ceil[down] = beta[down]
         beta[down] /= _BETA_SHRINK
         y = acc.copy()
+        y[again] = h[again]
         if up:
             b = beta[up]
             y[up] = _feasible_h(h[up] + b[:, None, None] * (h[up] - acc[up]),
@@ -519,9 +587,11 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
             ceil[up] = np.minimum(1.0, _BETA_CEIL_GROW * ceil[up])
         extrapolated[:] = False
         extrapolated[up] = True
+        rose[:] = False
+        rose[again] = True
         if len(go) < len(live):
-            live, y, acc, prev, beta, ceil, extrapolated = (
-                a[go] for a in (live, y, acc, prev, beta, ceil, extrapolated))
+            live, y, acc, prev, beta, ceil, extrapolated, rose = (
+                a[go] for a in (live, y, acc, prev, beta, ceil, extrapolated, rose))
     out[live] = acc
     return out
 
@@ -535,19 +605,20 @@ def _snap(arr: np.ndarray, eps: float, upper: bool = False) -> np.ndarray:
 
 
 def _postprocess(x, h, config: SolverConfig) -> FactorPair:
-    w = x @ pseudoinverse(h, config.rank_tol)
-    if config.mode is Mode.PROJECTED:
-        if config.orientation.w_stochastic:
-            w = simplex_project_rows(w)
-        else:
-            w = np.clip(w, 0.0, None)
-        if config.orientation.h_stochastic:
-            h = simplex_project_rows(h)
-        else:
-            h = np.clip(h, 0.0, 1.0)
-    else:
-        w = _snap(w, EPS_FEAS_PENALTY)
+    if config.mode is Mode.PENALTY:
+        w = _snap(x @ pseudoinverse(h, config.rank_tol), EPS_FEAS_PENALTY)
         h = _snap(h, EPS_FEAS_PENALTY, upper=True)
+        return FactorPair(w=w, h=h, orientation=config.orientation)
+    # W is built from the projected H, so it is the W of the H returned.
+    if config.orientation.h_stochastic:
+        h = simplex_project_rows(h)
+    else:
+        h = np.clip(h, 0.0, 1.0)
+    w = x @ pseudoinverse(h, config.rank_tol)
+    if config.orientation.w_stochastic:
+        w = simplex_project_rows(w)
+    else:
+        w = np.clip(w, 0.0, None)
     return FactorPair(w=w, h=h, orientation=config.orientation)
 
 
@@ -556,10 +627,16 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     """Estimate a non-negative factorization of X under the configured
     adding-up constraints.
 
-    Runs ``config.restarts`` independent descents seeded ``config.seed + k``
-    and keeps the restart with the lowest final objective (ties go to the
-    lowest restart index).  The restarts are solved together as one stacked
-    computation, with results bitwise equal to solving them one at a time.
+    Runs ``config.restarts`` independent descents and keeps the restart
+    with the lowest final objective (ties go to the lowest restart index).
+    Restart 0 starts from the anchors of X: the rows (or, with only H
+    row-stochastic, the anchor words) that successive projection picks, as
+    in the paper's uniqueness condition; if that start is rank-deficient it
+    falls back to the random start seeded ``config.seed``.  Restart j >= 1
+    starts from the random point seeded ``config.seed + j``, so a 1-restart
+    fit does not depend on the seed.  The restarts are solved together as
+    one stacked computation, with results bitwise equal to solving them one
+    at a time.
     The returned W is the concentrated least-squares weight matrix
     post-processed to feasibility for the configured mode.
 
@@ -608,6 +685,9 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
                    for k in range(config.restarts)])
     if config.mode is Mode.PROJECTED:
         h0 = _feasible_h(h0, config.orientation)
+    anchored = _anchor_start(xm, config)
+    if anchored is not None:
+        h0[0] = anchored
     h = _warm_start(xm, h0, config, rounds=_WARM_START_ROUNDS)
     results = _descend_all(xm, h, config, progress)
 

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .factors import FactorPair, Orientation
-from .linalg import pseudoinverse, row_normalize, simplex_project_rows
-from .solver import SolveResult, SolverConfig, factorize
+from .linalg import row_normalize, simplex_project_rows
+from .solver import Mode, SolveResult, SolverConfig, factorize
 
 __all__ = [
     "Corpus",
@@ -187,19 +187,22 @@ class TopicModel:
 def fit_topics(corpus: Corpus, config: SolverConfig, *, threads: int = 1) -> TopicModel:
     """Factorize row-normalized term frequencies into topics.
 
-    H comes from the solver; the per-document topic mixtures W are then
-    recomputed as the simplex-projected rows of X pinv(H), which keeps W on
-    the simplex exactly in either solver mode.  Restarts are solved together
-    as one stacked computation, with results bitwise equal to solving them
-    one at a time; ``threads`` is accepted and ignored.
+    The factors are the solver's.  In projected mode its W, the per-document
+    topic mixtures, is the simplex-projected rows of X pinv(H) for the
+    returned H; in penalty mode the solver's W, which the penalties keep
+    only near the simplex, has its rows projected onto it.  Either way W
+    lies on the simplex exactly.  Restarts are solved together as one
+    stacked computation, with results bitwise equal to solving them one at
+    a time; ``threads`` is accepted and ignored.
     """
     if config.orientation is not Orientation.BOTH:
         raise ValueError("fit_topics requires config.orientation = BOTH")
     x = row_normalize(corpus.doc_term)
     result = factorize(x, config, threads=threads)
-    h = result.factors.h
-    w = simplex_project_rows(x @ pseudoinverse(h, config.rank_tol))
-    factors = FactorPair(w=w, h=h, orientation=Orientation.BOTH)
+    factors = result.factors
+    if config.mode is Mode.PENALTY:
+        factors = FactorPair(w=simplex_project_rows(factors.w), h=factors.h,
+                             orientation=Orientation.BOTH)
     return TopicModel(factors=factors, vocabulary=corpus.vocabulary,
                       solve_result=result)
 

@@ -7,6 +7,8 @@ import pytest
 
 from smf.linalg import (
     EmptyRowError,
+    _canonicalize,
+    _canonicalize_rows,
     _simplex_rows_raw,
     frobenius_norm,
     numerical_rank,
@@ -246,10 +248,31 @@ def test_simplex_project_rows_matches_row_loop_bitwise():
     ]
     raw = _simplex_rows_raw(cases[1])
     assert (_simplex_rows_raw(raw) != raw).any(axis=1).sum() > 10
+    # Near-simplex rows with tiny or perturbed entries, whose
+    # canonicalization drops entries or takes more than one round.
+    near = rng.dirichlet(np.full(8, 0.3), size=300)
+    near[rng.random(near.shape) < 0.3] = 1e-17
+    cases += [near, near * (1.0 + rng.normal(scale=1e-15, size=(300, 1)))]
     for m in cases:
         got = simplex_project_rows(m)
         assert got.tobytes() == np.vstack([simplex_project(r) for r in m]).tobytes()
         assert simplex_project_rows(got).tobytes() == got.tobytes()
+
+
+def test_canonicalize_rows_matches_row_loop_bitwise():
+    # The vectorized canonicalization is _canonicalize row by row, bit for
+    # bit, on any non-negative rows: sums above and below 1, entries the
+    # loop drops, zero and negative-zero entries, and all-zero rows.
+    rng = np.random.default_rng(23)
+    w = np.abs(rng.normal(size=(400, 7)))
+    w[:100] /= w[:100].sum(axis=1, keepdims=True)
+    w[100:200] = rng.dirichlet(np.full(7, 0.3), size=100) + 1e-16
+    w[rng.random(w.shape) < 0.25] = 0.0
+    w[rng.random(w.shape) < 0.05] = -0.0
+    w[[5, 250]] = 0.0
+    w[7] = -0.0
+    got = _canonicalize_rows(w)
+    assert got.tobytes() == np.vstack([_canonicalize(r) for r in w]).tobytes()
 
 
 def simplex_rows_by_cumsum(m):

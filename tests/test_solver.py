@@ -13,6 +13,7 @@ from smf import (
     RankDeficientError,
     SolverConfig,
     align_and_score,
+    check_uniqueness,
     concentrate_w,
     factorize,
     generate,
@@ -23,6 +24,7 @@ from smf.linalg import frobenius_norm, pseudoinverse
 from smf.solver import (
     EPS_FEAS_PENALTY,
     EPS_FEAS_PROJECTED,
+    _anchor_start,
     _descend,
     _descend_all,
     _eval,
@@ -30,6 +32,7 @@ from smf.solver import (
     _feasible_w,
     _gradient,
     _init_h,
+    _spa,
     _svd,
     _terms_from_parts_z,
     _warm_start,
@@ -338,20 +341,26 @@ def test_threaded_restarts_match_sequential():
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("orientation", list(Orientation))
 def test_stacked_restarts_match_single_restart_runs(mode, orientation):
-    # Restart j of a k-restart run is the 1-restart run seeded seed + j.
+    # Restart 0 is the anchor start in every run, and restart j >= 1 is the
+    # random start seeded seed + j: restart j of a 4-restart run is restart
+    # 1 of the 2-restart run seeded seed + j - 1.  Ties go to the lower
+    # index, so the best restart of the 4-restart run is the best of each
+    # 2-restart run that holds it.
     x, _ = generate(30, 9, 3, seed=37, noise_sigma=0.03, orientation=orientation)
     seed = 5
     res = factorize(x, cfg(rank=3, orientation=orientation, mode=mode,
                            restarts=4, seed=seed, max_iter=60))
-    for j in range(4):
-        one = factorize(x, cfg(rank=3, orientation=orientation, mode=mode,
-                               restarts=1, seed=seed + j, max_iter=60))
-        assert res.restart_objectives[j] == one.restart_objectives[0]
-        if j == res.best_restart:
-            assert res.factors.w.tobytes() == one.factors.w.tobytes()
-            assert res.factors.h.tobytes() == one.factors.h.tobytes()
-            assert res.objective_trace == one.objective_trace
-            assert res.converged == one.converged
+    for j in range(1, 4):
+        two = factorize(x, cfg(rank=3, orientation=orientation, mode=mode,
+                               restarts=2, seed=seed + j - 1, max_iter=60))
+        assert res.restart_objectives[0] == two.restart_objectives[0]
+        assert res.restart_objectives[j] == two.restart_objectives[1]
+        if res.best_restart in (0, j):
+            assert two.best_restart == min(res.best_restart, 1)
+            assert res.factors.w.tobytes() == two.factors.w.tobytes()
+            assert res.factors.h.tobytes() == two.factors.h.tobytes()
+            assert res.objective_trace == two.objective_trace
+            assert res.converged == two.converged
 
 
 def test_progress_callback_sees_descent():
@@ -374,11 +383,83 @@ def test_max_iter_caps_trace():
 
 
 def test_seed_changes_initialization():
+    # The seed draws the random starts of restarts j >= 1; restart 0 is the
+    # anchor start whatever the seed.
     x, _ = generate(25, 9, 3, seed=23, noise_sigma=0.1,
                     orientation=Orientation.W_ROWS_SUM_TO_1)
-    r0 = factorize(x, cfg(rank=3, restarts=1, seed=0, max_iter=5))
-    r1 = factorize(x, cfg(rank=3, restarts=1, seed=100, max_iter=5))
-    assert r0.objective_trace[0] != r1.objective_trace[0]
+    r0 = factorize(x, cfg(rank=3, restarts=2, seed=0, max_iter=5))
+    r1 = factorize(x, cfg(rank=3, restarts=2, seed=100, max_iter=5))
+    assert r0.restart_objectives[1] != r1.restart_objectives[1]
+
+
+# ------------------------------------------------------------ anchor start
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_spa_picks_the_anchors(orientation):
+    # On separable data SPA's picks are the anchors that make the
+    # factorization unique: the unit rows of W (anchor_rows), or with only
+    # H stochastic the columns of H supported on one factor (anchor_cols),
+    # and the anchor start is H itself.
+    for seed in range(4):
+        x, gt = generate(40, 12, 3, anchors=True, orientation=orientation, seed=seed)
+        report = check_uniqueness(gt.pair)
+        if orientation is Orientation.H_ROWS_SUM_TO_1:
+            picks = _spa(x.T / x.sum(axis=0)[:, None], 3, 1e-10)
+            anchors = report.anchor_cols
+        else:
+            picks = _spa(x, 3, 1e-10)
+            anchors = report.anchor_rows
+        assert sorted(picks) == sorted(i for rows in anchors.values() for i in rows)
+        h0 = _anchor_start(x, cfg(rank=3, orientation=orientation))
+        _, err = align_and_score(h0, gt.h)
+        assert err < 1e-12
+
+
+def test_instance_without_anchors_fits_through_random_restarts():
+    # Without anchors the anchor start can end above the data's exact fit;
+    # a random restart then reaches it and wins.
+    x, _ = generate(60, 12, 3, anchors=False,
+                    orientation=Orientation.H_ROWS_SUM_TO_1, seed=3)
+    res = factorize(x, cfg(rank=3, orientation=Orientation.H_ROWS_SUM_TO_1,
+                           restarts=4, seed=0))
+    assert res.restart_objectives[0] > 1e-3
+    assert res.best_restart >= 1
+    assert res.objective < 1e-9
+    assert res.factors.max_violation() <= EPS_FEAS_PENALTY
+    assert frobenius_norm(x - res.factors.w @ res.factors.h) < 1e-9
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_rank_deficient_anchor_start_falls_back_to_seeded_start(orientation):
+    # The rows of X span two directions, so no three rows of X (or anchor
+    # columns) make a rank-3 H: restart 0 is then the random start seeded
+    # seed, which is restart 1 of a 2-restart run seeded seed - 1.
+    x, _ = generate(20, 8, 2, anchors=True, orientation=orientation, seed=11)
+    c = cfg(rank=3, orientation=orientation, max_iter=20)
+    assert _anchor_start(x, c) is None
+    if orientation is Orientation.H_ROWS_SUM_TO_1:
+        # A free W admits an all-zero X, which has no anchor at all.
+        assert _anchor_start(np.zeros_like(x), c) is None
+        assert factorize(np.zeros_like(x), c).objective == 0.0
+    one = factorize(x, cfg(rank=3, orientation=orientation, max_iter=20,
+                           restarts=1, seed=4))
+    two = factorize(x, cfg(rank=3, orientation=orientation, max_iter=20,
+                           restarts=2, seed=3))
+    assert one.restart_objectives[0] == two.restart_objectives[1]
+    assert one.restart_objectives[0] != two.restart_objectives[0]
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_one_restart_fit_is_the_anchor_start_for_any_seed(orientation):
+    x, _ = generate(30, 9, 3, anchors=True, noise_sigma=0.02,
+                    orientation=orientation, seed=43)
+    runs = [factorize(x, cfg(rank=3, orientation=orientation, restarts=1, seed=seed))
+            for seed in (0, 0, 9)]
+    for res in runs[1:]:
+        assert res.factors.w.tobytes() == runs[0].factors.w.tobytes()
+        assert res.factors.h.tobytes() == runs[0].factors.h.tobytes()
+        assert res.objective_trace == runs[0].objective_trace
 
 
 # ------------------------------------------------ warm-start reference
@@ -390,43 +471,49 @@ def reference_warm_start(x, h, config, rounds):
     # and np.linalg.norm(gram, 2) for the step.  The solver's stacked
     # version must reproduce it bit for bit.  Returns the final H, the
     # number of rounds that updated H before the stop (None at the cap),
-    # the accepted losses, the number of discarded rounds and the number
-    # of accepted rounds whose new beta is the ceiling.
+    # the accepted losses, the number of discarded rounds, the number of
+    # accepted rounds whose new beta is the ceiling and the number of plain
+    # rounds whose loss rose without ending the run.
     floor = 1e-13 * max(1.0, frobenius_norm(x))
     prev = np.inf
     beta, ceil = 0.5, 1.0
     acc = y = h
-    extrapolated = False
-    accepted, discarded, capped = [], 0, 0
+    extrapolated = rose = False
+    accepted, discarded, capped, rises = [], 0, 0, 0
     for t in range(rounds):
         s = np.linalg.svd(y, compute_uv=False)
         if s[0] <= 0.0 or s[-1] <= config.rank_tol * s[0]:
-            return acc, t, accepted, discarded, capped
+            return acc, t, accepted, discarded, capped, rises
         w = _feasible_w(x @ pseudoinverse(y, config.rank_tol), config.orientation)
         gram = w.T @ w
         lip = float(np.linalg.norm(gram, 2))
         if lip <= 0.0:
-            return acc, t, accepted, discarded, capped
+            return acc, t, accepted, discarded, capped, rises
         wtx = w.T @ x
         new = y
         for _ in range(3):
             new = _feasible_h(new - (gram @ new - wtx) / lip, config.orientation)
         loss = frobenius_norm(x - w @ new)
         if loss < floor:
-            return new, t + 1, accepted, discarded, capped
+            return new, t + 1, accepted, discarded, capped, rises
         if extrapolated and loss > prev:
             ceil, beta = beta, beta / 1.5
             y, extrapolated = acc, False
             discarded += 1
             continue
+        if loss > prev and not rose:
+            y, rose = new, True
+            rises += 1
+            continue
+        rose = False
         if prev - loss < 1e-13 * max(1.0, prev):
-            return (new if loss <= prev else acc), t + 1, accepted, discarded, capped
+            return (new if loss <= prev else acc), t + 1, accepted, discarded, capped, rises
         y = _feasible_h(new + beta * (new - acc), config.orientation)
         acc, prev, extrapolated = new, loss, True
         accepted.append(loss)
         capped += ceil < 1.01 * beta
         beta, ceil = min(ceil, 1.01 * beta), min(1.0, 1.005 * ceil)
-    return acc, None, accepted, discarded, capped
+    return acc, None, accepted, discarded, capped, rises
 
 
 # Per orientation, a (seed, noise) instance whose first restart climbs back
@@ -445,7 +532,7 @@ def test_warm_start_matches_reference_bitwise(mode, orientation):
     # different rounds, and a rank-deficient H (two equal rows) that stops
     # at once while the others go on; on the first instance the ceiling on
     # beta binds.
-    discarded = capped = 0
+    discarded = capped = rises = 0
     for seed, sigma in [CEILING_INSTANCES[orientation]] + [(s, 0.02 * s) for s in range(3)]:
         x, _ = generate(30, 9, 3, seed=seed, noise_sigma=sigma,
                         orientation=orientation)
@@ -460,10 +547,11 @@ def test_warm_start_matches_reference_bitwise(mode, orientation):
             runs = [reference_warm_start(x, h, c, rounds) for h in h0]
             for j, run in enumerate(runs):
                 assert np.array_equal(got[j], run[0])
-        for _, _, accepted, n_discarded, n_capped in runs:
+        for _, _, accepted, n_discarded, n_capped, n_rises in runs:
             assert all(b < a for a, b in zip(accepted, accepted[1:]))
             discarded += n_discarded
             capped += n_capped
+            rises += n_rises
     stops = [run[1] for run in runs]
     assert stops[2] == 0
     full_rank = [stops[j] for j in (0, 1, 3, 4)]
@@ -471,9 +559,29 @@ def test_warm_start_matches_reference_bitwise(mode, orientation):
     assert len(set(full_rank)) >= 3
     assert min(full_rank) > 7
     # The discard path (a loss increase after an extrapolated round) runs,
-    # and so does the ceiling it lowers.
+    # and so do the ceiling it lowers and a plain round whose loss rose.
     assert discarded > 0
     assert capped > 0
+    assert rises > 0
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_warm_start_goes_on_after_one_rising_round(mode):
+    # On this instance the 7th round is plain and its loss rises above the
+    # last accepted one.  Stopping there left the restart more than three
+    # times above the loss that the rounds after it reach.
+    x, _ = generate(30, 9, 3, seed=0, noise_sigma=0.02,
+                    orientation=Orientation.H_ROWS_SUM_TO_1)
+    c = cfg(rank=3, orientation=Orientation.H_ROWS_SUM_TO_1, mode=mode)
+    h0 = _init_h(np.random.default_rng(20), 3, x.shape[1], c.orientation)
+    if mode is Mode.PROJECTED:
+        h0 = _feasible_h(h0, c.orientation)
+    _, _, first, _, _, first_rises = reference_warm_start(x, h0, c, 7)
+    h, stop, accepted, _, _, _ = reference_warm_start(x, h0, c, 2000)
+    assert np.array_equal(_warm_start(x, h0[None], c, 2000)[0], h)
+    assert first_rises == 1
+    assert stop > 20
+    assert accepted[-1] < first[-1] / 3.0
 
 
 # ------------------------------------------------- stacked descent reference

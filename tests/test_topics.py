@@ -150,6 +150,9 @@ def test_fit_topics_recovers_blocks():
     cfg = SolverConfig(rank=3, orientation=Orientation.BOTH, restarts=3,
                        seed=0, mode=Mode.PROJECTED)
     model = fit_topics(corpus, cfg)
+    # In projected mode the solver's W is already the simplex-projected W of
+    # its H, and the model keeps it.
+    assert model.factors is model.solve_result.factors
     h = model.factors.h
     w = model.factors.w
     assert np.allclose(h.sum(axis=1), 1.0, atol=1e-9)
@@ -164,6 +167,18 @@ def test_fit_topics_recovers_blocks():
         assert h[r, order[:4]].sum() > 0.99
     hist = topic_histogram(model)
     assert sorted(hist.tolist()) == [40, 40, 40]
+
+
+def test_fit_topics_penalty_mode_puts_w_on_the_simplex():
+    # The penalty solver's W is feasible only approximately; the topic
+    # mixtures are its rows projected onto the simplex.
+    corpus = block_corpus(np.random.default_rng(37))
+    cfg = SolverConfig(rank=3, orientation=Orientation.BOTH, restarts=2, seed=0)
+    model = fit_topics(corpus, cfg)
+    assert model.solve_result.factors.w.min() < 0.0
+    assert model.factors.h is model.solve_result.factors.h
+    assert np.abs(model.factors.w.sum(axis=1) - 1.0).max() <= 1e-12
+    assert model.factors.w.min() >= 0.0
 
 
 def test_fit_topics_requires_both_orientation():
