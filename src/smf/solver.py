@@ -8,9 +8,9 @@ H bounded by 1).  Restart 0 starts from the separable anchors of X found
 by successive projection (Gillis & Vavasis, 2014), the others from seeded
 random points; each start is first refined by a warm start of projected
 alternating least squares whose rounds are extrapolated with an adaptive
-step (Ang & Gillis, 2019); then
-projected/penalized gradient descent on H with a backtracking line search
-minimizes the exact objective.
+step (Ang & Gillis, 2019); then projected/penalized gradient descent on H
+with the monotone line search of spectral projected gradient (Birgin,
+Martinez & Raydan, 2000) minimizes the exact objective.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
 EPS_FEAS_PENALTY = 1e-3
 EPS_FEAS_PROJECTED = 1e-9
 
-_MAX_HALVINGS = 60
 _X_ROW_SUM_TOL = 1e-6
 
 
@@ -119,23 +118,16 @@ def _check_x(x) -> np.ndarray:
     return m
 
 
-def _svd(h: np.ndarray, rank_tol: float):
-    # SVD of each H in a stack (k, R, m), and which H have full row rank.
-    # The rank test runs on Python floats (the same IEEE comparisons, with
-    # less overhead on a handful of values); the singular values of a
-    # rank-deficient H become 1, so its stand-in pinv stays finite.
+def _full_rank_pinv(h: np.ndarray, rank_tol: float) -> tuple[np.ndarray, list[bool]]:
+    # pinv of each H in a stack (k, R, m) from one SVD, and which H have full
+    # row rank.  On full-rank input this is pseudoinverse()'s arithmetic, bit
+    # for bit.  The rank test runs on Python floats (the same IEEE
+    # comparisons, with less overhead on a handful of values); the singular
+    # values of a rank-deficient H become 1, so its stand-in pinv stays finite.
     u, s, vt = np.linalg.svd(h, full_matrices=False)
     full = [r[0] > 0.0 and r[-1] > rank_tol * r[0] for r in s.tolist()]
     if not all(full):
         s = np.where(np.array(full)[:, None], s, 1.0)
-    return u, s, vt, full
-
-
-def _full_rank_pinv(h: np.ndarray, rank_tol: float) -> tuple[np.ndarray, list[bool]]:
-    # pinv of each H in a stack from one SVD, and which H have full row
-    # rank.  On full-rank input this is pseudoinverse()'s arithmetic, bit
-    # for bit.
-    u, s, vt, full = _svd(h, rank_tol)
     return (vt.transpose(0, 2, 1) * (1.0 / s)[:, None, :]) @ u.transpose(0, 2, 1), full
 
 
@@ -209,11 +201,7 @@ def _eval(x, h, config, z, sq):
     stack; each value adds its terms as floats in the order of
     :func:`_terms_from_parts_z`, so it is that function's sum bit for bit.
     """
-    # Not _full_rank_pinv: vt.T / s rounds differently from vt.T * (1/s),
-    # and the descent's path follows those last bits, so sharing either
-    # arithmetic with the warm start changes every fit and its step count.
-    u, s, vt, full = _svd(h, config.rank_tol)
-    hp = (vt.transpose(0, 2, 1) / s[:, None, :]) @ u.transpose(0, 2, 1)
+    hp, full = _full_rank_pinv(h, config.rank_tol)
     w = x @ hp
     if config.mode is Mode.PROJECTED:
         w = _feasible_w(w, config.orientation)
@@ -355,13 +343,16 @@ def _anchor_start(x: np.ndarray, config: SolverConfig) -> Optional[np.ndarray]:
     else:
         h = x[picks]
     h = _feasible_h(h, config.orientation)
-    return h if _svd(h[None], config.rank_tol)[3][0] else None
+    return h if _full_rank_pinv(h[None], config.rank_tol)[1][0] else None
 
 
 _MU_START = 1e-1
 _MU_FLOOR = 1e-9
 _BB_MIN, _BB_MAX = 1e-12, 1e8
 _WARM_START_ROUNDS = 2000
+_ARMIJO = 1e-4
+_SHRINK_MIN, _SHRINK_MAX = 0.1, 0.5
+_STEP_FLOOR = 1e-12
 
 
 def _descend(x, h, config: SolverConfig,
@@ -374,17 +365,25 @@ def _descend(x, h, config: SolverConfig,
     trace, converged)``.  The residual ``z`` is a view of the tick's stack:
     the gradient is taken from it as soon as a candidate is accepted, and
     only a smoothing-width drop after a failed line search rebuilds X - W H.
-    A rank-deficient start has no objective and stops at once.
+    A rank-deficient start has no objective and stops at once; any other
+    start is reported to ``progress`` as iteration 0.
 
-    Spectral (Barzilai-Borwein) initial steps are backtracked by halving
-    until the exact objective decreases.  When no decrease is found along
-    the current smoothed direction the smoothing width shrinks before the
-    point is declared stationary.
+    The line search is the monotone one of spectral projected gradient
+    (Birgin, Martinez & Raydan, SIAM J. Optim. 10(4), 2000).  Along d =
+    feasible(H - step g) - H, step the Barzilai-Borwein step, it accepts
+    H + lam d once f falls there by at least -_ARMIJO lam g.d; otherwise lam
+    moves to the minimizer of the quadratic fit, kept in [_SHRINK_MIN lam,
+    _SHRINK_MAX lam].  Candidates are convex combinations of feasible
+    points, so none is projected.  The search fails once lam |d| <=
+    _STEP_FLOOR max(1, |H|): the smoothing width then shrinks or, at its
+    floor, the point is declared stationary.
     """
     obj, hp, w, z, fro = yield h
     trace = [obj]
     if obj == np.inf:
         return h, trace, False
+    if progress is not None:
+        progress(0, obj)
     # Own copies of pinv(H) and W for a rebuild of the residual, so that no
     # stack of a tick outlives it.
     hp, w = hp.copy(), w.copy()
@@ -410,15 +409,25 @@ def _descend(x, h, config: SolverConfig,
             sy = float(np.sum(s * y))
             step = float(np.sum(s * s)) / sy if sy > 1e-300 else 1.0 / gn
             step = min(max(step, _BB_MIN), _BB_MAX)
-        for _ in range(_MAX_HALVINGS):
-            cand = h - step * g
-            if config.mode is Mode.PROJECTED:
-                cand = _feasible_h(cand, config.orientation)
+        # Penalty mode leaves H unconstrained.
+        d = (_feasible_h(h - step * g, config.orientation) - h
+             if config.mode is Mode.PROJECTED else -step * g)
+        slope = float(np.sum(g * d))
+        floor = _STEP_FLOOR * max(1.0, frobenius_norm(h))
+        dn = frobenius_norm(d)
+        lam, accepted = 1.0, None
+        while lam * dn > floor:
+            cand = h + lam * d
             accepted = yield cand
-            if accepted[0] < obj:
+            val = accepted[0]
+            if val < obj and val <= obj + _ARMIJO * lam * slope:
                 break
             accepted = None
-            step *= 0.5
+            # The model's curvature is positive whenever the test fails; an
+            # infinite value (rank-deficient candidate) gives the largest cut.
+            curv = val - obj - lam * slope
+            q = -slope * lam * lam / (2.0 * curv) if curv > 0.0 else lam
+            lam = min(max(q, _SHRINK_MIN * lam), _SHRINK_MAX * lam)
         if accepted is None:
             if smoothable and mu > _MU_FLOOR:
                 mu *= 0.1
@@ -650,8 +659,8 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     threads : int
         Accepted and ignored; the restarts are solved together.
     progress : callable, optional
-        Called as ``progress(iteration, objective)`` after each accepted
-        descent step.
+        Called as ``progress(iteration, objective)`` for restart 0 at the
+        start of the descent (iteration 0) and after each accepted step.
 
     Returns
     -------

@@ -20,6 +20,7 @@ from smf import (
     objective,
     objective_terms,
 )
+from smf import solver
 from smf.linalg import frobenius_norm, pseudoinverse
 from smf.solver import (
     EPS_FEAS_PENALTY,
@@ -30,10 +31,10 @@ from smf.solver import (
     _eval,
     _feasible_h,
     _feasible_w,
+    _full_rank_pinv,
     _gradient,
     _init_h,
     _spa,
-    _svd,
     _terms_from_parts_z,
     _warm_start,
 )
@@ -594,7 +595,7 @@ def serial_eval(x, h, config):
     _, [hp], [w], _, _ = _eval(x, h[None], config, np.empty((1,) + x.shape),
                                np.empty(x.shape))
     z = x - w @ h
-    full = _svd(h[None], config.rank_tol)[3][0]
+    full = _full_rank_pinv(h[None], config.rank_tol)[1][0]
     value = float(sum(_terms_from_parts_z(z, h, w, config).values())) if full else np.inf
     return value, hp, w, z, frobenius_norm(z)
 
@@ -637,6 +638,116 @@ def test_stacked_descent_matches_serial_reference_bitwise(mode, orientation):
                 assert gconv == wconv
         assert want[2][1:] == ([np.inf], False)
         assert all(len(want[j][1]) > 5 for j in (0, 1, 3))
+
+
+# ------------------------------------------------------------- line search
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_descent_from_exact_solution_is_cheap(mode, orientation):
+    # At the true H the objective sits at its rounding floor, so every
+    # search fails; a search gives up once lam |d| reaches 1e-12 max(1, |H|),
+    # a few evaluations per smoothing width.  A search that halves lam 60
+    # times before giving up costs 144-680 evaluations here.
+    x, gt = generate(60, 12, 3, anchors=True, seed=4, orientation=orientation)
+    c = cfg(rank=3, orientation=orientation, mode=mode)
+    run = _descend(x, gt.h, c, None)
+    cand, yields = next(run), 1
+    try:
+        while True:
+            cand = run.send(serial_eval(x, cand, c))
+            yields += 1
+    except StopIteration as done:
+        _, trace, converged = done.value
+    assert converged
+    assert yields <= (150 if mode is Mode.PENALTY else 40)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_line_search_steps_satisfy_armijo(mode, orientation, monkeypatch):
+    # Each search tries H + lam d, lam = 1 first and then cut by a factor in
+    # [0.1, 0.5] per try, after one gradient g; the gradient after an
+    # accepted step is taken at the accepted candidate itself, which
+    # identifies it.  Every accepted step decreases the objective by at
+    # least 1e-4 g.(H' - H), and in projected mode every candidate is
+    # feasible without a projection.
+    grads = []
+
+    def recording(h, *args):
+        grads.append((h, _gradient(h, *args)))
+        return grads[-1][1]
+
+    monkeypatch.setattr(solver, "_gradient", recording)
+    for seed in range(2):
+        x, _ = generate(30, 9, 3, seed=seed, noise_sigma=0.03, orientation=orientation)
+        c = cfg(rank=3, orientation=orientation, mode=mode, max_iter=80)
+        base = _init_h(np.random.default_rng(seed), 3, x.shape[1], orientation)
+        if mode is Mode.PROJECTED:
+            base = _feasible_h(base, orientation)
+        run = _descend(x, base, c, None)
+        ev = serial_eval(x, next(run), c)
+        obj, tries, accepted = ev[0], [], []
+        grads.clear()
+
+        def accept(cand):
+            # ev is the evaluation of the last candidate tried.
+            nonlocal base, obj
+            val = ev[0]
+            assert val < obj
+            assert val <= obj + 1e-4 * float(np.sum(g * (cand - base)))
+            accepted.append(val)
+            base, obj = cand, val
+
+        try:
+            while True:
+                seen = len(grads)
+                cand = run.send(ev)
+                for h, g_new in grads[seen:]:
+                    if tries and h is tries[-1]:
+                        accept(h)
+                    g, tries = g_new, []
+                if tries:
+                    ratio = frobenius_norm(cand - base) / frobenius_norm(tries[-1] - base)
+                    # Rounding of cand - base reaches about 2e-4 of the
+                    # shortest step tried.
+                    assert 0.1 - 1e-3 <= ratio <= 0.5 + 1e-3
+                tries.append(cand)
+                if mode is Mode.PROJECTED:
+                    assert cand.min() >= -1e-12
+                    if orientation.h_stochastic:
+                        assert np.abs(cand.sum(axis=1) - 1.0).max() <= 1e-12
+                    else:
+                        assert cand.max() <= 1.0 + 1e-12
+                ev = serial_eval(x, cand, c)
+        except StopIteration as done:
+            h, trace, _ = done.value
+        if tries and h is tries[-1]:
+            accept(h)
+        assert accepted == trace[1:]
+        assert len(trace) > 5
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_line_search_rejects_insufficient_decrease(mode):
+    # A candidate whose objective falls, but by less than 1e-4 lam g.d, is
+    # not accepted: the search tries a shorter step on the same ray.  (On
+    # real objectives the condition rarely binds, so the decrease is faked:
+    # one ulp below f(H).)
+    x, _ = generate(30, 9, 3, seed=0, noise_sigma=0.03)
+    c = cfg(rank=3, mode=mode)
+    h = _feasible_h(_init_h(np.random.default_rng(0), 3, x.shape[1], c.orientation),
+                    c.orientation)
+    run = _descend(x, h, c, None)
+    start = serial_eval(x, next(run), c)
+    first = run.send(start)
+    fake = (np.nextafter(start[0], 0.0),) + serial_eval(x, first, c)[1:]
+    second = run.send(fake)
+    d = first - h
+    lam = float(np.sum((second - h) * d) / np.sum(d * d))
+    assert 0.1 - 1e-9 <= lam <= 0.5 + 1e-9
+    assert np.allclose(second - h, lam * d, rtol=0.0, atol=1e-12)
 
 
 # ------------------------------------------------------------- peak memory
