@@ -55,14 +55,9 @@ def _dump_json(payload: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _write_matrix(matrix, out_dir: str, stem: str, binary: bool) -> str:
-    name = f"{stem}.bin" if binary else f"{stem}.csv"
-    path = os.path.join(out_dir, name)
-    if binary:
-        write_matrix_binary(path, matrix)
-    else:
-        write_matrix_csv(path, matrix)
-    return path
+def _write_matrix(matrix, out_dir: str, stem: str, binary: bool) -> None:
+    write = write_matrix_binary if binary else write_matrix_csv
+    write(os.path.join(out_dir, f"{stem}.bin" if binary else f"{stem}.csv"), matrix)
 
 
 def _write_manifest(command: str, options: dict, input_paths, out_dir: str,
@@ -77,15 +72,9 @@ def _write_manifest(command: str, options: dict, input_paths, out_dir: str,
     _dump_json(manifest, os.path.join(out_dir, _MANIFEST_NAME))
 
 
-def _prepare_out_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _load_factors(w_path: str, h_path: str, orientation: Orientation) -> FactorPair:
-    w = read_matrix(w_path)
-    h = read_matrix(h_path)
-    return FactorPair(w=w, h=h, orientation=orientation)
+    return FactorPair(w=read_matrix(w_path), h=read_matrix(h_path),
+                      orientation=orientation)
 
 
 def _solver_config(args) -> SolverConfig:
@@ -108,6 +97,8 @@ def _result_payload(result) -> dict:
         "iterations": result.iterations,
         "converged": result.converged,
         "best_restart": result.best_restart,
+        "max_violation": result.max_violation,
+        "feasible": result.feasible,
         "restart_objectives": list(result.restart_objectives),
         "objective_trace": list(result.objective_trace),
     }
@@ -246,9 +237,8 @@ def _read_vocab(path: str) -> tuple:
 
 
 def _load_topic_model(args) -> TopicModel:
-    factors = FactorPair(w=read_matrix(args.w), h=read_matrix(args.h),
-                         orientation=Orientation.BOTH)
-    return TopicModel(factors=factors, vocabulary=_read_vocab(args.vocab))
+    return TopicModel(factors=_load_factors(args.w, args.h, Orientation.BOTH),
+                      vocabulary=_read_vocab(args.vocab))
 
 
 def _cmd_topics_top_terms(args, out_dir: str):
@@ -423,11 +413,11 @@ def _options_dict(args) -> dict:
 def _execute(command: str, options: dict) -> None:
     handler = _HANDLERS[command]
     args = argparse.Namespace(**options)
-    out_dir = _prepare_out_dir(args.out_dir)
+    os.makedirs(args.out_dir, exist_ok=True)
     start = time.monotonic()
-    inputs = handler(args, out_dir)
+    inputs = handler(args, args.out_dir)
     duration = time.monotonic() - start
-    _write_manifest(command, options, inputs, out_dir, duration)
+    _write_manifest(command, options, inputs, args.out_dir, duration)
 
 
 def _rerun(args) -> None:

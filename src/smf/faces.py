@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factors import FactorPair
-from .linalg import pseudoinverse, simplex_project
+from .linalg import _frozen, simplex_project
 
 __all__ = [
     "GrayImage",
@@ -38,14 +38,13 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=np.float64)
+        p = _frozen(self.pixels)
         if p.ndim != 2 or p.size == 0:
             raise ValueError("image must be a non-empty 2-dimensional array")
         if not np.all(np.isfinite(p)):
             raise ValueError("image intensities must be finite")
         if p.min() < 0.0 or p.max() > 1.0:
             raise ValueError("image intensities must lie in [0, 1]")
-        p.setflags(write=False)
         object.__setattr__(self, "pixels", p)
 
     @property
@@ -182,18 +181,19 @@ def retrieve(query: GrayImage, model: FactorPair) -> tuple:
 
     The query is compressed to its simplex-projected weight vector
     ``simplex_project(q @ pinv(H))`` and compared against the rows of the
-    stored W by Euclidean distance.  Returns ``(index, distance)`` with ties
-    resolved toward the lowest index.
+    stored W by Euclidean distance.  pinv(H) is computed once per model
+    (``FactorPair.h_pinv``), so repeated queries against one model share it.
+    Returns ``(index, distance)`` with ties resolved toward the lowest index.
     """
     q = query.flatten()
     if q.size != model.h.shape[1]:
         raise ValueError(
             f"query has {q.size} pixels but the model stores {model.h.shape[1]}"
         )
-    w_q = simplex_project(q @ pseudoinverse(model.h))
-    dists = np.sqrt(np.sum((model.w - w_q) ** 2, axis=1))
-    idx = int(np.argmin(dists))
-    return idx, float(dists[idx])
+    diff = model.w - simplex_project(q @ model.h_pinv)
+    sq = np.einsum("ij,ij->i", diff, diff)
+    idx = int(np.argmin(sq))
+    return idx, math.sqrt(sq[idx])
 
 
 def reconstruction_error(x, factors: FactorPair) -> float:

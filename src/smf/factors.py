@@ -9,8 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
+
+from .linalg import _frozen, pseudoinverse
 
 __all__ = ["Orientation", "FactorPair"]
 
@@ -35,6 +38,9 @@ class Orientation(Enum):
 class FactorPair:
     """Pair of non-negative factors with a declared stochastic dimension.
 
+    ``w`` and ``h`` are read-only float64 arrays (a writeable input is copied):
+    an in-place edit raises ``ValueError``, so build a new pair instead.
+
     Attributes
     ----------
     w : numpy.ndarray, shape (n, rank)
@@ -47,8 +53,8 @@ class FactorPair:
     orientation: Orientation
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        h = np.asarray(self.h, dtype=np.float64)
+        w = _frozen(self.w)
+        h = _frozen(self.h)
         if w.ndim != 2 or h.ndim != 2:
             raise ValueError("factors must be 2-dimensional arrays")
         if w.shape[1] != h.shape[0]:
@@ -65,6 +71,13 @@ class FactorPair:
     @property
     def rank(self) -> int:
         return self.w.shape[1]
+
+    @cached_property
+    def h_pinv(self) -> np.ndarray:
+        """pinv(H) at the default cutoff, computed once per pair (read-only)."""
+        pinv = pseudoinverse(self.h)
+        pinv.setflags(write=False)
+        return pinv
 
     def max_violation(self) -> float:
         """Largest feasibility violation over non-negativity and row sums."""

@@ -41,6 +41,14 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _frozen(a) -> np.ndarray:
+    # Read-only float64 ``a``; a writeable input is copied, not frozen in place.
+    m = np.asarray(a, dtype=np.float64)
+    m = m.copy() if m.flags.writeable else m
+    m.setflags(write=False)
+    return m
+
+
 def frobenius_norm(a) -> float:
     """Square root of the sum of squared entries."""
     m = np.asarray(a, dtype=np.float64)

@@ -104,6 +104,10 @@ class SolveResult:
     iterations: int
     converged: bool
     best_restart: int
+    # Largest feasibility violation of ``factors``, and whether it is within
+    # the mode's EPS_FEAS_PENALTY or EPS_FEAS_PROJECTED.
+    max_violation: float
+    feasible: bool
     restart_objectives: list[float] = field(default_factory=list)
 
 
@@ -704,6 +708,8 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     best = min(range(config.restarts), key=lambda k: (finals[k], k))
     h, trace, converged = results[best]
     factors = _postprocess(xm, h, config)
+    violation = factors.max_violation()
+    eps = EPS_FEAS_PROJECTED if config.mode is Mode.PROJECTED else EPS_FEAS_PENALTY
     return SolveResult(
         factors=factors,
         objective=float(trace[-1]),
@@ -711,5 +717,7 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
         iterations=len(trace) - 1,
         converged=bool(converged),
         best_restart=best,
+        max_violation=violation,
+        feasible=violation <= eps,
         restart_objectives=[float(f) for f in finals],
     )

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .factors import FactorPair, Orientation
-from .linalg import row_normalize, simplex_project_rows
+from .linalg import _frozen, row_normalize, simplex_project_rows
 from .solver import Mode, SolveResult, SolverConfig, factorize
 
 __all__ = [
@@ -46,7 +46,7 @@ class Corpus:
     doc_ids: tuple
 
     def __post_init__(self):
-        m = np.asarray(self.doc_term, dtype=np.float64)
+        m = _frozen(self.doc_term)
         if m.ndim != 2 or m.size == 0:
             raise ValueError("doc_term must be a non-empty 2-dimensional array")
         if m.shape != (len(self.doc_ids), len(self.vocabulary)):
@@ -60,7 +60,6 @@ class Corpus:
             raise ValueError("doc_term must hold non-negative integer counts")
         if np.any(m.sum(axis=1) == 0):
             raise ValueError("every document must retain at least one term")
-        m.setflags(write=False)
         object.__setattr__(self, "doc_term", m)
         object.__setattr__(self, "vocabulary", tuple(self.vocabulary))
         object.__setattr__(self, "doc_ids", tuple(self.doc_ids))

@@ -52,7 +52,8 @@ def test_factorize_writes_artifacts(tmp_path):
     result = json.loads((out / "result.json").read_text())
     assert set(result) == {"objective", "iterations", "converged",
                            "best_restart", "restart_objectives",
-                           "objective_trace"}
+                           "objective_trace", "max_violation", "feasible"}
+    assert result["feasible"] is (result["max_violation"] <= 1e-3)
     assert result["objective"] == result["objective_trace"][-1]
     assert len(result["restart_objectives"]) == 2
 

@@ -3,17 +3,23 @@
 import numpy as np
 import pytest
 
+import smf.factors
 from smf import (
     FactorPair,
     GrayImage,
+    Mode,
     Orientation,
+    SolverConfig,
     downsample_2x2,
+    factorize,
+    generate,
     read_pgm,
     reconstruct,
     reconstruction_error,
     retrieve,
     write_pgm,
 )
+from smf.linalg import pseudoinverse, simplex_project
 
 
 def grid255(seed, shape=(19, 19)):
@@ -34,6 +40,15 @@ def test_gray_image_validation():
         GrayImage(pixels=np.array([[-0.1, 0.0]]))
     with pytest.raises(ValueError):
         GrayImage(pixels=np.array([[np.nan, 0.0]]))
+
+
+def test_gray_image_copies_a_writeable_caller_array():
+    a = np.zeros((2, 2))
+    img = GrayImage(pixels=a)
+    a[0, 0] = 1.0
+    assert a.flags.writeable
+    assert not img.pixels.flags.writeable
+    assert img.pixels[0, 0] == 0.0
 
 
 def test_gray_image_accessors():
@@ -227,6 +242,42 @@ def test_retrieve_breaks_ties_toward_lowest_index():
     query = GrayImage(pixels=(w[1] @ h).reshape(2, 2))
     idx, _ = retrieve(query, model)
     assert idx == 0
+
+
+def test_retrieve_computes_pinv_once_per_model(monkeypatch):
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(1)
+        return pseudoinverse(a, *args, **kwargs)
+
+    monkeypatch.setattr(smf.factors, "pseudoinverse", counting)
+    model = retrieval_model()
+    x = model.w @ model.h
+    for k in range(50):
+        retrieve(GrayImage(pixels=x[k % 3].reshape(2, 2)), model)
+    assert len(calls) == 1
+
+
+def test_retrieve_matches_per_query_pinv_reference():
+    # A criterion-7 style instance: 19x19 images downsampled to 9x9, R=10,
+    # projected fit.  Reference: the per-query formula that recomputes
+    # pinv(H) and every distance.
+    x19, _ = generate(600, 361, 10, anchors=True, noise_sigma=0.02,
+                      orientation=Orientation.W_ROWS_SUM_TO_1, seed=7)
+    x9 = np.stack([downsample_2x2(GrayImage(pixels=row.reshape(19, 19))).flatten()
+                   for row in x19])
+    cfg = SolverConfig(rank=10, orientation=Orientation.W_ROWS_SUM_TO_1,
+                       restarts=1, seed=0, mode=Mode.PROJECTED)
+    model = factorize(x9, cfg).factors
+    for i in range(len(x9)):
+        query = GrayImage(pixels=x9[i].reshape(9, 9))
+        w_q = simplex_project(query.flatten() @ pseudoinverse(model.h))
+        dists = np.sqrt(np.sum((model.w - w_q) ** 2, axis=1))
+        want = int(np.argmin(dists))
+        idx, dist = retrieve(query, model)
+        assert idx == want
+        assert dist == pytest.approx(dists[want], rel=1e-12, abs=0.0)
 
 
 def test_retrieve_rejects_wrong_pixel_count():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smf import FactorPair, Orientation
+from smf.linalg import pseudoinverse
 
 
 def test_orientation_flags():
@@ -68,3 +69,27 @@ def test_factor_pair_coerces_to_float64():
                       orientation=Orientation.BOTH)
     assert pair.w.dtype == np.float64
     assert pair.h.dtype == np.float64
+
+
+def test_factor_pair_arrays_are_read_only():
+    w = np.eye(2)
+    h = np.array([[0.5, 0.5], [1.0, 0.0]])
+    pair = FactorPair(w=w, h=h, orientation=Orientation.BOTH)
+    with pytest.raises(ValueError):
+        pair.w[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        pair.h[0, 0] = 0.5
+    # The caller's arrays were copied, not frozen in place.
+    w[0, 0] = 0.5
+    h[0, 0] = 0.25
+    assert pair.w[0, 0] == 1.0 and pair.h[0, 0] == 0.5
+    # A read-only float64 array is reused as is.
+    assert FactorPair(w=w, h=pair.h, orientation=Orientation.BOTH).h is pair.h
+
+
+def test_h_pinv_is_cached_and_matches_pseudoinverse():
+    h = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+    pair = FactorPair(w=np.eye(2), h=h, orientation=Orientation.BOTH)
+    assert pair.h_pinv is pair.h_pinv
+    assert np.array_equal(pair.h_pinv, pseudoinverse(h))
+    assert not pair.h_pinv.flags.writeable

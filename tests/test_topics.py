@@ -27,6 +27,7 @@ def model_from_factors(w, h, vocabulary):
                          orientation=Orientation.BOTH)
     result = SolveResult(factors=factors, objective=0.0, objective_trace=[0.0],
                          iterations=0, converged=True, best_restart=0,
+                         max_violation=factors.max_violation(), feasible=True,
                          restart_objectives=[0.0])
     return TopicModel(factors=factors, vocabulary=tuple(vocabulary),
                       solve_result=result)
@@ -179,6 +180,31 @@ def test_fit_topics_penalty_mode_puts_w_on_the_simplex():
     assert model.factors.h is model.solve_result.factors.h
     assert np.abs(model.factors.w.sum(axis=1) - 1.0).max() <= 1e-12
     assert model.factors.w.min() >= 0.0
+
+
+def test_penalty_fit_reports_infeasible_factors():
+    # Penalty mode cannot fit this corpus within its 1e-3 contract; the
+    # result says so instead of passing the factors off as feasible.
+    corpus = block_corpus(np.random.default_rng(37))
+    cfg = SolverConfig(rank=3, orientation=Orientation.BOTH, restarts=2, seed=0)
+    res = fit_topics(corpus, cfg).solve_result
+    assert res.feasible is False
+    assert res.max_violation > 1e-3
+    assert res.max_violation == res.factors.max_violation()
+    cfg = SolverConfig(rank=3, orientation=Orientation.BOTH, restarts=2, seed=0,
+                       mode=Mode.PROJECTED)
+    res = fit_topics(corpus, cfg).solve_result
+    assert res.feasible is True
+    assert res.max_violation <= 1e-9
+
+
+def test_corpus_copies_a_writeable_caller_array():
+    counts = np.array([[1.0, 2.0], [3.0, 0.0]])
+    corpus = Corpus(vocabulary=("a", "b"), doc_term=counts, doc_ids=("0", "1"))
+    counts[0, 0] = 5.0
+    assert counts.flags.writeable
+    assert not corpus.doc_term.flags.writeable
+    assert corpus.doc_term[0, 0] == 1.0
 
 
 def test_fit_topics_requires_both_orientation():
