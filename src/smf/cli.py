@@ -8,7 +8,9 @@ any directory), the SHA-256 of each input file, and the package version;
 files byte for byte (the manifest itself carries the wall-clock duration
 and is excluded from that guarantee).
 
-Exit codes: 0 success, 2 usage or input error, 3 numerical failure.
+Exit codes: 0 success, 2 usage or input error, 3 numerical failure.  A fit
+whose factors are not feasible within the mode's tolerance exits 3 after
+writing all of its outputs.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -26,8 +29,7 @@ from . import __version__
 from .factors import FactorPair, Orientation
 from .faces import (GrayImage, downsample_2x2, read_pgm, reconstruct,
                     reconstruction_error, retrieve, write_pgm)
-from .identify import (DegenerateFactorError, analysis_report, natural_bounds,
-                       sample_feasible_A)
+from .identify import DegenerateFactorError, analysis_report, sample_feasible_A
 from .matrixio import read_matrix, write_matrix_binary, write_matrix_csv
 from .solver import (InvalidInputError, Mode, RankDeficientError, SolverConfig,
                      factorize)
@@ -104,17 +106,26 @@ def _result_payload(result) -> dict:
     }
 
 
+def _write_fit(factors: FactorPair, result, out_dir: str, binary: bool) -> int:
+    # The files are written either way; factors outside the mode's
+    # feasibility tolerance make the run a numerical failure.
+    _write_matrix(factors.w, out_dir, "W", binary)
+    _write_matrix(factors.h, out_dir, "H", binary)
+    _dump_json(_result_payload(result), os.path.join(out_dir, "result.json"))
+    if result.feasible:
+        return EXIT_OK
+    print(f"numerical failure: fitted factors violate feasibility by "
+          f"{result.max_violation:.3e}", file=sys.stderr)
+    return EXIT_NUMERICAL
+
+
 # Each handler returns the list of input paths it consumed, so the shared
-# driver can hash them into the manifest.
+# driver can hash them into the manifest, and the exit code.
 
 def _cmd_factorize(args, out_dir: str):
-    x = read_matrix(args.input)
-    config = _solver_config(args)
-    result = factorize(x, config, threads=args.threads)
-    _write_matrix(result.factors.w, out_dir, "W", args.binary)
-    _write_matrix(result.factors.h, out_dir, "H", args.binary)
-    _dump_json(_result_payload(result), os.path.join(out_dir, "result.json"))
-    return [args.input]
+    result = factorize(read_matrix(args.input), _solver_config(args),
+                       threads=args.threads)
+    return [args.input], _write_fit(result.factors, result, out_dir, args.binary)
 
 
 def _cmd_analyze(args, out_dir: str):
@@ -123,10 +134,13 @@ def _cmd_analyze(args, out_dir: str):
     if args.samples > 0:
         samples = sample_feasible_A(factors, args.samples, seed=args.seed,
                                     step=args.step, zero_tol=args.zero_tol)
-        bounds = {(b.r1, b.r2): b for b in natural_bounds(factors, args.zero_tol)}
+        bounds = {(b["r1"], b["r2"]): b for b in report["bounds"]}
         row_dev = 0.0
         checked = outside = 0
-        for s in samples:
+        # A state the walk keeps is recorded again as the same object, so
+        # each distinct sample is checked once and counted once per record.
+        repeats = Counter(map(id, samples))
+        for s in {id(s): s for s in samples}.values():
             a = s.a
             row_dev = max(row_dev, float(np.max(np.abs(a.sum(axis=1) - 1.0))))
             off = a - np.diag(np.diag(a))
@@ -134,9 +148,9 @@ def _cmd_analyze(args, out_dir: str):
             if len(nz) == 1:
                 r1, r2 = (int(v) for v in nz[0])
                 b = bounds[(r1, r2)]
-                checked += 1
-                if not (b.lower - args.step <= a[r1, r2] <= b.upper + args.step):
-                    outside += 1
+                checked += repeats[id(s)]
+                if not (b["lower"] - args.step <= a[r1, r2] <= b["upper"] + args.step):
+                    outside += repeats[id(s)]
         report["oracle"] = {
             "n_samples": args.samples,
             "seed": args.seed,
@@ -146,7 +160,7 @@ def _cmd_analyze(args, out_dir: str):
             "single_axis_outside_bounds": outside,
         }
     _dump_json(report, os.path.join(out_dir, "report.json"))
-    return [args.w, args.h]
+    return [args.w, args.h], EXIT_OK
 
 
 def _cmd_faces_ingest(args, out_dir: str):
@@ -170,7 +184,7 @@ def _cmd_faces_ingest(args, out_dir: str):
     with open(os.path.join(out_dir, "files.txt"), "w", encoding="utf-8") as fh:
         for name in names:
             fh.write(name + "\n")
-    return paths
+    return paths, EXIT_OK
 
 
 def _cmd_faces_reconstruct(args, out_dir: str):
@@ -182,7 +196,7 @@ def _cmd_faces_reconstruct(args, out_dir: str):
     img = reconstruct(factors.w[args.row], factors.h)
     write_pgm(img, os.path.join(out_dir, "reconstruction.pgm"),
               binary=args.binary)
-    return [args.w, args.h]
+    return [args.w, args.h], EXIT_OK
 
 
 def _cmd_faces_retrieve(args, out_dir: str):
@@ -191,7 +205,7 @@ def _cmd_faces_retrieve(args, out_dir: str):
     index, distance = retrieve(query, factors)
     _dump_json({"index": index, "distance": distance},
                os.path.join(out_dir, "retrieval.json"))
-    return [args.query, args.w, args.h]
+    return [args.query, args.w, args.h], EXIT_OK
 
 
 def _cmd_faces_error(args, out_dir: str):
@@ -200,7 +214,7 @@ def _cmd_faces_error(args, out_dir: str):
     err = reconstruction_error(x, factors)
     _dump_json({"reconstruction_error": err},
                os.path.join(out_dir, "error.json"))
-    return [args.input, args.w, args.h]
+    return [args.input, args.w, args.h], EXIT_OK
 
 
 def _cmd_topics_build(args, out_dir: str):
@@ -217,18 +231,14 @@ def _cmd_topics_build(args, out_dir: str):
                           min_doc_fraction=args.min_doc_fraction)
     write_corpus(corpus, os.path.join(out_dir, "doc_term.csv"),
                  os.path.join(out_dir, "vocab.txt"))
-    return inputs
+    return inputs, EXIT_OK
 
 
 def _cmd_topics_fit(args, out_dir: str):
     corpus = read_corpus(args.doc_term, args.vocab)
-    config = _solver_config(args)
-    model = fit_topics(corpus, config, threads=args.threads)
-    _write_matrix(model.factors.w, out_dir, "W", args.binary)
-    _write_matrix(model.factors.h, out_dir, "H", args.binary)
-    _dump_json(_result_payload(model.solve_result),
-               os.path.join(out_dir, "result.json"))
-    return [args.doc_term, args.vocab]
+    model = fit_topics(corpus, _solver_config(args), threads=args.threads)
+    return ([args.doc_term, args.vocab],
+            _write_fit(model.factors, model.solve_result, out_dir, args.binary))
 
 
 def _read_vocab(path: str) -> tuple:
@@ -244,13 +254,13 @@ def _load_topic_model(args) -> TopicModel:
 def _cmd_topics_top_terms(args, out_dir: str):
     model = _load_topic_model(args)
     write_top_terms_csv(model, args.k, os.path.join(out_dir, "top_terms.csv"))
-    return [args.w, args.h, args.vocab]
+    return [args.w, args.h, args.vocab], EXIT_OK
 
 
 def _cmd_topics_histogram(args, out_dir: str):
     model = _load_topic_model(args)
     write_histogram_csv(model, os.path.join(out_dir, "histogram.csv"))
-    return [args.w, args.h, args.vocab]
+    return [args.w, args.h, args.vocab], EXIT_OK
 
 
 _HANDLERS = {
@@ -410,17 +420,18 @@ def _options_dict(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NON_OPTION_KEYS}
 
 
-def _execute(command: str, options: dict) -> None:
+def _execute(command: str, options: dict) -> int:
     handler = _HANDLERS[command]
     args = argparse.Namespace(**options)
     os.makedirs(args.out_dir, exist_ok=True)
     start = time.monotonic()
-    inputs = handler(args, args.out_dir)
+    inputs, status = handler(args, args.out_dir)
     duration = time.monotonic() - start
     _write_manifest(command, options, inputs, args.out_dir, duration)
+    return status
 
 
-def _rerun(args) -> None:
+def _rerun(args) -> int:
     with open(args.manifest, encoding="utf-8") as fh:
         manifest = json.load(fh)
     command = manifest["command"]
@@ -436,7 +447,7 @@ def _rerun(args) -> None:
             )
     if args.out_dir is not None:
         options["out_dir"] = args.out_dir
-    _execute(command, options)
+    return _execute(command, options)
 
 
 def main(argv=None) -> int:
@@ -444,9 +455,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "rerun":
-            _rerun(args)
-        else:
-            _execute(_command_key(args), _options_dict(args))
+            return _rerun(args)
+        return _execute(_command_key(args), _options_dict(args))
     except (RankDeficientError, DegenerateFactorError,
             np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -454,7 +464,6 @@ def main(argv=None) -> int:
     except (InvalidInputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .factors import FactorPair
+from .linalg import _frozen
 
 __all__ = [
     "AxisBound",
@@ -214,12 +215,12 @@ def natural_bounds(factors: FactorPair, zero_tol: float = 0.0) -> list:
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Square change-of-basis matrix whose rows sum to 1."""
+    """Square change-of-basis matrix whose rows sum to 1 (``a`` read-only)."""
 
     a: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.a, dtype=np.float64)
+        m = _frozen(self.a)
         object.__setattr__(self, "a", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("mixing matrix must be square")
@@ -262,9 +263,11 @@ def sample_feasible_A(factors: FactorPair, n_samples: int, seed: int,
     perturbation (row sums re-imposed via the diagonal in all cases).  The
     proposal is adopted only when both W.A and solve(A, H) stay above
     ``-zero_tol`` elementwise; the current state is recorded every
-    iteration, so exactly ``n_samples`` matrices are returned.  The single
-    off-diagonal moves make the walk trace out the coordinate-axis
-    intervals, which is what the analytic bounds are checked against.
+    iteration, so exactly ``n_samples`` matrices are returned.  Samples are
+    read-only, and every iteration that keeps a state records the same
+    ``MixingMatrix`` object.  The single off-diagonal moves make the walk
+    trace out the coordinate-axis intervals, which is what the analytic
+    bounds are checked against.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -273,24 +276,28 @@ def sample_feasible_A(factors: FactorPair, n_samples: int, seed: int,
     rng = np.random.default_rng(seed)
     w, h = factors.w, factors.h
     rank = factors.rank
-    eye = np.eye(rank)
-    current = eye
+    identity = MixingMatrix(a=np.eye(rank))
+    # Resets propose the same matrix every time, so their verdict is fixed.
+    reset_ok = _is_feasible(identity.a, w, h, zero_tol)
+    state = identity
     out = []
     for _ in range(n_samples):
         u = rng.random()
         if rank < 2 or u < 0.25:
-            proposal = eye
-        elif u < 0.625:
-            r1 = int(rng.integers(rank))
-            r2 = int((r1 + 1 + rng.integers(rank - 1)) % rank)
-            proposal = current.copy()
-            proposal[r1, r2] += rng.normal(0.0, step)
-            proposal = _fix_row_sums(proposal)
+            if reset_ok:
+                state = identity
         else:
-            proposal = _fix_row_sums(current + rng.normal(0.0, step, (rank, rank)))
-        if _is_feasible(proposal, w, h, zero_tol):
-            current = proposal
-        out.append(MixingMatrix(a=current.copy()))
+            if u < 0.625:
+                r1 = int(rng.integers(rank))
+                r2 = int((r1 + 1 + rng.integers(rank - 1)) % rank)
+                proposal = state.a.copy()
+                proposal[r1, r2] += rng.normal(0.0, step)
+                proposal = _fix_row_sums(proposal)
+            else:
+                proposal = _fix_row_sums(state.a + rng.normal(0.0, step, (rank, rank)))
+            if _is_feasible(proposal, w, h, zero_tol):
+                state = MixingMatrix(a=proposal)
+        out.append(state)
     return out
 
 

@@ -39,7 +39,7 @@ def _check_matrix(a) -> np.ndarray:
 
 def write_matrix_csv(path, a) -> None:
     m = _check_matrix(a)
-    lines = [",".join(repr(v) for v in row) for row in m.tolist()]
+    lines = [",".join(map(repr, row)) for row in m.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -8,19 +8,15 @@ up to reordering.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .factors import FactorPair, Orientation
 from .linalg import frobenius_norm, row_normalize
 from .solver import InvalidInputError
 
 __all__ = ["GroundTruth", "align_and_score", "generate"]
-
-_EXHAUSTIVE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -85,35 +81,26 @@ def generate(n_rows: int, n_cols: int, rank: int, *, anchors: bool = True,
     return x, truth
 
 
-def _assignment_cost(d2: np.ndarray, perm) -> float:
-    return float(d2[list(perm), np.arange(d2.shape[0])].sum())
-
-
 def align_and_score(h_est, h_true) -> tuple[np.ndarray, float]:
     """Best row matching of an estimated H against a reference H.
 
     Finds the permutation ``perm`` minimizing the Frobenius distance between
-    ``h_est[perm]`` and ``h_true`` (exhaustively for rank <= 8, by optimal
-    assignment above that) and returns it together with the relative error
-    ``||h_est[perm] - h_true||_F / ||h_true||_F``.
+    ``h_est[perm]`` and ``h_true`` by optimal assignment and returns it
+    together with the relative error ``||h_est[perm] - h_true||_F /
+    ||h_true||_F``.  scipy is imported here, on first use, so that
+    importing the package does not load it.
     """
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(h_est, dtype=np.float64)
     b = np.asarray(h_true, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     rank = a.shape[0]
     d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    if rank <= _EXHAUSTIVE_LIMIT:
-        best, best_cost = None, np.inf
-        for perm in itertools.permutations(range(rank)):
-            cost = _assignment_cost(d2, perm)
-            if cost < best_cost:
-                best, best_cost = perm, cost
-        perm = np.array(best, dtype=np.int64)
-    else:
-        rows, cols = scipy.optimize.linear_sum_assignment(d2)
-        perm = np.empty(rank, dtype=np.int64)
-        perm[cols] = rows
+    rows, cols = linear_sum_assignment(d2)
+    perm = np.empty(rank, dtype=np.int64)
+    perm[cols] = rows
     denom = frobenius_norm(b)
     if denom == 0.0:
         raise ValueError("reference factor is identically zero")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,10 +74,11 @@ class Corpus:
         return self.doc_term.shape[1]
 
 
-def _tokenize(text: str):
-    for tok in _TOKEN_RE.findall(text.lower()):
-        if tok.isalpha():
-            yield tok
+def _term_counts(text: str, stop) -> dict:
+    # Occurrences of each lowercased word-character run that is purely
+    # alphabetic and not a stop word.
+    runs = Counter(_TOKEN_RE.findall(text.lower()))
+    return {t: n for t, n in runs.items() if t.isalpha() and t not in stop}
 
 
 def build_corpus(documents, *, stop_words=(),
@@ -103,23 +105,26 @@ def build_corpus(documents, *, stop_words=(),
             raise ValueError("doc_ids length must match the document count")
     stop = {w.lower() for w in stop_words}
 
-    token_lists = [[t for t in _tokenize(d) if t not in stop] for d in docs]
-    doc_freq = {}
-    for toks in token_lists:
-        for term in set(toks):
-            doc_freq[term] = doc_freq.get(term, 0) + 1
+    doc_counts = [_term_counts(d, stop) for d in docs]
+    doc_freq = Counter()
+    for terms in doc_counts:
+        doc_freq.update(terms.keys())
     min_docs = max(1, math.ceil(min_doc_fraction * len(docs)))
     vocab = sorted(t for t, df in doc_freq.items() if df >= min_docs)
     if not vocab:
         raise ValueError("no terms survive pruning; lower min_doc_fraction")
     index = {t: j for j, t in enumerate(vocab)}
 
-    counts = np.zeros((len(docs), len(vocab)))
-    for i, toks in enumerate(token_lists):
-        for t in toks:
-            j = index.get(t)
-            if j is not None:
-                counts[i, j] += 1.0
+    # One bincount over the flat (document, term) cells, weighted by count.
+    shape = (len(docs), len(vocab))
+    cells, weights = [], []
+    for i, terms in enumerate(doc_counts):
+        for t, n in terms.items():
+            if t in index:
+                cells.append(i * shape[1] + index[t])
+                weights.append(n)
+    counts = np.bincount(np.array(cells, dtype=np.intp), weights=weights,
+                         minlength=shape[0] * shape[1]).reshape(shape)
     keep = counts.sum(axis=1) > 0
     if not np.any(keep):
         raise ValueError("no document retains any term after pruning")

@@ -15,9 +15,13 @@ from smf import (
     GrayImage,
     Orientation,
     generate,
+    natural_bounds,
     read_matrix,
     read_matrix_binary,
     read_pgm,
+    row_normalize,
+    sample_feasible_A,
+    write_corpus,
     write_matrix_csv,
     write_pgm,
 )
@@ -134,6 +138,52 @@ def test_factorize_rejects_negative_data(tmp_path, capsys):
     assert "negative" in capsys.readouterr().err
 
 
+def penalty_block_corpus(tmp_path):
+    # The block corpus that penalty mode cannot fit within its 1e-3
+    # feasibility contract (see tests/test_topics.py).
+    from test_topics import block_corpus
+
+    corpus = block_corpus(np.random.default_rng(37))
+    write_corpus(corpus, tmp_path / "doc_term.csv", tmp_path / "vocab.txt")
+    write_matrix_csv(tmp_path / "X.csv", row_normalize(corpus.doc_term))
+    return tmp_path / "doc_term.csv", tmp_path / "vocab.txt", tmp_path / "X.csv"
+
+
+@pytest.mark.parametrize("command", ["factorize", "topics-fit"])
+def test_infeasible_fit_exits_numerical_after_writing(tmp_path, capsys, command):
+    doc_term, vocab, x_path = penalty_block_corpus(tmp_path)
+    out = tmp_path / "run"
+    flags = ("--rank", 3, "--orientation", "both", "--restarts", 2,
+             "--seed", 0, "--out-dir", out)
+    if command == "factorize":
+        code = run_cli("factorize", x_path, *flags)
+    else:
+        code = run_cli("topics", "fit", doc_term, vocab, *flags)
+    assert code == EXIT_NUMERICAL
+    assert "feasibility" in capsys.readouterr().err
+    result = json.loads((out / "result.json").read_text())
+    assert result["feasible"] is False
+    assert result["max_violation"] > 1e-3
+    assert read_matrix(out / "W.csv").shape == (120, 3)
+    assert read_matrix(out / "H.csv").shape == (3, 12)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    # A rerun reproduces the files and the exit code.
+    out2 = tmp_path / "run2"
+    assert run_cli("rerun", out / "manifest.json", "--out-dir", out2) == EXIT_NUMERICAL
+    for name in ("W.csv", "H.csv", "result.json"):
+        assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_feasible_topics_fit_exits_ok(tmp_path):
+    doc_term, vocab, _ = penalty_block_corpus(tmp_path)
+    out = tmp_path / "run"
+    assert run_cli("topics", "fit", doc_term, vocab, "--rank", 3,
+                   "--mode", "projected", "--restarts", 2, "--seed", 0,
+                   "--out-dir", out) == EXIT_OK
+    assert json.loads((out / "result.json").read_text())["feasible"] is True
+
+
 # ----------------------------------------------------------------- analyze
 
 
@@ -159,6 +209,47 @@ def test_analyze_report_with_oracle(tmp_path):
     assert oracle["n_samples"] == 400
     assert oracle["max_row_sum_deviation"] <= 1e-10
     assert oracle["single_axis_outside_bounds"] == 0
+    assert oracle["single_axis_checked"] > 0
+
+
+def reference_oracle(w, h, samples, seed, step, zero_tol):
+    """The analyze oracle evaluated sample by sample, with the bounds
+    recomputed from the factors."""
+    pair = smf.FactorPair(w=w, h=h, orientation=Orientation.BOTH)
+    bounds = {(b.r1, b.r2): b for b in natural_bounds(pair, zero_tol)}
+    row_dev = 0.0
+    checked = outside = 0
+    for s in sample_feasible_A(pair, samples, seed=seed, step=step,
+                               zero_tol=zero_tol):
+        a = np.array(s.a)
+        row_dev = max(row_dev, float(np.max(np.abs(a.sum(axis=1) - 1.0))))
+        off = a - np.diag(np.diag(a))
+        nz = np.argwhere(np.abs(off) > 1e-12)
+        if len(nz) == 1:
+            r1, r2 = (int(v) for v in nz[0])
+            b = bounds[(r1, r2)]
+            checked += 1
+            if not (b.lower - step <= a[r1, r2] <= b.upper + step):
+                outside += 1
+    return {"n_samples": samples, "seed": seed, "step": step,
+            "max_row_sum_deviation": row_dev, "single_axis_checked": checked,
+            "single_axis_outside_bounds": outside}
+
+
+@pytest.mark.parametrize("zero_tol", [0.0, 1e-3])
+def test_analyze_oracle_matches_per_sample_loop(tmp_path, zero_tol):
+    _, gt = generate(15, 11, 3, anchors=False, seed=104)
+    w_path, h_path = tmp_path / "W.csv", tmp_path / "H.csv"
+    write_matrix_csv(w_path, gt.w)
+    write_matrix_csv(h_path, gt.h)
+    out = tmp_path / "run"
+    assert run_cli("analyze", w_path, h_path, "--orientation", "both",
+                   "--zero-tol", zero_tol, "--samples", 1500, "--seed", 3,
+                   "--out-dir", out) == EXIT_OK
+    oracle = json.loads((out / "report.json").read_text())["oracle"]
+    want = reference_oracle(read_matrix(w_path), read_matrix(h_path), 1500,
+                            seed=3, step=0.05, zero_tol=zero_tol)
+    assert oracle == want
     assert oracle["single_axis_checked"] > 0
 
 
@@ -440,15 +531,28 @@ def test_unknown_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+def _checkout_env():
+    # Run the checkout under test, installed or not.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smf.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is loaded only by align_and_score, on first use.
+    code = ("import sys, smf.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_console_script_is_installed():
     exe = shutil.which("smf")
     if exe is None:
-        # Run the checkout under test, installed or not.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(smf.__file__)))
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "smf.cli", "--version"],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+                              capture_output=True, text=True, env=_checkout_env())
     else:
         proc = subprocess.run([exe, "--version"], capture_output=True,
                               text=True)

@@ -8,12 +8,15 @@ from smf import (
     DegenerateFactorError,
     FactorPair,
     MixingMatrix,
+    Mode,
     Orientation,
+    SolverConfig,
     Violation,
     ViolationKind,
     analysis_report,
     average_consistency_diagnostic,
     check_uniqueness,
+    factorize,
     generate,
     natural_bounds,
     sample_feasible_A,
@@ -247,6 +250,21 @@ def test_mixing_matrix_validation():
         MixingMatrix(a=np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+def test_mixing_matrix_is_read_only_and_copies_the_caller_array():
+    a = np.array([[0.75, 0.25], [0.0, 1.0]])
+    m = MixingMatrix(a=a)
+    assert m.a.dtype == np.float64
+    with pytest.raises(ValueError):
+        m.a[0, 0] = 0.5
+    # The caller's array was copied, not frozen in place.
+    assert a.flags.writeable
+    a[0, 0] = 0.5
+    assert m.a[0, 0] == 0.75
+    # Integer input is converted; a read-only float64 array is reused as is.
+    assert MixingMatrix(a=np.eye(2, dtype=np.int64)).a.dtype == np.float64
+    assert MixingMatrix(a=m.a).a is m.a
+
+
 # ----------------------------------------------------------------- sampler
 
 
@@ -296,6 +314,118 @@ def test_sampler_is_deterministic():
     assert all(np.array_equal(x.a, y.a) for x, y in zip(a, b))
     c = sample_feasible_A(p, 100, seed=14)
     assert any(not np.array_equal(x.a, y.a) for x, y in zip(a, c))
+
+
+def _reference_is_feasible(a, w, h, zero_tol):
+    if np.min(w @ a) < -zero_tol:
+        return False
+    try:
+        mixed_h = np.linalg.solve(a, h)
+    except np.linalg.LinAlgError:
+        return False
+    if not np.all(np.isfinite(mixed_h)):
+        return False
+    return np.min(mixed_h) >= -zero_tol
+
+
+def _reference_fix_row_sums(a):
+    out = a.copy()
+    np.fill_diagonal(out, 0.0)
+    np.fill_diagonal(out, 1.0 - out.sum(axis=1))
+    return out
+
+
+def reference_sample_feasible_A(factors, n_samples, seed, step=0.05, *,
+                                zero_tol=0.0):
+    """The sampler's walk written as one plain loop: every iteration tests
+    its proposal, resets to the identity included, and records a fresh copy
+    of the state."""
+    rng = np.random.default_rng(seed)
+    w, h = factors.w, factors.h
+    rank = factors.rank
+    eye = np.eye(rank)
+    current = eye
+    out = []
+    for _ in range(n_samples):
+        u = rng.random()
+        if rank < 2 or u < 0.25:
+            proposal = eye
+        elif u < 0.625:
+            r1 = int(rng.integers(rank))
+            r2 = int((r1 + 1 + rng.integers(rank - 1)) % rank)
+            proposal = current.copy()
+            proposal[r1, r2] += rng.normal(0.0, step)
+            proposal = _reference_fix_row_sums(proposal)
+        else:
+            proposal = _reference_fix_row_sums(
+                current + rng.normal(0.0, step, (rank, rank)))
+        if _reference_is_feasible(proposal, w, h, zero_tol):
+            current = proposal
+        out.append(current.copy())
+    return out
+
+
+def penalty_factors_off_the_identity():
+    # Penalty-mode factors of a noisy instance: W has small negative
+    # entries, so at zero_tol=0 the identity itself is infeasible, while
+    # some moves away from it are feasible.
+    x, _ = generate(40, 12, 3, anchors=False, seed=0, noise_sigma=0.02,
+                    orientation=Orientation.W_ROWS_SUM_TO_1)
+    cfg = SolverConfig(rank=3, orientation=Orientation.W_ROWS_SUM_TO_1,
+                       restarts=1, seed=0, max_iter=100, mode=Mode.PENALTY)
+    return factorize(x, cfg).factors
+
+
+def non_anchored_pair(seed, rank=3):
+    _, gt = generate(rank + 12, rank + 8, rank, anchors=False, seed=seed)
+    return gt.pair
+
+
+@pytest.mark.parametrize("case", [
+    "anchored", "non-anchored", "zero-tol", "anchored-zero-tol", "rank-1",
+    "worked", "penalty",
+])
+def test_sampler_matches_reference_loop_bitwise(case):
+    zero_tol = 1e-3 if case in ("zero-tol", "anchored-zero-tol") else 0.0
+    p, n = {
+        "anchored": lambda: (anchored_pair(seed=19), 600),
+        "non-anchored": lambda: (non_anchored_pair(seed=101), 600),
+        "zero-tol": lambda: (non_anchored_pair(seed=102, rank=4), 600),
+        "anchored-zero-tol": lambda: (anchored_pair(seed=20), 600),
+        "rank-1": lambda: (pair(np.ones((4, 1)), [[0.2, 0.3, 0.5]]), 50),
+        "worked": lambda: (pair(WORKED_W, WORKED_H), 2000),
+        "penalty": lambda: (penalty_factors_off_the_identity(), 600),
+    }[case]()
+    got = sample_feasible_A(p, n, seed=23, zero_tol=zero_tol)
+    want = reference_sample_feasible_A(p, n, seed=23, zero_tol=zero_tol)
+    assert len(got) == len(want) == n
+    for g, r in zip(got, want):
+        assert g.a.dtype == r.dtype and g.a.shape == r.shape
+        assert g.a.tobytes() == r.tobytes()
+    eye = np.eye(p.rank)
+    moved = sum(not np.array_equal(r, eye) for r in want)
+    if case in ("non-anchored", "zero-tol", "worked", "penalty"):
+        # Moves are accepted, so the inputs exercise more than the identity.
+        assert moved > 0
+    if case == "penalty":
+        assert p.w.min() < 0.0
+        assert not _reference_is_feasible(eye, p.w, p.h, 0.0)
+        # The walk leaves the identity and never returns to it.
+        first = next(k for k, r in enumerate(want) if not np.array_equal(r, eye))
+        assert not any(np.array_equal(r, eye) for r in want[first:])
+
+
+def test_sampler_shares_repeated_states():
+    p = non_anchored_pair(seed=101)
+    samples = sample_feasible_A(p, 600, seed=23)
+    assert all(not s.a.flags.writeable for s in samples)
+    # Every sample that repeats the previous state is that same object, and
+    # every visit to the identity records one and the same object.
+    for prev, s in zip(samples, samples[1:]):
+        assert (s is prev) == np.array_equal(s.a, prev.a)
+    identities = [s for s in samples if np.array_equal(s.a, np.eye(3))]
+    assert len(identities) > 1
+    assert len({id(s) for s in identities}) == 1
 
 
 def test_sampler_validates_arguments():

@@ -139,8 +139,7 @@ def test_align_matches_exhaustive_search():
 
 
 def test_align_large_rank_uses_assignment():
-    # rank above the exhaustive threshold exercises the assignment route;
-    # a pure permutation must still be matched exactly.
+    # a pure permutation at rank 10 must still be matched exactly.
     rng = np.random.default_rng(10)
     h_true = rng.random((10, 12))
     shuffle = rng.permutation(10)

@@ -79,6 +79,45 @@ def test_build_corpus_drops_emptied_documents():
     assert corpus.n_documents == 2
 
 
+def reference_doc_term(documents, stop_words, min_docs):
+    """Counts built one token at a time, with the tokenizer's rules
+    restated: lowercased word runs, alphabetic only, stop words out."""
+    import re
+
+    stop = {w.lower() for w in stop_words}
+    token_lists = [[t for t in re.findall(r"\w+", d.lower())
+                    if t.isalpha() and t not in stop] for d in documents]
+    vocab = sorted({t for toks in token_lists for t in toks
+                    if sum(t in other for other in token_lists) >= min_docs})
+    counts = np.zeros((len(documents), len(vocab)))
+    for i, toks in enumerate(token_lists):
+        for t in toks:
+            if t in vocab:
+                counts[i, vocab.index(t)] += 1.0
+    keep = counts.sum(axis=1) > 0
+    return tuple(vocab), counts[keep], keep
+
+
+def test_build_corpus_counts_match_token_loop():
+    rng = np.random.default_rng(43)
+    words = ["apple", "Banana", "cherry", "café", "naïve", "Ärger", "straße",
+             "the", "AND", "x9", "2016", "rare", "éclair", "zebra"]
+    docs = [" ".join(rng.choice(words, size=int(rng.integers(0, 12))))
+            for _ in range(60)]
+    docs += ["the and 2016 x9", "only-rare-word qq", "zebra zebra zebra"]
+    stop_words = ("the", "and")
+    corpus = build_corpus(docs, stop_words=stop_words, min_doc_fraction=0.05)
+    vocab, counts, keep = reference_doc_term(docs, stop_words, min_docs=4)
+    assert corpus.vocabulary == vocab
+    assert "café" in vocab and "ärger" in vocab
+    assert "the" not in vocab and "qq" not in vocab
+    # Some documents were left without a term and dropped.
+    assert not keep.all()
+    assert corpus.doc_ids == tuple(str(i) for i in np.flatnonzero(keep))
+    assert corpus.doc_term.dtype == np.float64
+    assert np.array_equal(corpus.doc_term, counts)
+
+
 def test_build_corpus_validation():
     with pytest.raises(ValueError):
         build_corpus([])
