@@ -29,7 +29,8 @@ from . import __version__
 from .factors import FactorPair, Orientation
 from .faces import (GrayImage, downsample_2x2, read_pgm, reconstruct,
                     reconstruction_error, retrieve, write_pgm)
-from .identify import DegenerateFactorError, analysis_report, sample_feasible_A
+from .identify import (DEFAULT_ZERO_TOL_ESTIMATED, DegenerateFactorError,
+                       analysis_report, sample_feasible_A)
 from .matrixio import read_matrix, write_matrix_binary, write_matrix_csv
 from .solver import (InvalidInputError, Mode, RankDeficientError, SolverConfig,
                      factorize)
@@ -327,9 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("h", type=path, help="H matrix path")
     p.add_argument("--orientation", default="w-rows",
                    choices=[o.value for o in Orientation])
-    p.add_argument("--zero-tol", type=float, default=1e-6,
+    p.add_argument("--zero-tol", type=float, default=DEFAULT_ZERO_TOL_ESTIMATED,
                    help="threshold below which entries count as zero "
-                        "(default 1e-6; use 0 for exact factors)")
+                        "(default %(default)g; use 0 for exact factors)")
     p.add_argument("--samples", type=int, default=1000,
                    help="feasible-A oracle samples (0 disables)")
     p.add_argument("--seed", type=int, default=0)

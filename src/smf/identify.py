@@ -168,14 +168,17 @@ class AxisBound:
             raise ValueError("width must equal upper - lower")
 
 
-def _ratio_min(num: np.ndarray, den: np.ndarray, zero_tol: float) -> float:
-    # Minimum of num/den over entries with den > zero_tol; numerators at or
-    # below zero_tol count as exact zeros since they impose no constraint
-    # beyond non-negativity.
-    keep = den > zero_tol
-    num, den = num[keep], den[keep]
-    ratios = np.where(num <= zero_tol, 0.0, num / den)
-    return float(ratios.min())
+def _ratio_mins(a: np.ndarray, zero_tol: float) -> np.ndarray:
+    # M[r1, r2] = min of a[i, r2] / a[i, r1] over rows i with a[i, r1] >
+    # zero_tol, one masked division per column r1.  Numerators at or below
+    # zero_tol count as exact zeros since they impose no constraint beyond
+    # non-negativity.
+    num = np.where(a <= zero_tol, 0.0, a)
+    out = np.empty((a.shape[1], a.shape[1]))
+    for r in range(a.shape[1]):
+        keep = a[:, r] > zero_tol
+        out[r] = (num[keep] / a[keep, r, None]).min(axis=0)
+    return out
 
 
 def natural_bounds(factors: FactorPair, zero_tol: float = 0.0) -> list:
@@ -201,16 +204,11 @@ def natural_bounds(factors: FactorPair, zero_tol: float = 0.0) -> list:
             raise DegenerateFactorError(f"factor {r} has empty support in W")
         if not np.any(h[r, :] > zero_tol):
             raise DegenerateFactorError(f"factor {r} has empty support in H")
-    bounds = []
-    for r1 in range(rank):
-        for r2 in range(rank):
-            if r1 == r2:
-                continue
-            lower = -_ratio_min(w[:, r2], w[:, r1], zero_tol)
-            upper = _ratio_min(h[r1, :], h[r2, :], zero_tol)
-            bounds.append(AxisBound(r1=r1, r2=r2, lower=lower, upper=upper,
-                                    width=upper - lower))
-    return bounds
+    lower = (-_ratio_mins(w, zero_tol)).tolist()
+    upper = _ratio_mins(h.T, zero_tol).T.tolist()
+    return [AxisBound(r1=r1, r2=r2, lower=lower[r1][r2], upper=upper[r1][r2],
+                      width=upper[r1][r2] - lower[r1][r2])
+            for r1 in range(rank) for r2 in range(rank) if r1 != r2]
 
 
 @dataclass(frozen=True)

@@ -135,25 +135,17 @@ def _full_rank_pinv(h: np.ndarray, rank_tol: float) -> tuple[np.ndarray, list[bo
     return (vt.transpose(0, 2, 1) * (1.0 / s)[:, None, :]) @ u.transpose(0, 2, 1), full
 
 
-def _checked_pinv(h, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    # A caller's H as a finite non-empty matrix, with its pseudoinverse.
-    hm = _as_matrix(h, "H")
-    hp, full = _full_rank_pinv(hm[None], rank_tol)
-    if not full[0]:
-        raise RankDeficientError(
-            f"H of shape {hm.shape} does not have full row rank"
-        )
-    return hm, hp[0]
-
-
 def concentrate_w(x, h, rank_tol: float = 1e-10) -> np.ndarray:
     """Least-squares weights for fixed H: W = X @ pinv(H).
 
     Raises :class:`RankDeficientError` if H lacks full row rank.
     """
     xm = _check_x(x)
-    _, hp = _checked_pinv(h, rank_tol)
-    return xm @ hp
+    hm = _as_matrix(h, "H")
+    hp, full = _full_rank_pinv(hm[None], rank_tol)
+    if not full[0]:
+        raise RankDeficientError(f"H of shape {hm.shape} does not have full row rank")
+    return xm @ hp[0]
 
 
 def objective_terms(x, h, config: SolverConfig) -> dict[str, float]:
@@ -167,25 +159,12 @@ def objective_terms(x, h, config: SolverConfig) -> dict[str, float]:
     identically zero and only the residual and H terms remain.
     """
     xm = _check_x(x)
-    hm, hp = _checked_pinv(h, config.rank_tol)
-    w = xm @ hp
-    if config.mode is Mode.PROJECTED:
-        w = _feasible_w(w, config.orientation)
-    return _terms_from_parts_z(xm - w @ hm, hm, w, config)
-
-
-def _terms_from_parts_z(z, h, w, config: SolverConfig) -> dict[str, float]:
-    p1, p2 = config.penalty_sum1, config.penalty_nonneg
-    terms = {"residual": frobenius_norm(z)}
-    if config.mode is not Mode.PROJECTED:
-        terms["w_nonneg"] = p2 * float(np.clip(-w, 0.0, None).sum())
-        if config.orientation.w_stochastic:
-            terms["w_row_sum"] = p1 * float(np.abs(w.sum(axis=1) - 1.0).sum())
-    if config.orientation.h_stochastic:
-        terms["h_row_sum"] = p1 * float(np.abs(h.sum(axis=1) - 1.0).sum())
-    terms["h_nonneg"] = p2 * float(np.clip(-h, 0.0, None).sum())
-    terms["h_upper"] = p2 * float(np.clip(h - 1.0, 0.0, None).sum())
-    return terms
+    hm = _as_matrix(h, "H")
+    terms, _, _, _, full = _terms(xm, hm[None], config, np.empty((1,) + xm.shape),
+                                  np.empty(xm.shape))
+    if not full[0]:
+        raise RankDeficientError(f"H of shape {hm.shape} does not have full row rank")
+    return {name: t[0] for name, t in terms.items()}
 
 
 def objective(x, h, config: SolverConfig) -> float:
@@ -193,17 +172,13 @@ def objective(x, h, config: SolverConfig) -> float:
     return float(sum(objective_terms(x, h, config).values()))
 
 
-def _eval(x, h, config, z, sq):
-    """Objective values of a stack of H, shape (k, R, m), plus the
-    intermediates the gradient reuses.
+def _terms(x, h, config, z, sq):
+    """The terms of :func:`objective_terms` for each H of a stack (k, R, m).
 
-    Returns ``(values, hp, w, z, fro)``: the objective of each H as a list
-    of floats (inf for a rank-deficient H), the stacks pinv(H) and W, the
-    residual stack X - W H written into the buffer ``z`` (k, n, m), and the
-    Frobenius norm of each residual.  Each residual is squared alone into
-    the n×m buffer ``sq``, and the penalty terms are reduced over the whole
-    stack; each value adds its terms as floats in the order of
-    :func:`_terms_from_parts_z`, so it is that function's sum bit for bit.
+    Returns ``(terms, hp, w, z, full)``: each term's values over the stack
+    by name, the stacks pinv(H) and W, the residuals X - W H written into
+    the buffer ``z`` (k, n, m) and squared one at a time into ``sq``, and
+    which H have full row rank.
     """
     hp, full = _full_rank_pinv(h, config.rank_tol)
     w = x @ hp
@@ -211,22 +186,31 @@ def _eval(x, h, config, z, sq):
         w = _feasible_w(w, config.orientation)
     np.matmul(w, h, out=z)
     np.subtract(x, z, out=z)
-    fro = np.sqrt([np.multiply(r, r, out=sq).sum() for r in z])
     # np.maximum(a, 0.0) is the ufunc np.clip(a, 0.0, None) calls, without
     # its wrappers' overhead.
     p1, p2 = config.penalty_sum1, config.penalty_nonneg
-    terms = [fro]
+    terms = {"residual": np.sqrt([np.multiply(r, r, out=sq).sum() for r in z])}
     if config.mode is not Mode.PROJECTED:
-        terms.append(p2 * np.maximum(-w, 0.0).sum(axis=(1, 2)))
+        terms["w_nonneg"] = p2 * np.maximum(-w, 0.0).sum(axis=(1, 2))
         if config.orientation.w_stochastic:
-            terms.append(p1 * np.abs(w.sum(axis=2) - 1.0).sum(axis=1))
+            terms["w_row_sum"] = p1 * np.abs(w.sum(axis=2) - 1.0).sum(axis=1)
     if config.orientation.h_stochastic:
-        terms.append(p1 * np.abs(h.sum(axis=2) - 1.0).sum(axis=1))
-    terms.append(p2 * np.maximum(-h, 0.0).sum(axis=(1, 2)))
-    terms.append(p2 * np.maximum(h - 1.0, 0.0).sum(axis=(1, 2)))
+        terms["h_row_sum"] = p1 * np.abs(h.sum(axis=2) - 1.0).sum(axis=1)
+    terms["h_nonneg"] = p2 * np.maximum(-h, 0.0).sum(axis=(1, 2))
+    terms["h_upper"] = p2 * np.maximum(h - 1.0, 0.0).sum(axis=(1, 2))
+    return {name: t.tolist() for name, t in terms.items()}, hp, w, z, full
+
+
+def _eval(x, h, config, z, sq):
+    """Objective values of a stack of H, shape (k, R, m), plus the
+    intermediates the gradient reuses: ``(values, hp, w, z, fro)``, fro
+    being the residual norms.  Each value (inf for a rank-deficient H) sums
+    :func:`_terms` in order, so it equals :func:`objective` bit for bit.
+    """
+    terms, hp, w, z, full = _terms(x, h, config, z, sq)
     values = [sum(t) if ok else np.inf
-              for t, ok in zip(zip(*(t.tolist() for t in terms)), full)]
-    return values, hp, w, z, fro.tolist()
+              for t, ok in zip(zip(*terms.values()), full)]
+    return values, hp, w, z, terms["residual"]
 
 
 def _smooth_sign(t: np.ndarray, mu: float) -> np.ndarray:
@@ -283,10 +267,20 @@ def _gradient(h, hp, w, z, fro, config, mu: float = 0.0) -> np.ndarray:
     return g
 
 
-def _feasible_h(h: np.ndarray, orientation: Orientation) -> np.ndarray:
+# The feasible sets of H and W, ``project`` being the row simplex projector:
+# _simplex_rows_raw in the iterations, the exact one in _postprocess.
+def _feasible_h(h: np.ndarray, orientation: Orientation,
+                project=_simplex_rows_raw) -> np.ndarray:
     if orientation.h_stochastic:
-        return _simplex_rows_raw(h)
+        return project(h)
     return np.clip(h, 0.0, 1.0)
+
+
+def _feasible_w(w: np.ndarray, orientation: Orientation,
+                project=_simplex_rows_raw) -> np.ndarray:
+    if orientation.w_stochastic:
+        return project(w)
+    return np.clip(w, 0.0, None)
 
 
 def _init_h(rng: np.random.Generator, rank: int, n_cols: int,
@@ -487,12 +481,6 @@ def _descend_all(x, h, config: SolverConfig,
     return results
 
 
-def _feasible_w(w: np.ndarray, orientation: Orientation) -> np.ndarray:
-    if orientation.w_stochastic:
-        return _simplex_rows_raw(w)
-    return np.clip(w, 0.0, None)
-
-
 # The warm start's extrapolation weight beta: its start, the start of its
 # ceiling, its shrink factor after a discarded round, and the growth
 # factors of beta and of its ceiling after an accepted round.
@@ -623,15 +611,9 @@ def _postprocess(x, h, config: SolverConfig) -> FactorPair:
         h = _snap(h, EPS_FEAS_PENALTY, upper=True)
         return FactorPair(w=w, h=h, orientation=config.orientation)
     # W is built from the projected H, so it is the W of the H returned.
-    if config.orientation.h_stochastic:
-        h = simplex_project_rows(h)
-    else:
-        h = np.clip(h, 0.0, 1.0)
-    w = x @ pseudoinverse(h, config.rank_tol)
-    if config.orientation.w_stochastic:
-        w = simplex_project_rows(w)
-    else:
-        w = np.clip(w, 0.0, None)
+    h = _feasible_h(h, config.orientation, simplex_project_rows)
+    w = _feasible_w(x @ pseudoinverse(h, config.rank_tol), config.orientation,
+                    simplex_project_rows)
     return FactorPair(w=w, h=h, orientation=config.orientation)
 
 

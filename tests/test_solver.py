@@ -35,9 +35,25 @@ from smf.solver import (
     _gradient,
     _init_h,
     _spa,
-    _terms_from_parts_z,
     _warm_start,
 )
+
+
+def _terms_from_parts_z(z, h, w, config):
+    # The objective's terms for one H, with the residual z = X - W H, written
+    # term by term on 2-D arrays: the serial reference for the solver's
+    # stacked reductions.
+    p1, p2 = config.penalty_sum1, config.penalty_nonneg
+    terms = {"residual": frobenius_norm(z)}
+    if config.mode is not Mode.PROJECTED:
+        terms["w_nonneg"] = p2 * float(np.clip(-w, 0.0, None).sum())
+        if config.orientation.w_stochastic:
+            terms["w_row_sum"] = p1 * float(np.abs(w.sum(axis=1) - 1.0).sum())
+    if config.orientation.h_stochastic:
+        terms["h_row_sum"] = p1 * float(np.abs(h.sum(axis=1) - 1.0).sum())
+    terms["h_nonneg"] = p2 * float(np.clip(-h, 0.0, None).sum())
+    terms["h_upper"] = p2 * float(np.clip(h - 1.0, 0.0, None).sum())
+    return terms
 
 
 def cfg(rank=2, orientation=Orientation.W_ROWS_SUM_TO_1, **kw):
@@ -391,6 +407,23 @@ def test_seed_changes_initialization():
     r0 = factorize(x, cfg(rank=3, restarts=2, seed=0, max_iter=5))
     r1 = factorize(x, cfg(rank=3, restarts=2, seed=100, max_iter=5))
     assert r0.restart_objectives[1] != r1.restart_objectives[1]
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_penalty_smoothing_ladder_lowers_the_objective(orientation, monkeypatch):
+    # In penalty mode the descent direction smooths the kinked penalties at
+    # width _MU_START and narrows it tenfold whenever the search stalls.
+    # Without that ladder (width 0 throughout) these fits stop at a higher
+    # objective.  A noisy generated h-rows instance ends at the same point
+    # either way, so that orientation fits uniform data.
+    if orientation is Orientation.H_ROWS_SUM_TO_1:
+        x = np.random.default_rng(1).uniform(0.0, 1.0, size=(30, 12))
+    else:
+        x, _ = generate(30, 12, 3, noise_sigma=0.05, orientation=orientation, seed=3)
+    c = cfg(rank=3, orientation=orientation)
+    smoothed = factorize(x, c).objective
+    monkeypatch.setattr(solver, "_MU_START", 0.0)
+    assert smoothed < factorize(x, c).objective
 
 
 # ------------------------------------------------------------ anchor start
