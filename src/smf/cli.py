@@ -16,6 +16,7 @@ writing all of its outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -293,9 +294,12 @@ def _add_solver_flags(parser) -> None:
                         choices=[m.value for m in Mode],
                         help="constraint handling (default penalty)")
     parser.add_argument("--weights", nargs=2, type=float,
-                        default=[100.0, 10.0], metavar=("SUM1", "NONNEG"),
+                        default=(100.0, 10.0), metavar=("SUM1", "NONNEG"),
                         help="penalty weights (default 100 10)")
-    parser.add_argument("--restarts", type=int, default=5)
+    parser.add_argument("--restarts", type=int, default=5,
+                        help="up to k starts (default 5); restart 0 runs first "
+                             "and ends the fit alone if its objective is within "
+                             "--tol times |X|_F")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-iter", type=int, default=500)
     parser.add_argument("--tol", type=float, default=1e-8,
@@ -308,6 +312,9 @@ def _add_solver_flags(parser) -> None:
                         help="write matrices in the binary container")
 
 
+# Built once per process: parse_args leaves the parser as it found it, and
+# every default it hands out is immutable.
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smf",

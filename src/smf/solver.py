@@ -5,8 +5,9 @@ weight matrix is W = X @ pinv(H), and the loss is the Frobenius norm of the
 residual X - W @ H plus weighted penalties for the constraints that W and H
 must satisfy (non-negativity, rows summing to 1 on the stochastic side, and
 H bounded by 1).  Restart 0 starts from the separable anchors of X found
-by successive projection (Gillis & Vavasis, 2014), the others from seeded
-random points; each start is first refined by a warm start of projected
+by successive projection (Gillis & Vavasis, 2014), the others, which run
+only when restart 0 does not fit X exactly, from seeded random points; each
+start is first refined by a warm start of projected
 alternating least squares whose rounds are extrapolated with an adaptive
 step (Ang & Gillis, 2019); then projected/penalized gradient descent on H
 with the monotone line search of spectral projected gradient (Birgin,
@@ -68,9 +69,12 @@ class Mode(Enum):
 
 @dataclass
 class SolverConfig:
-    """Solver settings.  Of the ``restarts`` starts, restart 0 is the
+    """Solver settings.  Of up to ``restarts`` starts, restart 0 is the
     anchor (SPA) start, which does not depend on ``seed``, and restart
-    j >= 1 is the random start seeded ``seed + j``."""
+    j >= 1 is the random start seeded ``seed + j``.  ``conv_tol`` is the
+    descent's relative stopping tolerance and also sets the exact-fit
+    bound ``conv_tol * |X|_F``: a restart 0 that ends within it is the
+    only restart that runs."""
 
     rank: int
     orientation: Orientation = Orientation.W_ROWS_SUM_TO_1
@@ -108,6 +112,8 @@ class SolveResult:
     # the mode's EPS_FEAS_PENALTY or EPS_FEAS_PROJECTED.
     max_violation: float
     feasible: bool
+    # Final objective of each restart that ran, by index: restart 0 alone
+    # when it is an exact fit, all ``config.restarts`` otherwise.
     restart_objectives: list[float] = field(default_factory=list)
 
 
@@ -354,7 +360,7 @@ _STEP_FLOOR = 1e-12
 
 
 def _descend(x, h, config: SolverConfig,
-             progress: Optional[Callable[[int, float], None]]):
+             progress: Optional[Callable[[int, float], None]], exact: float = 0.0):
     """Projected/penalized gradient descent from ``h``, as a generator.
 
     It yields each H it needs evaluated and is sent back that H's share of
@@ -364,7 +370,8 @@ def _descend(x, h, config: SolverConfig,
     the gradient is taken from it as soon as a candidate is accepted, and
     only a smoothing-width drop after a failed line search rebuilds X - W H.
     A rank-deficient start has no objective and stops at once; any other
-    start is reported to ``progress`` as iteration 0.
+    start is reported to ``progress`` as iteration 0, and one whose objective
+    is at most ``exact`` is an exact fit, returned converged with no step.
 
     The line search is the monotone one of spectral projected gradient
     (Birgin, Martinez & Raydan, SIAM J. Optim. 10(4), 2000).  Along d =
@@ -382,6 +389,8 @@ def _descend(x, h, config: SolverConfig,
         return h, trace, False
     if progress is not None:
         progress(0, obj)
+    if obj <= exact:
+        return h, trace, True
     # Own copies of pinv(H) and W for a rebuild of the residual, so that no
     # stack of a tick outlives it.
     hp, w = hp.copy(), w.copy()
@@ -455,15 +464,16 @@ def _descend(x, h, config: SolverConfig,
 
 
 def _descend_all(x, h, config: SolverConfig,
-                 progress: Optional[Callable[[int, float], None]]):
-    """Run :func:`_descend` from each H of the stack ``h`` (k, R, m).
+                 progress: Optional[Callable[[int, float], None]], exact: float = 0.0):
+    """Run :func:`_descend` from each H of the stack ``h`` (k, R, m), the
+    first one reporting to ``progress``.
 
     Each tick evaluates the pending H of every restart still descending in
     one stacked :func:`_eval`, whose residual stack is written into one
     buffer reused by every tick, so every restart follows the path it would
     follow alone.  Returns each restart's ``(h, trace, converged)``.
     """
-    runs = [_descend(x, h[k], config, progress if k == 0 else None)
+    runs = [_descend(x, h[k], config, progress if k == 0 else None, exact)
             for k in range(len(h))]
     pending = {k: next(run) for k, run in enumerate(runs)}
     results = [None] * len(runs)
@@ -622,16 +632,20 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     """Estimate a non-negative factorization of X under the configured
     adding-up constraints.
 
-    Runs ``config.restarts`` independent descents and keeps the restart
-    with the lowest final objective (ties go to the lowest restart index).
-    Restart 0 starts from the anchors of X: the rows (or, with only H
-    row-stochastic, the anchor words) that successive projection picks, as
+    Runs up to ``config.restarts`` independent descents and keeps the
+    restart with the lowest final objective (ties go to the lowest restart
+    index).  Restart 0 starts from the anchors of X: the rows (or, with only
+    H row-stochastic, the anchor words) that successive projection picks, as
     in the paper's uniqueness condition; if that start is rank-deficient it
     falls back to the random start seeded ``config.seed``.  Restart j >= 1
     starts from the random point seeded ``config.seed + j``, so a 1-restart
-    fit does not depend on the seed.  The restarts are solved together as
-    one stacked computation, with results bitwise equal to solving them one
-    at a time.
+    fit does not depend on the seed.  Restart 0 runs first, alone; when its
+    objective ends at most ``config.conv_tol * |X|_F`` it is an exact fit
+    (the objective is non-negative, so no other restart could improve it by
+    more than that tolerance) and the fit returns it, with no other restart
+    run and, if the warm start already reached the bound, no descent step.
+    Otherwise restarts 1..k-1 are solved together as one stacked
+    computation, with results bitwise equal to solving them one at a time.
     The returned W is the concentrated least-squares weight matrix
     post-processed to feasibility for the configured mode.
 
@@ -646,7 +660,8 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
         Accepted and ignored; the restarts are solved together.
     progress : callable, optional
         Called as ``progress(iteration, objective)`` for restart 0 at the
-        start of the descent (iteration 0) and after each accepted step.
+        start of the descent (iteration 0), also on an exact fit, and after
+        each accepted step.
 
     Returns
     -------
@@ -675,19 +690,26 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
         raise InvalidInputError(f"X has entries above 1 (max {xm.max():.3e}), "
                                 "which a row-stochastic W with H <= 1 cannot fit")
 
-    h0 = np.stack([_init_h(np.random.default_rng(config.seed + k), config.rank,
-                           n_cols, config.orientation)
-                   for k in range(config.restarts)])
-    if config.mode is Mode.PROJECTED:
-        h0 = _feasible_h(h0, config.orientation)
+    def random_starts(ks):
+        h0 = np.stack([_init_h(np.random.default_rng(config.seed + k), config.rank,
+                               n_cols, config.orientation) for k in ks])
+        return _feasible_h(h0, config.orientation) if config.mode is Mode.PROJECTED else h0
+
+    # The objective is non-negative, so once a restart ends within conv_tol
+    # |X|_F no other restart could improve on it by more than the solver's
+    # own tolerance: restart 0 runs alone, the others only if it ends above.
+    exact = config.conv_tol * frobenius_norm(xm)
     anchored = _anchor_start(xm, config)
-    if anchored is not None:
-        h0[0] = anchored
-    h = _warm_start(xm, h0, config, rounds=_WARM_START_ROUNDS)
-    results = _descend_all(xm, h, config, progress)
+    h = random_starts([0]) if anchored is None else anchored[None]
+    results = _descend_all(xm, _warm_start(xm, h, config, _WARM_START_ROUNDS),
+                           config, progress, exact)
+    if results[0][1][-1] > exact and config.restarts > 1:
+        h = random_starts(range(1, config.restarts))
+        results += _descend_all(xm, _warm_start(xm, h, config, _WARM_START_ROUNDS),
+                                config, None, exact)
 
     finals = [trace[-1] for _, trace, _ in results]
-    best = min(range(config.restarts), key=lambda k: (finals[k], k))
+    best = min(range(len(finals)), key=lambda k: (finals[k], k))
     h, trace, converged = results[best]
     factors = _postprocess(xm, h, config)
     violation = factors.max_violation()

@@ -25,6 +25,7 @@ from smf import (
     write_matrix_csv,
     write_pgm,
 )
+from smf import cli
 from smf.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 
 
@@ -59,7 +60,24 @@ def test_factorize_writes_artifacts(tmp_path):
                            "objective_trace", "max_violation", "feasible"}
     assert result["feasible"] is (result["max_violation"] <= 1e-3)
     assert result["objective"] == result["objective_trace"][-1]
+    # On this noiseless input restart 0 is an exact fit (objective at most
+    # --tol times |X|_F), so restart 1 does not run.
+    assert len(result["restart_objectives"]) == 1
+    x = read_matrix(x_path)
+    assert result["objective"] <= 1e-8 * np.linalg.norm(x)
+
+
+def test_factorize_lists_every_restart_of_a_noisy_fit(tmp_path):
+    x, _ = generate(20, 8, 2, seed=0, noise_sigma=0.05,
+                    orientation=Orientation.W_ROWS_SUM_TO_1)
+    x_path = tmp_path / "X.csv"
+    write_matrix_csv(x_path, x)
+    out = tmp_path / "run"
+    assert run_cli("factorize", x_path, "--rank", 2, "--restarts", 2,
+                   "--mode", "projected", "--out-dir", out) == EXIT_OK
+    result = json.loads((out / "result.json").read_text())
     assert len(result["restart_objectives"]) == 2
+    assert result["objective"] == min(result["restart_objectives"])
 
 
 def test_factorize_manifest_records_run(tmp_path):
@@ -529,6 +547,35 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_reused_across_commands(tmp_path, monkeypatch):
+    # Two commands in one process write the bytes that two processes write.
+    x_path, _ = write_instance(tmp_path)
+    argvs = [["factorize", str(x_path), "--rank", "2", "--restarts", "2",
+              "--out-dir", "fit"],
+             ["analyze", "fit/W.csv", "fit/H.csv", "--samples", "50",
+              "--out-dir", "report"]]
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "smf.cli", *argv], cwd=alone,
+                              capture_output=True, text=True, env=_checkout_env())
+        assert proc.returncode == EXIT_OK, proc.stderr
+    together = tmp_path / "together"
+    together.mkdir()
+    monkeypatch.chdir(together)
+    cli._build_parser.cache_clear()
+    assert [main(argv) for argv in argvs] == [EXIT_OK, EXIT_OK]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for name in ("fit/W.csv", "fit/H.csv", "fit/result.json", "report/report.json"):
+        assert (together / name).read_bytes() == (alone / name).read_bytes()
+    for name in ("fit/manifest.json", "report/manifest.json"):
+        want, got = (json.loads((d / name).read_text().replace(str(d), "<dir>"))
+                     for d in (alone, together))
+        del want["duration_seconds"], got["duration_seconds"]
+        assert got == want
 
 
 def _checkout_env():

@@ -323,16 +323,34 @@ def test_noiseless_recovery_is_accurate():
     assert res.converged
 
 
-def test_result_bookkeeping():
-    x, _ = generate(20, 8, 2, seed=9, orientation=Orientation.W_ROWS_SUM_TO_1)
-    c = cfg(rank=2, restarts=4, seed=7)
-    res = factorize(x, c)
-    assert len(res.restart_objectives) == 4
+def check_bookkeeping(res, c):
     assert res.objective == min(res.restart_objectives)
     assert res.best_restart == int(np.argmin(res.restart_objectives))
     assert res.objective == res.objective_trace[-1]
     assert res.iterations == len(res.objective_trace) - 1
     assert len(res.objective_trace) <= c.max_iter + 1
+
+
+def test_result_bookkeeping():
+    # restart_objectives lists the restarts that ran: on this noiseless
+    # input restart 0 ends as an exact fit (objective at most conv_tol
+    # |X|_F), so it runs alone.
+    x, _ = generate(20, 8, 2, seed=9, orientation=Orientation.W_ROWS_SUM_TO_1)
+    c = cfg(rank=2, restarts=4, seed=7)
+    res = factorize(x, c)
+    assert len(res.restart_objectives) == 1
+    assert res.objective <= c.conv_tol * frobenius_norm(x)
+    check_bookkeeping(res, c)
+
+
+def test_result_bookkeeping_of_a_noisy_fit_lists_every_restart():
+    x, _ = generate(20, 8, 2, seed=9, noise_sigma=0.05,
+                    orientation=Orientation.W_ROWS_SUM_TO_1)
+    c = cfg(rank=2, restarts=4, seed=7)
+    res = factorize(x, c)
+    assert len(res.restart_objectives) == 4
+    assert res.objective > c.conv_tol * frobenius_norm(x)
+    check_bookkeeping(res, c)
 
 
 def test_factorize_is_deterministic():
@@ -476,10 +494,13 @@ def test_rank_deficient_anchor_start_falls_back_to_seeded_start(orientation):
         # A free W admits an all-zero X, which has no anchor at all.
         assert _anchor_start(np.zeros_like(x), c) is None
         assert factorize(np.zeros_like(x), c).objective == 0.0
+    # The seeded start of restart 0 fits this input exactly under h-rows and
+    # both, which would end the 2-restart run before restart 1; a tolerance
+    # below every objective lets restart 1 run.
     one = factorize(x, cfg(rank=3, orientation=orientation, max_iter=20,
-                           restarts=1, seed=4))
+                           restarts=1, seed=4, conv_tol=1e-300))
     two = factorize(x, cfg(rank=3, orientation=orientation, max_iter=20,
-                           restarts=2, seed=3))
+                           restarts=2, seed=3, conv_tol=1e-300))
     assert one.restart_objectives[0] == two.restart_objectives[1]
     assert one.restart_objectives[0] != two.restart_objectives[0]
 
@@ -494,6 +515,80 @@ def test_one_restart_fit_is_the_anchor_start_for_any_seed(orientation):
         assert res.factors.w.tobytes() == runs[0].factors.w.tobytes()
         assert res.factors.h.tobytes() == runs[0].factors.h.tobytes()
         assert res.objective_trace == runs[0].objective_trace
+
+
+# ----------------------------------------------------------- exact-fit stop
+
+
+def counting_warm_start(monkeypatch):
+    # The stack size of every _warm_start call a fit makes.
+    sizes = []
+
+    def counting(x, h, config, rounds):
+        sizes.append(len(h))
+        return _warm_start(x, h, config, rounds)
+
+    monkeypatch.setattr(solver, "_warm_start", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_exact_fit_runs_restart_0_alone(mode, orientation, monkeypatch):
+    # On noiseless anchored input the anchor start fits X exactly: restart
+    # 0 ends within conv_tol |X|_F, the random restarts never start, and
+    # the descent takes no step.
+    x, gt = generate(40, 12, 3, anchors=True, orientation=orientation, seed=6)
+    c = cfg(rank=3, orientation=orientation, mode=mode, restarts=5)
+    sizes = counting_warm_start(monkeypatch)
+    seen = []
+    res = factorize(x, c, progress=lambda it, obj: seen.append((it, obj)))
+    assert sizes == [1]
+    assert len(res.restart_objectives) == 1
+    assert res.best_restart == 0
+    assert res.objective <= c.conv_tol * frobenius_norm(x)
+    assert res.converged
+    assert res.iterations == 0
+    assert res.objective_trace == [res.objective]
+    assert res.feasible
+    assert seen == [(0, res.objective)]
+    _, err = align_and_score(res.factors.h, gt.h)
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_noisy_fit_runs_every_restart(mode, orientation, monkeypatch):
+    # Restart 0 ends far above the exact-fit bound, so restarts 1..4 run
+    # after it as one stack.
+    x, _ = generate(40, 12, 3, anchors=True, noise_sigma=0.03,
+                    orientation=orientation, seed=6)
+    c = cfg(rank=3, orientation=orientation, mode=mode, restarts=5, max_iter=60)
+    sizes = counting_warm_start(monkeypatch)
+    res = factorize(x, c)
+    assert sizes == [1, 4]
+    assert len(res.restart_objectives) == 5
+    assert res.restart_objectives[0] > c.conv_tol * frobenius_norm(x)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_descent_from_an_exact_fit_takes_no_step(mode):
+    # A start whose objective is within the exact-fit bound is reported as
+    # iteration 0 and returned converged after its one evaluation.
+    x, gt = generate(60, 12, 3, anchors=True, seed=4)
+    c = cfg(rank=3, orientation=Orientation.BOTH, mode=mode)
+    exact = c.conv_tol * frobenius_norm(x)
+    seen = []
+    run = _descend(x, gt.h, c, lambda it, obj: seen.append((it, obj)), exact)
+    start = serial_eval(x, next(run), c)
+    assert start[0] <= exact
+    with pytest.raises(StopIteration) as done:
+        run.send(start)
+    h, trace, converged = done.value.value
+    assert h is gt.h
+    assert trace == [start[0]]
+    assert converged
+    assert seen == [(0, start[0])]
 
 
 # ------------------------------------------------ warm-start reference
