@@ -305,9 +305,8 @@ def _add_solver_flags(parser) -> None:
     parser.add_argument("--tol", type=float, default=1e-8,
                         help="relative objective convergence tolerance")
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored; restarts are solved together "
-                             "as one stacked computation, bitwise equal to "
-                             "solving them one at a time")
+                        help="accepted and ignored; restarts run one after "
+                             "another")
     parser.add_argument("--binary", action="store_true",
                         help="write matrices in the binary container")
 

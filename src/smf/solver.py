@@ -6,12 +6,12 @@ residual X - W @ H plus weighted penalties for the constraints that W and H
 must satisfy (non-negativity, rows summing to 1 on the stochastic side, and
 H bounded by 1).  Restart 0 starts from the separable anchors of X found
 by successive projection (Gillis & Vavasis, 2014), the others, which run
-only when restart 0 does not fit X exactly, from seeded random points; each
-start is first refined by a warm start of projected
-alternating least squares whose rounds are extrapolated with an adaptive
-step (Ang & Gillis, 2019); then projected/penalized gradient descent on H
-with the monotone line search of spectral projected gradient (Birgin,
-Martinez & Raydan, 2000) minimizes the exact objective.
+only when restart 0 does not fit X exactly, from seeded random points.
+The restarts run one after another, each on its own 2-D arrays: a warm
+start of projected alternating least squares whose rounds are extrapolated
+with an adaptive step (Ang & Gillis, 2019), then projected/penalized
+gradient descent on H with the monotone line search of spectral projected
+gradient (Birgin, Martinez & Raydan, 2000) on the exact objective.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from .factors import FactorPair, Orientation
 from .linalg import (
+    DEFAULT_RANK_TOL,
     _as_matrix,
     _simplex_rows_raw,
     frobenius_norm,
@@ -85,7 +86,6 @@ class SolverConfig:
     restarts: int = 5
     seed: int = 0
     mode: Mode = Mode.PENALTY
-    rank_tol: float = 1e-10
 
     def __post_init__(self):
         if self.rank < 1:
@@ -128,30 +128,26 @@ def _check_x(x) -> np.ndarray:
     return m
 
 
-def _full_rank_pinv(h: np.ndarray, rank_tol: float) -> tuple[np.ndarray, list[bool]]:
-    # pinv of each H in a stack (k, R, m) from one SVD, and which H have full
-    # row rank.  On full-rank input this is pseudoinverse()'s arithmetic, bit
-    # for bit.  The rank test runs on Python floats (the same IEEE
-    # comparisons, with less overhead on a handful of values); the singular
-    # values of a rank-deficient H become 1, so its stand-in pinv stays finite.
+def _full_rank_pinv(h: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL):
+    # pinv(H) from one SVD, or None if H lacks full row rank.  On full-rank
+    # input this is pseudoinverse()'s arithmetic, bit for bit.
     u, s, vt = np.linalg.svd(h, full_matrices=False)
-    full = [r[0] > 0.0 and r[-1] > rank_tol * r[0] for r in s.tolist()]
-    if not all(full):
-        s = np.where(np.array(full)[:, None], s, 1.0)
-    return (vt.transpose(0, 2, 1) * (1.0 / s)[:, None, :]) @ u.transpose(0, 2, 1), full
+    if not (s[0] > 0.0 and s[-1] > rank_tol * s[0]):
+        return None
+    return (vt.T * (1.0 / s)) @ u.T
 
 
-def concentrate_w(x, h, rank_tol: float = 1e-10) -> np.ndarray:
+def concentrate_w(x, h, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Least-squares weights for fixed H: W = X @ pinv(H).
 
     Raises :class:`RankDeficientError` if H lacks full row rank.
     """
     xm = _check_x(x)
     hm = _as_matrix(h, "H")
-    hp, full = _full_rank_pinv(hm[None], rank_tol)
-    if not full[0]:
+    hp = _full_rank_pinv(hm, rank_tol)
+    if hp is None:
         raise RankDeficientError(f"H of shape {hm.shape} does not have full row rank")
-    return xm @ hp[0]
+    return xm @ hp
 
 
 def objective_terms(x, h, config: SolverConfig) -> dict[str, float]:
@@ -166,11 +162,10 @@ def objective_terms(x, h, config: SolverConfig) -> dict[str, float]:
     """
     xm = _check_x(x)
     hm = _as_matrix(h, "H")
-    terms, _, _, _, full = _terms(xm, hm[None], config, np.empty((1,) + xm.shape),
-                                  np.empty(xm.shape))
-    if not full[0]:
+    out = _terms(xm, hm, config, np.empty(xm.shape), np.empty(xm.shape))
+    if out is None:
         raise RankDeficientError(f"H of shape {hm.shape} does not have full row rank")
-    return {name: t[0] for name, t in terms.items()}
+    return out[0]
 
 
 def objective(x, h, config: SolverConfig) -> float:
@@ -179,14 +174,16 @@ def objective(x, h, config: SolverConfig) -> float:
 
 
 def _terms(x, h, config, z, sq):
-    """The terms of :func:`objective_terms` for each H of a stack (k, R, m).
+    """The terms of :func:`objective_terms` at H, or None if H lacks full
+    row rank.
 
-    Returns ``(terms, hp, w, z, full)``: each term's values over the stack
-    by name, the stacks pinv(H) and W, the residuals X - W H written into
-    the buffer ``z`` (k, n, m) and squared one at a time into ``sq``, and
-    which H have full row rank.
+    Returns ``(terms, hp, w)``: the terms by name, pinv(H) and W; the
+    residual X - W H is written into the buffer ``z`` and squared into
+    ``sq``.
     """
-    hp, full = _full_rank_pinv(h, config.rank_tol)
+    hp = _full_rank_pinv(h)
+    if hp is None:
+        return None
     w = x @ hp
     if config.mode is Mode.PROJECTED:
         w = _feasible_w(w, config.orientation)
@@ -195,28 +192,29 @@ def _terms(x, h, config, z, sq):
     # np.maximum(a, 0.0) is the ufunc np.clip(a, 0.0, None) calls, without
     # its wrappers' overhead.
     p1, p2 = config.penalty_sum1, config.penalty_nonneg
-    terms = {"residual": np.sqrt([np.multiply(r, r, out=sq).sum() for r in z])}
+    terms = {"residual": np.sqrt(np.multiply(z, z, out=sq).sum())}
     if config.mode is not Mode.PROJECTED:
-        terms["w_nonneg"] = p2 * np.maximum(-w, 0.0).sum(axis=(1, 2))
+        terms["w_nonneg"] = p2 * np.maximum(-w, 0.0).sum()
         if config.orientation.w_stochastic:
-            terms["w_row_sum"] = p1 * np.abs(w.sum(axis=2) - 1.0).sum(axis=1)
+            terms["w_row_sum"] = p1 * np.abs(w.sum(axis=1) - 1.0).sum()
     if config.orientation.h_stochastic:
-        terms["h_row_sum"] = p1 * np.abs(h.sum(axis=2) - 1.0).sum(axis=1)
-    terms["h_nonneg"] = p2 * np.maximum(-h, 0.0).sum(axis=(1, 2))
-    terms["h_upper"] = p2 * np.maximum(h - 1.0, 0.0).sum(axis=(1, 2))
-    return {name: t.tolist() for name, t in terms.items()}, hp, w, z, full
+        terms["h_row_sum"] = p1 * np.abs(h.sum(axis=1) - 1.0).sum()
+    terms["h_nonneg"] = p2 * np.maximum(-h, 0.0).sum()
+    terms["h_upper"] = p2 * np.maximum(h - 1.0, 0.0).sum()
+    return {name: float(t) for name, t in terms.items()}, hp, w
 
 
 def _eval(x, h, config, z, sq):
-    """Objective values of a stack of H, shape (k, R, m), plus the
-    intermediates the gradient reuses: ``(values, hp, w, z, fro)``, fro
-    being the residual norms.  Each value (inf for a rank-deficient H) sums
+    """The objective at H plus the intermediates the gradient reuses:
+    ``(value, hp, w, z, fro)``, z being the residual X - W H (in the buffer
+    ``z``) and fro its norm.  The value (inf for a rank-deficient H) sums
     :func:`_terms` in order, so it equals :func:`objective` bit for bit.
     """
-    terms, hp, w, z, full = _terms(x, h, config, z, sq)
-    values = [sum(t) if ok else np.inf
-              for t, ok in zip(zip(*terms.values()), full)]
-    return values, hp, w, z, terms["residual"]
+    out = _terms(x, h, config, z, sq)
+    if out is None:
+        return np.inf, None, None, None, None
+    terms, hp, w = out
+    return sum(terms.values()), hp, w, z, terms["residual"]
 
 
 def _smooth_sign(t: np.ndarray, mu: float) -> np.ndarray:
@@ -236,7 +234,7 @@ def _gradient(h, hp, w, z, fro, config, mu: float = 0.0) -> np.ndarray:
     """Analytic (sub)gradient / search direction with respect to H.
 
     ``hp``, ``w``, ``z`` and ``fro`` are pinv(H), W, the residual X - W H
-    and its Frobenius norm, one restart's share of :func:`_eval`.
+    and its Frobenius norm, as :func:`_eval` returns them.
 
     PENALTY mode: the residual and W-dependent penalty terms are
     differentiated through W = X pinv(H) using the full-row-rank derivative
@@ -297,7 +295,7 @@ def _init_h(rng: np.random.Generator, rank: int, n_cols: int,
     return h0
 
 
-def _spa(a: np.ndarray, rank: int, rank_tol: float) -> list[int]:
+def _spa(a: np.ndarray, rank: int, rank_tol: float = DEFAULT_RANK_TOL) -> list[int]:
     """Successive projection (Gillis & Vavasis, IEEE TPAMI 36(4), 2014):
     ``rank`` rows of ``a``, each the row of largest residual norm once the
     rows already picked are projected out.  The squared norms are downdated,
@@ -334,20 +332,19 @@ def _anchor_start(x: np.ndarray, config: SolverConfig) -> Optional[np.ndarray]:
     h_rows = config.orientation is Orientation.H_ROWS_SUM_TO_1
     if h_rows:
         sums = x.sum(axis=0)
-        picks = _spa(x.T / np.where(sums > 0.0, sums, 1.0)[:, None], config.rank,
-                     config.rank_tol)
+        picks = _spa(x.T / np.where(sums > 0.0, sums, 1.0)[:, None], config.rank)
     else:
-        picks = _spa(x, config.rank, config.rank_tol)
+        picks = _spa(x, config.rank)
     if len(picks) < config.rank:
         return None
     if h_rows:
-        h = pseudoinverse(x[:, picks], config.rank_tol) @ x
+        h = pseudoinverse(x[:, picks]) @ x
         sums = h.sum(axis=1, keepdims=True)
         h = h / np.where(sums > 0.0, sums, 1.0)
     else:
         h = x[picks]
     h = _feasible_h(h, config.orientation)
-    return h if _full_rank_pinv(h[None], config.rank_tol)[1][0] else None
+    return None if _full_rank_pinv(h) is None else h
 
 
 _MU_START = 1e-1
@@ -361,17 +358,17 @@ _STEP_FLOOR = 1e-12
 
 def _descend(x, h, config: SolverConfig,
              progress: Optional[Callable[[int, float], None]], exact: float = 0.0):
-    """Projected/penalized gradient descent from ``h``, as a generator.
+    """Projected/penalized gradient descent from ``h``; returns ``(h, trace,
+    converged)``.
 
-    It yields each H it needs evaluated and is sent back that H's share of
-    :func:`_eval`, ``(value, hp, w, z, fro)``, so that :func:`_descend_all`
-    can evaluate the candidates of every restart at once; it returns ``(h,
-    trace, converged)``.  The residual ``z`` is a view of the tick's stack:
-    the gradient is taken from it as soon as a candidate is accepted, and
-    only a smoothing-width drop after a failed line search rebuilds X - W H.
-    A rank-deficient start has no objective and stops at once; any other
-    start is reported to ``progress`` as iteration 0, and one whose objective
-    is at most ``exact`` is an exact fit, returned converged with no step.
+    Every candidate is scored by :func:`_eval` into one residual buffer
+    (and one squaring buffer) allocated per call: the gradient is taken
+    from the residual as soon as a candidate is accepted, and only a
+    smoothing-width drop after a failed line search rebuilds X - W H, into
+    the same buffer.  A rank-deficient start has no objective and stops at
+    once; any other start is reported to ``progress`` as iteration 0, and
+    one whose objective is at most ``exact`` is an exact fit, returned
+    converged with no step.
 
     The line search is the monotone one of spectral projected gradient
     (Birgin, Martinez & Raydan, SIAM J. Optim. 10(4), 2000).  Along d =
@@ -383,7 +380,8 @@ def _descend(x, h, config: SolverConfig,
     _STEP_FLOOR max(1, |H|): the smoothing width then shrinks or, at its
     floor, the point is declared stationary.
     """
-    obj, hp, w, z, fro = yield h
+    buf, sq = np.empty(x.shape), np.empty(x.shape)
+    obj, hp, w, z, fro = _eval(x, h, config, buf, sq)
     trace = [obj]
     if obj == np.inf:
         return h, trace, False
@@ -391,15 +389,11 @@ def _descend(x, h, config: SolverConfig,
         progress(0, obj)
     if obj <= exact:
         return h, trace, True
-    # Own copies of pinv(H) and W for a rebuild of the residual, so that no
-    # stack of a tick outlives it.
-    hp, w = hp.copy(), w.copy()
     converged = False
     smoothable = config.mode is Mode.PENALTY and (
         config.penalty_sum1 > 0.0 or config.penalty_nonneg > 0.0)
     mu = _MU_START if smoothable else 0.0
-    h_prev = None
-    g_prev = None
+    h_prev = g_prev = None
     g = _gradient(h, hp, w, z, fro, config, mu)
     # Annealing passes that fail to step do not count against max_iter; the
     # mu ladder is finite so the extra budget is bounded.
@@ -425,7 +419,7 @@ def _descend(x, h, config: SolverConfig,
         lam, accepted = 1.0, None
         while lam * dn > floor:
             cand = h + lam * d
-            accepted = yield cand
+            accepted = _eval(x, cand, config, buf, sq)
             val = accepted[0]
             if val < obj and val <= obj + _ARMIJO * lam * slope:
                 break
@@ -439,13 +433,13 @@ def _descend(x, h, config: SolverConfig,
             if smoothable and mu > _MU_FLOOR:
                 mu *= 0.1
                 h_prev = g_prev = None
-                g = _gradient(h, hp, w, x - w @ h, fro, config, mu)
+                np.subtract(x, np.matmul(w, h, out=buf), out=buf)
+                g = _gradient(h, hp, w, buf, fro, config, mu)
                 continue
             converged = True
             break
         h_prev, g_prev = h, g
         val, hp, w, z, fro = accepted
-        hp, w, accepted = hp.copy(), w.copy(), None
         rel = (obj - val) / max(abs(obj), 1e-300)
         h, obj = cand, val
         trace.append(obj)
@@ -461,34 +455,6 @@ def _descend(x, h, config: SolverConfig,
             break
         g = _gradient(h, hp, w, z, fro, config, mu)
     return h, trace, converged
-
-
-def _descend_all(x, h, config: SolverConfig,
-                 progress: Optional[Callable[[int, float], None]], exact: float = 0.0):
-    """Run :func:`_descend` from each H of the stack ``h`` (k, R, m), the
-    first one reporting to ``progress``.
-
-    Each tick evaluates the pending H of every restart still descending in
-    one stacked :func:`_eval`, whose residual stack is written into one
-    buffer reused by every tick, so every restart follows the path it would
-    follow alone.  Returns each restart's ``(h, trace, converged)``.
-    """
-    runs = [_descend(x, h[k], config, progress if k == 0 else None, exact)
-            for k in range(len(h))]
-    pending = {k: next(run) for k, run in enumerate(runs)}
-    results = [None] * len(runs)
-    z = np.empty((len(h),) + x.shape)
-    sq = np.empty(x.shape)
-    while pending:
-        evals = _eval(x, np.array(list(pending.values())), config,
-                      z[:len(pending)], sq)
-        for k, ev in zip(list(pending), zip(*evals)):
-            try:
-                pending[k] = runs[k].send(ev)
-            except StopIteration as done:
-                del pending[k]
-                results[k] = done.value
-    return results
 
 
 # The warm start's extrapolation weight beta: its start, the start of its
@@ -517,94 +483,54 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
     start, since a round with a projected W need not descend; a second
     such round in a row stops the restart.
 
-    A restart stops when the loss effectively reaches zero (returning the
-    new H), when it plateaus or rises twice (returning whichever of the new
-    H and H_acc has the lower loss), or when Y is rank-deficient or W is zero
+    It stops when the loss effectively reaches zero (returning the new H),
+    when it plateaus or rises twice (returning whichever of the new H and
+    H_acc has the lower loss), or when Y is rank-deficient or W is zero
     (returning H_acc, its start if no round was accepted); at the round cap
-    it returns H_acc.
-
-    ``h`` is a stack (k, R, m) of starting points; the rounds run on all
-    restarts at once, each with its own beta, ceiling, H_acc, loss and
-    extrapolation flag, and each restart stops at the round where it would
-    stop alone.  Each round's residuals X - W H form one stack, written
-    into a buffer allocated once per call and squared in place, and the
-    losses are one reduction over it.  Returns the stack of final H.
+    it returns H_acc.  Each round's residual X - W H is written into one
+    buffer allocated per call and squared in place.
     """
     floor = 1e-13 * max(1.0, frobenius_norm(x))
-    z = np.empty((len(h),) + x.shape)
-    out = h.copy()
-    live = np.arange(len(h))
-    y, acc = h, h.copy()
-    prev = np.full(len(h), np.inf)
-    beta = np.full(len(h), _BETA_START)
-    ceil = np.full(len(h), _BETA_CEIL_START)
-    extrapolated = np.zeros(len(h), dtype=bool)
-    rose = np.zeros(len(h), dtype=bool)
+    z = np.empty(x.shape)
+    y = acc = h
+    prev = np.inf
+    beta, ceil = _BETA_START, _BETA_CEIL_START
+    extrapolated = rose = False
     for _ in range(rounds):
-        hp, full = _full_rank_pinv(y, config.rank_tol)
+        hp = _full_rank_pinv(y)
+        if hp is None:
+            return acc
         w = _feasible_w(x @ hp, config.orientation)
-        gram = w.transpose(0, 2, 1) @ w
-        # The spectral norm of each gram, as np.linalg.norm(gram, 2) finds
-        # it (the largest singular value) without its per-call overhead.
-        lip = np.linalg.svd(gram, compute_uv=False)[:, 0]
-        go = [k for k, l in enumerate(lip.tolist()) if full[k] and l > 0.0]
-        if len(go) < len(live):
-            # Rank-deficient Y or a zero W: that restart stops at H_acc.
-            # The others are written again when they stop.
-            out[live] = acc
-            if not go:
-                return out
-            live, y, acc, w, gram, lip, prev, beta, ceil, extrapolated, rose = (
-                a[go] for a in (live, y, acc, w, gram, lip, prev, beta, ceil,
-                                extrapolated, rose))
-        wtx = w.transpose(0, 2, 1) @ x
-        step = lip[:, None, None]
-        h = y
+        gram = w.T @ w
+        # The spectral norm of gram, as np.linalg.norm(gram, 2) finds it (the
+        # largest singular value) without its per-call overhead.
+        lip = np.linalg.svd(gram, compute_uv=False)[0]
+        if not lip > 0.0:
+            return acc
+        wtx = w.T @ x
+        new = y
         for _ in range(3):
-            h = _feasible_h(h - (gram @ h - wtx) / step, config.orientation)
-        r = np.matmul(w, h, out=z[:len(h)])
-        np.subtract(x, r, out=r)
-        losses = np.sqrt(np.square(r, out=r).sum(axis=(1, 2)))
-        go, up, down, again = [], [], [], []
-        for k, (last, loss) in enumerate(zip(prev.tolist(), losses.tolist())):
-            if loss < floor:
-                out[live[k]] = h[k]
-            elif extrapolated[k] and loss > last:
-                go.append(k)
-                down.append(k)
-            elif loss > last and not rose[k]:
-                go.append(k)
-                again.append(k)
-            elif last - loss < 1e-13 * max(1.0, last):
-                out[live[k]] = h[k] if loss <= last else acc[k]
-            else:
-                go.append(k)
-                up.append(k)
-        if not go:
-            return out
-        # A discarded round: the next one starts plain from H_acc.  A plain
-        # round whose loss rose: the next one starts plain from its H.
-        ceil[down] = beta[down]
-        beta[down] /= _BETA_SHRINK
-        y = acc.copy()
-        y[again] = h[again]
-        if up:
-            b = beta[up]
-            y[up] = _feasible_h(h[up] + b[:, None, None] * (h[up] - acc[up]),
-                                config.orientation)
-            acc[up] = h[up]
-            prev[up] = losses[up]
-            beta[up] = np.minimum(ceil[up], _BETA_GROW * b)
-            ceil[up] = np.minimum(1.0, _BETA_CEIL_GROW * ceil[up])
-        extrapolated[:] = False
-        extrapolated[up] = True
-        rose[:] = False
-        rose[again] = True
-        if len(go) < len(live):
-            live, y, acc, prev, beta, ceil, extrapolated, rose = (
-                a[go] for a in (live, y, acc, prev, beta, ceil, extrapolated, rose))
-    out[live] = acc
-    return out
+            new = _feasible_h(new - (gram @ new - wtx) / lip, config.orientation)
+        np.matmul(w, new, out=z)
+        np.subtract(x, z, out=z)
+        loss = np.sqrt(np.square(z, out=z).sum())
+        if loss < floor:
+            return new
+        if extrapolated and loss > prev:
+            # A discarded round: the next one starts plain from H_acc.
+            ceil, beta = beta, beta / _BETA_SHRINK
+            y, extrapolated = acc, False
+        elif loss > prev and not rose:
+            # A plain round whose loss rose: the next one starts plain from it.
+            y, rose = new, True
+        elif prev - loss < 1e-13 * max(1.0, prev):
+            return new if loss <= prev else acc
+        else:
+            y = _feasible_h(new + beta * (new - acc), config.orientation)
+            acc, prev = new, loss
+            beta, ceil = min(ceil, _BETA_GROW * beta), min(1.0, _BETA_CEIL_GROW * ceil)
+            extrapolated, rose = True, False
+    return acc
 
 
 def _snap(arr: np.ndarray, eps: float, upper: bool = False) -> np.ndarray:
@@ -617,13 +543,12 @@ def _snap(arr: np.ndarray, eps: float, upper: bool = False) -> np.ndarray:
 
 def _postprocess(x, h, config: SolverConfig) -> FactorPair:
     if config.mode is Mode.PENALTY:
-        w = _snap(x @ pseudoinverse(h, config.rank_tol), EPS_FEAS_PENALTY)
+        w = _snap(x @ pseudoinverse(h), EPS_FEAS_PENALTY)
         h = _snap(h, EPS_FEAS_PENALTY, upper=True)
         return FactorPair(w=w, h=h, orientation=config.orientation)
     # W is built from the projected H, so it is the W of the H returned.
     h = _feasible_h(h, config.orientation, simplex_project_rows)
-    w = _feasible_w(x @ pseudoinverse(h, config.rank_tol), config.orientation,
-                    simplex_project_rows)
+    w = _feasible_w(x @ pseudoinverse(h), config.orientation, simplex_project_rows)
     return FactorPair(w=w, h=h, orientation=config.orientation)
 
 
@@ -644,8 +569,9 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     (the objective is non-negative, so no other restart could improve it by
     more than that tolerance) and the fit returns it, with no other restart
     run and, if the warm start already reached the bound, no descent step.
-    Otherwise restarts 1..k-1 are solved together as one stacked
-    computation, with results bitwise equal to solving them one at a time.
+    Otherwise restarts 1..k-1 run after it, one at a time.  Each restart
+    keeps one residual buffer (and one squaring buffer) the size of X, so
+    the fit's peak memory is about two arrays the size of X whatever k is.
     The returned W is the concentrated least-squares weight matrix
     post-processed to feasibility for the configured mode.
 
@@ -657,7 +583,7 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
         and no entry may exceed 1.
     config : SolverConfig
     threads : int
-        Accepted and ignored; the restarts are solved together.
+        Accepted and ignored; the restarts run one after another.
     progress : callable, optional
         Called as ``progress(iteration, objective)`` for restart 0 at the
         start of the descent (iteration 0), also on an exact fit, and after
@@ -690,23 +616,23 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
         raise InvalidInputError(f"X has entries above 1 (max {xm.max():.3e}), "
                                 "which a row-stochastic W with H <= 1 cannot fit")
 
-    def random_starts(ks):
-        h0 = np.stack([_init_h(np.random.default_rng(config.seed + k), config.rank,
-                               n_cols, config.orientation) for k in ks])
+    def random_start(k):
+        h0 = _init_h(np.random.default_rng(config.seed + k), config.rank, n_cols,
+                     config.orientation)
         return _feasible_h(h0, config.orientation) if config.mode is Mode.PROJECTED else h0
+
+    def solve(h, report):
+        h = _warm_start(xm, h, config, _WARM_START_ROUNDS)
+        return _descend(xm, h, config, report, exact)
 
     # The objective is non-negative, so once a restart ends within conv_tol
     # |X|_F no other restart could improve on it by more than the solver's
     # own tolerance: restart 0 runs alone, the others only if it ends above.
     exact = config.conv_tol * frobenius_norm(xm)
     anchored = _anchor_start(xm, config)
-    h = random_starts([0]) if anchored is None else anchored[None]
-    results = _descend_all(xm, _warm_start(xm, h, config, _WARM_START_ROUNDS),
-                           config, progress, exact)
-    if results[0][1][-1] > exact and config.restarts > 1:
-        h = random_starts(range(1, config.restarts))
-        results += _descend_all(xm, _warm_start(xm, h, config, _WARM_START_ROUNDS),
-                                config, None, exact)
+    results = [solve(random_start(0) if anchored is None else anchored, progress)]
+    if results[0][1][-1] > exact:
+        results += [solve(random_start(k), None) for k in range(1, config.restarts)]
 
     finals = [trace[-1] for _, trace, _ in results]
     best = min(range(len(finals)), key=lambda k: (finals[k], k))
@@ -716,12 +642,12 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     eps = EPS_FEAS_PROJECTED if config.mode is Mode.PROJECTED else EPS_FEAS_PENALTY
     return SolveResult(
         factors=factors,
-        objective=float(trace[-1]),
-        objective_trace=[float(t) for t in trace],
+        objective=trace[-1],
+        objective_trace=trace,
         iterations=len(trace) - 1,
-        converged=bool(converged),
+        converged=converged,
         best_restart=best,
         max_violation=violation,
         feasible=violation <= eps,
-        restart_objectives=[float(f) for f in finals],
+        restart_objectives=finals,
     )

@@ -64,10 +64,8 @@ def generate(n_rows: int, n_cols: int, rank: int, *, anchors: bool = True,
     if anchors:
         w[:rank] = np.eye(rank)
         h[:, :rank] = 0.0
-        if orientation is Orientation.W_ROWS_SUM_TO_1:
-            h[np.arange(rank), np.arange(rank)] = rng.uniform(0.5, 1.0, size=rank)
-        else:
-            h[np.arange(rank), np.arange(rank)] = rng.uniform(0.5, 1.0, size=rank)
+        h[np.arange(rank), np.arange(rank)] = rng.uniform(0.5, 1.0, size=rank)
+        if orientation is not Orientation.W_ROWS_SUM_TO_1:
             h = row_normalize(h)
     x = w @ h
     if noise_sigma > 0.0:

@@ -195,9 +195,10 @@ def fit_topics(corpus: Corpus, config: SolverConfig, *, threads: int = 1) -> Top
     topic mixtures, is the simplex-projected rows of X pinv(H) for the
     returned H; in penalty mode the solver's W, which the penalties keep
     only near the simplex, has its rows projected onto it.  Either way W
-    lies on the simplex exactly.  Restarts are solved together as one
-    stacked computation, with results bitwise equal to solving them one at
-    a time; ``threads`` is accepted and ignored.
+    lies on the simplex exactly.  Restarts run one after another, with one
+    residual buffer per restart, so the fit's peak is about two arrays the
+    size of X whatever the number of restarts; ``threads`` is accepted and
+    ignored.
     """
     if config.orientation is not Orientation.BOTH:
         raise ValueError("fit_topics requires config.orientation = BOTH")

@@ -21,13 +21,12 @@ from smf import (
     objective_terms,
 )
 from smf import solver
-from smf.linalg import frobenius_norm, pseudoinverse
+from smf.linalg import DEFAULT_RANK_TOL, frobenius_norm, pseudoinverse
 from smf.solver import (
     EPS_FEAS_PENALTY,
     EPS_FEAS_PROJECTED,
     _anchor_start,
     _descend,
-    _descend_all,
     _eval,
     _feasible_h,
     _feasible_w,
@@ -41,8 +40,8 @@ from smf.solver import (
 
 def _terms_from_parts_z(z, h, w, config):
     # The objective's terms for one H, with the residual z = X - W H, written
-    # term by term on 2-D arrays: the serial reference for the solver's
-    # stacked reductions.
+    # term by term with frobenius_norm and np.clip: the reference for the
+    # solver's buffered reductions.
     p1, p2 = config.penalty_sum1, config.penalty_nonneg
     terms = {"residual": frobenius_norm(z)}
     if config.mode is not Mode.PROJECTED:
@@ -219,8 +218,7 @@ def test_penalty_gradient_matches_finite_differences(orientation):
             x = x / x.sum(axis=1, keepdims=True)
         h = rng.uniform(0.2, 0.8, size=(2, 5))
         c = cfg(orientation=orientation)
-        _, [hp], [w], [z], [fro] = _eval(x, h[None], c, np.empty((1,) + x.shape),
-                                         np.empty(x.shape))
+        _, hp, w, z, fro = _eval(x, h, c, np.empty(x.shape), np.empty(x.shape))
         got = _gradient(h, hp, w, z, fro, c, mu=0.0)
         want = numerical_gradient(x, h, c)
         scale = max(1.0, float(np.max(np.abs(want))))
@@ -521,15 +519,15 @@ def test_one_restart_fit_is_the_anchor_start_for_any_seed(orientation):
 
 
 def counting_warm_start(monkeypatch):
-    # The stack size of every _warm_start call a fit makes.
-    sizes = []
+    # The start of every _warm_start call a fit makes.
+    starts = []
 
     def counting(x, h, config, rounds):
-        sizes.append(len(h))
+        starts.append(h)
         return _warm_start(x, h, config, rounds)
 
     monkeypatch.setattr(solver, "_warm_start", counting)
-    return sizes
+    return starts
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -540,10 +538,10 @@ def test_exact_fit_runs_restart_0_alone(mode, orientation, monkeypatch):
     # the descent takes no step.
     x, gt = generate(40, 12, 3, anchors=True, orientation=orientation, seed=6)
     c = cfg(rank=3, orientation=orientation, mode=mode, restarts=5)
-    sizes = counting_warm_start(monkeypatch)
+    starts = counting_warm_start(monkeypatch)
     seen = []
     res = factorize(x, c, progress=lambda it, obj: seen.append((it, obj)))
-    assert sizes == [1]
+    assert len(starts) == 1
     assert len(res.restart_objectives) == 1
     assert res.best_restart == 0
     assert res.objective <= c.conv_tol * frobenius_norm(x)
@@ -560,31 +558,31 @@ def test_exact_fit_runs_restart_0_alone(mode, orientation, monkeypatch):
 @pytest.mark.parametrize("orientation", list(Orientation))
 def test_noisy_fit_runs_every_restart(mode, orientation, monkeypatch):
     # Restart 0 ends far above the exact-fit bound, so restarts 1..4 run
-    # after it as one stack.
+    # after it, one at a time.
     x, _ = generate(40, 12, 3, anchors=True, noise_sigma=0.03,
                     orientation=orientation, seed=6)
     c = cfg(rank=3, orientation=orientation, mode=mode, restarts=5, max_iter=60)
-    sizes = counting_warm_start(monkeypatch)
+    starts = counting_warm_start(monkeypatch)
     res = factorize(x, c)
-    assert sizes == [1, 4]
+    assert len(starts) == 5
     assert len(res.restart_objectives) == 5
     assert res.restart_objectives[0] > c.conv_tol * frobenius_norm(x)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_descent_from_an_exact_fit_takes_no_step(mode):
+def test_descent_from_an_exact_fit_takes_no_step(mode, monkeypatch):
     # A start whose objective is within the exact-fit bound is reported as
     # iteration 0 and returned converged after its one evaluation.
     x, gt = generate(60, 12, 3, anchors=True, seed=4)
     c = cfg(rank=3, orientation=Orientation.BOTH, mode=mode)
     exact = c.conv_tol * frobenius_norm(x)
     seen = []
-    run = _descend(x, gt.h, c, lambda it, obj: seen.append((it, obj)), exact)
-    start = serial_eval(x, next(run), c)
+    calls = feeding_eval(monkeypatch)
+    h, trace, converged = _descend(x, gt.h, c, lambda it, obj: seen.append((it, obj)),
+                                   exact)
+    [(first, start)] = calls
+    assert first is gt.h
     assert start[0] <= exact
-    with pytest.raises(StopIteration) as done:
-        run.send(start)
-    h, trace, converged = done.value.value
     assert h is gt.h
     assert trace == [start[0]]
     assert converged
@@ -597,7 +595,7 @@ def test_descent_from_an_exact_fit_takes_no_step(mode):
 def reference_warm_start(x, h, config, rounds):
     # The extrapolated warm start run for one H alone, with 2-D arithmetic:
     # a singular-value-only SVD for the rank test, pseudoinverse() for W
-    # and np.linalg.norm(gram, 2) for the step.  The solver's stacked
+    # and np.linalg.norm(gram, 2) for the step.  The solver's
     # version must reproduce it bit for bit.  Returns the final H, the
     # number of rounds that updated H before the stop (None at the cap),
     # the accepted losses, the number of discarded rounds, the number of
@@ -611,9 +609,9 @@ def reference_warm_start(x, h, config, rounds):
     accepted, discarded, capped, rises = [], 0, 0, 0
     for t in range(rounds):
         s = np.linalg.svd(y, compute_uv=False)
-        if s[0] <= 0.0 or s[-1] <= config.rank_tol * s[0]:
+        if s[0] <= 0.0 or s[-1] <= DEFAULT_RANK_TOL * s[0]:
             return acc, t, accepted, discarded, capped, rises
-        w = _feasible_w(x @ pseudoinverse(y, config.rank_tol), config.orientation)
+        w = _feasible_w(x @ pseudoinverse(y, DEFAULT_RANK_TOL), config.orientation)
         gram = w.T @ w
         lip = float(np.linalg.norm(gram, 2))
         if lip <= 0.0:
@@ -657,10 +655,9 @@ CEILING_INSTANCES = {
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("orientation", list(Orientation))
 def test_warm_start_matches_reference_bitwise(mode, orientation):
-    # Each H of the stack runs as if alone: restarts that plateau at
-    # different rounds, and a rank-deficient H (two equal rows) that stops
-    # at once while the others go on; on the first instance the ceiling on
-    # beta binds.
+    # Restarts that plateau at different rounds, and a rank-deficient H
+    # (two equal rows) that stops at once; on the first instance the
+    # ceiling on beta binds.
     discarded = capped = rises = 0
     for seed, sigma in [CEILING_INSTANCES[orientation]] + [(s, 0.02 * s) for s in range(3)]:
         x, _ = generate(30, 9, 3, seed=seed, noise_sigma=sigma,
@@ -672,10 +669,9 @@ def test_warm_start_matches_reference_bitwise(mode, orientation):
         if mode is Mode.PROJECTED:
             h0 = _feasible_h(h0, orientation)
         for rounds in (1, 7, 200, 2000):
-            got = _warm_start(x, h0, c, rounds)
             runs = [reference_warm_start(x, h, c, rounds) for h in h0]
-            for j, run in enumerate(runs):
-                assert np.array_equal(got[j], run[0])
+            for h, run in zip(h0, runs):
+                assert np.array_equal(_warm_start(x, h, c, rounds), run[0])
         for _, _, accepted, n_discarded, n_capped, n_rises in runs:
             assert all(b < a for a, b in zip(accepted, accepted[1:]))
             discarded += n_discarded
@@ -707,48 +703,50 @@ def test_warm_start_goes_on_after_one_rising_round(mode):
         h0 = _feasible_h(h0, c.orientation)
     _, _, first, _, _, first_rises = reference_warm_start(x, h0, c, 7)
     h, stop, accepted, _, _, _ = reference_warm_start(x, h0, c, 2000)
-    assert np.array_equal(_warm_start(x, h0[None], c, 2000)[0], h)
+    assert np.array_equal(_warm_start(x, h0, c, 2000), h)
     assert first_rises == 1
     assert stop > 20
     assert accepted[-1] < first[-1] / 3.0
 
 
-# ------------------------------------------------- stacked descent reference
+# ---------------------------------------------------- descent reference
 
 
 def serial_eval(x, h, config):
-    # One candidate scored alone with per-restart arithmetic: pinv(H) and W
-    # from a stack of one, then its own residual array, frobenius_norm and
+    # One candidate scored with its own arrays: pinv(H) and W as the solver
+    # forms them, then a fresh residual array, frobenius_norm and
     # _terms_from_parts_z.
-    _, [hp], [w], _, _ = _eval(x, h[None], config, np.empty((1,) + x.shape),
-                               np.empty(x.shape))
+    hp = _full_rank_pinv(h)
+    if hp is None:
+        return np.inf, None, None, None, None
+    w = x @ hp
+    if config.mode is Mode.PROJECTED:
+        w = _feasible_w(w, config.orientation)
     z = x - w @ h
-    full = _full_rank_pinv(h[None], config.rank_tol)[1][0]
-    value = float(sum(_terms_from_parts_z(z, h, w, config).values())) if full else np.inf
+    value = float(sum(_terms_from_parts_z(z, h, w, config).values()))
     return value, hp, w, z, frobenius_norm(z)
 
 
-def serial_descend(x, h, config):
-    # Each restart descends alone, fed one candidate at a time.
-    results = []
-    for h0 in h:
-        run = _descend(x, h0, config, None)
-        cand = next(run)
-        try:
-            while True:
-                cand = run.send(serial_eval(x, cand, config))
-        except StopIteration as done:
-            results.append(done.value)
-    return results
+def feeding_eval(monkeypatch, evaluate=serial_eval):
+    # The descent's evaluations come from ``evaluate`` instead of _eval;
+    # returns the (H, evaluation) pairs it asks for, in order.
+    calls = []
+
+    def fed(x, h, config, z, sq):
+        calls.append((h, evaluate(x, h, config)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver, "_eval", fed)
+    return calls
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("orientation", list(Orientation))
-def test_stacked_descent_matches_serial_reference_bitwise(mode, orientation):
-    # The stacked residuals, norms and penalty reductions of every tick add
-    # up to the per-restart objective bit for bit, so each restart of a
-    # stack follows the path it follows alone; a rank-deficient start (two
-    # equal rows) stops at once without disturbing the others.
+def test_descent_matches_reference_evaluator_bitwise(mode, orientation, monkeypatch):
+    # The buffered residual, norm and penalty reductions of _eval add up to
+    # the objective of _terms_from_parts_z bit for bit, so the descent
+    # follows the same path when scored by either; a rank-deficient start
+    # (two equal rows) stops at once.
     for seed in range(2):
         x, _ = generate(30, 9, 3, seed=seed, noise_sigma=0.03, orientation=orientation)
         c = cfg(rank=3, orientation=orientation, mode=mode, max_iter=80)
@@ -757,13 +755,14 @@ def test_stacked_descent_matches_serial_reference_bitwise(mode, orientation):
         h0[2, 1] = h0[2, 0]
         if mode is Mode.PROJECTED:
             h0 = _feasible_h(h0, orientation)
-        for stack in (h0[:1], h0):
-            got = _descend_all(x, stack, c, None)
-            want = serial_descend(x, stack, c)
-            for (gh, gtrace, gconv), (wh, wtrace, wconv) in zip(got, want):
-                assert gh.tobytes() == wh.tobytes()
-                assert gtrace == wtrace
-                assert gconv == wconv
+        got = [_descend(x, h, c, None) for h in h0]
+        with monkeypatch.context() as patch:
+            feeding_eval(patch)
+            want = [_descend(x, h, c, None) for h in h0]
+        for (gh, gtrace, gconv), (wh, wtrace, wconv) in zip(got, want):
+            assert gh.tobytes() == wh.tobytes()
+            assert gtrace == wtrace
+            assert gconv == wconv
         assert want[2][1:] == ([np.inf], False)
         assert all(len(want[j][1]) > 5 for j in (0, 1, 3))
 
@@ -773,23 +772,17 @@ def test_stacked_descent_matches_serial_reference_bitwise(mode, orientation):
 
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("orientation", list(Orientation))
-def test_descent_from_exact_solution_is_cheap(mode, orientation):
+def test_descent_from_exact_solution_is_cheap(mode, orientation, monkeypatch):
     # At the true H the objective sits at its rounding floor, so every
     # search fails; a search gives up once lam |d| reaches 1e-12 max(1, |H|),
     # a few evaluations per smoothing width.  A search that halves lam 60
     # times before giving up costs 144-680 evaluations here.
     x, gt = generate(60, 12, 3, anchors=True, seed=4, orientation=orientation)
     c = cfg(rank=3, orientation=orientation, mode=mode)
-    run = _descend(x, gt.h, c, None)
-    cand, yields = next(run), 1
-    try:
-        while True:
-            cand = run.send(serial_eval(x, cand, c))
-            yields += 1
-    except StopIteration as done:
-        _, trace, converged = done.value
+    calls = feeding_eval(monkeypatch)
+    _, trace, converged = _descend(x, gt.h, c, None)
     assert converged
-    assert yields <= (150 if mode is Mode.PENALTY else 40)
+    assert len(calls) <= (150 if mode is Mode.PENALTY else 40)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -800,24 +793,30 @@ def test_line_search_steps_satisfy_armijo(mode, orientation, monkeypatch):
     # accepted step is taken at the accepted candidate itself, which
     # identifies it.  Every accepted step decreases the objective by at
     # least 1e-4 g.(H' - H), and in projected mode every candidate is
-    # feasible without a projection.
-    grads = []
+    # feasible without a projection.  The gradients and evaluations are
+    # logged in the order the descent asks for them and replayed.
+    log = []
 
     def recording(h, *args):
-        grads.append((h, _gradient(h, *args)))
-        return grads[-1][1]
+        log.append(("grad", h, _gradient(h, *args)))
+        return log[-1][2]
+
+    def evaluating(x, h, config):
+        log.append(("eval", h, serial_eval(x, h, config)))
+        return log[-1][2]
 
     monkeypatch.setattr(solver, "_gradient", recording)
+    feeding_eval(monkeypatch, evaluating)
     for seed in range(2):
         x, _ = generate(30, 9, 3, seed=seed, noise_sigma=0.03, orientation=orientation)
         c = cfg(rank=3, orientation=orientation, mode=mode, max_iter=80)
         base = _init_h(np.random.default_rng(seed), 3, x.shape[1], orientation)
         if mode is Mode.PROJECTED:
             base = _feasible_h(base, orientation)
-        run = _descend(x, base, c, None)
-        ev = serial_eval(x, next(run), c)
+        log.clear()
+        h, trace, _ = _descend(x, base, c, None)
+        (_, _, ev), *steps = log
         obj, tries, accepted = ev[0], [], []
-        grads.clear()
 
         def accept(cand):
             # ev is the evaluation of the last candidate tried.
@@ -828,50 +827,61 @@ def test_line_search_steps_satisfy_armijo(mode, orientation, monkeypatch):
             accepted.append(val)
             base, obj = cand, val
 
-        try:
-            while True:
-                seen = len(grads)
-                cand = run.send(ev)
-                for h, g_new in grads[seen:]:
-                    if tries and h is tries[-1]:
-                        accept(h)
-                    g, tries = g_new, []
-                if tries:
-                    ratio = frobenius_norm(cand - base) / frobenius_norm(tries[-1] - base)
-                    # Rounding of cand - base reaches about 2e-4 of the
-                    # shortest step tried.
-                    assert 0.1 - 1e-3 <= ratio <= 0.5 + 1e-3
-                tries.append(cand)
-                if mode is Mode.PROJECTED:
-                    assert cand.min() >= -1e-12
-                    if orientation.h_stochastic:
-                        assert np.abs(cand.sum(axis=1) - 1.0).max() <= 1e-12
-                    else:
-                        assert cand.max() <= 1.0 + 1e-12
-                ev = serial_eval(x, cand, c)
-        except StopIteration as done:
-            h, trace, _ = done.value
+        for kind, cand, out in steps:
+            if kind == "grad":
+                if tries and cand is tries[-1]:
+                    accept(cand)
+                g, tries = out, []
+                continue
+            if tries:
+                ratio = frobenius_norm(cand - base) / frobenius_norm(tries[-1] - base)
+                # Rounding of cand - base reaches about 2e-4 of the
+                # shortest step tried.
+                assert 0.1 - 1e-3 <= ratio <= 0.5 + 1e-3
+            tries.append(cand)
+            if mode is Mode.PROJECTED:
+                assert cand.min() >= -1e-12
+                if orientation.h_stochastic:
+                    assert np.abs(cand.sum(axis=1) - 1.0).max() <= 1e-12
+                else:
+                    assert cand.max() <= 1.0 + 1e-12
+            ev = out
         if tries and h is tries[-1]:
             accept(h)
         assert accepted == trace[1:]
         assert len(trace) > 5
 
 
+class _Enough(Exception):
+    pass
+
+
 @pytest.mark.parametrize("mode", list(Mode))
-def test_line_search_rejects_insufficient_decrease(mode):
+def test_line_search_rejects_insufficient_decrease(mode, monkeypatch):
     # A candidate whose objective falls, but by less than 1e-4 lam g.d, is
     # not accepted: the search tries a shorter step on the same ray.  (On
     # real objectives the condition rarely binds, so the decrease is faked:
-    # one ulp below f(H).)
+    # one ulp below f(H).)  The descent is stopped at its third evaluation.
     x, _ = generate(30, 9, 3, seed=0, noise_sigma=0.03)
     c = cfg(rank=3, mode=mode)
     h = _feasible_h(_init_h(np.random.default_rng(0), 3, x.shape[1], c.orientation),
                     c.orientation)
-    run = _descend(x, h, c, None)
-    start = serial_eval(x, next(run), c)
-    first = run.send(start)
-    fake = (np.nextafter(start[0], 0.0),) + serial_eval(x, first, c)[1:]
-    second = run.send(fake)
+    tried, evals = [], []
+
+    def faking(x, cand, config):
+        tried.append(cand)
+        if len(tried) == 3:
+            raise _Enough
+        ev = serial_eval(x, cand, config)
+        if len(tried) == 2:
+            ev = (np.nextafter(evals[0][0], 0.0),) + ev[1:]
+        evals.append(ev)
+        return ev
+
+    feeding_eval(monkeypatch, faking)
+    with pytest.raises(_Enough):
+        _descend(x, h, c, None)
+    _, first, second = tried
     d = first - h
     lam = float(np.sum((second - h) * d) / np.sum(d * d))
     assert 0.1 - 1e-9 <= lam <= 0.5 + 1e-9
@@ -893,20 +903,36 @@ def traced_peak(run):
 
 @pytest.mark.parametrize("restarts", [1, 2, 5])
 def test_factorize_peak_memory_is_one_residual_per_restart(restarts):
-    # The warm start and the descent keep one residual stack of the live
-    # restarts and no residual per restart between ticks: the traced peak
-    # stays within restarts + 3 arrays of X's size, for a whole fit and for
-    # a descent of 30 steps per restart from the raw random starts (the
-    # warm start lands this noiseless instance on its solution, so the
-    # fit's own descent stops after a few steps).
-    x, _ = generate(600, 200, 2, seed=0, orientation=Orientation.BOTH)
+    # Restarts run one after another, each with one residual buffer and one
+    # squaring buffer the size of X, and no restart keeps a residual after
+    # it ends: the traced peak stays within 3 arrays of X's size whatever the
+    # number of restarts, for a whole noisy fit (which runs every restart)
+    # and for descents of 30 steps from the raw random starts on the
+    # noiseless instance (on the noisy one they converge sooner).
+    noisy, _ = generate(600, 200, 2, seed=0, noise_sigma=0.02,
+                        orientation=Orientation.BOTH)
     c = cfg(rank=2, orientation=Orientation.BOTH, mode=Mode.PROJECTED,
             max_iter=30, restarts=restarts)
-    _, peak = traced_peak(lambda: factorize(x, c))
-    assert peak <= (restarts + 3) * x.nbytes
-    h0 = _feasible_h(np.stack([_init_h(np.random.default_rng(c.seed + k), 2,
-                                       x.shape[1], c.orientation)
-                               for k in range(restarts)]), c.orientation)
-    results, peak = traced_peak(lambda: _descend_all(x, h0, c, None))
+    res, peak = traced_peak(lambda: factorize(noisy, c))
+    assert len(res.restart_objectives) == restarts
+    assert peak <= 3 * noisy.nbytes
+    x, _ = generate(600, 200, 2, seed=0, orientation=Orientation.BOTH)
+    h0 = [_feasible_h(_init_h(np.random.default_rng(c.seed + k), 2, x.shape[1],
+                              c.orientation), c.orientation) for k in range(restarts)]
+    results, peak = traced_peak(lambda: [_descend(x, h, c, None) for h in h0])
     assert [len(trace) - 1 for _, trace, _ in results] == [30] * restarts
-    assert peak <= (restarts + 3) * x.nbytes
+    assert peak <= 3 * x.nbytes
+
+
+def test_smoothing_drop_rebuilds_the_residual_in_its_buffer():
+    # From the true H every penalty-mode line search fails, so the descent
+    # walks the whole smoothing ladder without a step, and each drop of the
+    # width rebuilds X - W H for the new direction.  It is rebuilt in the
+    # descent's residual buffer: the traced peak stays within 3 arrays of
+    # X's size (a fresh X - W H took it to 4).
+    x, gt = generate(600, 200, 3, anchors=True, seed=4, orientation=Orientation.BOTH)
+    c = cfg(rank=3, orientation=Orientation.BOTH, mode=Mode.PENALTY)
+    (_, trace, converged), peak = traced_peak(lambda: _descend(x, gt.h, c, None))
+    assert converged
+    assert len(trace) == 1
+    assert peak <= 3 * x.nbytes
