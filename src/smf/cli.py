@@ -85,7 +85,6 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         rank=args.rank,
         orientation=Orientation(args.orientation),
-        max_iter=args.max_iter,
         conv_tol=args.tol,
         penalty_sum1=args.weights[0],
         penalty_nonneg=args.weights[1],
@@ -290,9 +289,12 @@ def _add_solver_flags(parser) -> None:
     parser.add_argument("--orientation", default="w-rows",
                         choices=[o.value for o in Orientation],
                         help="which factor rows sum to 1 (default w-rows)")
-    parser.add_argument("--mode", default="penalty",
+    parser.add_argument("--mode", default="projected",
                         choices=[m.value for m in Mode],
-                        help="constraint handling (default penalty)")
+                        help="constraint handling: projected returns exactly "
+                             "feasible factors; penalty scores and returns the "
+                             "raw W = X pinv(H), charging its violations "
+                             "(default projected)")
     parser.add_argument("--weights", nargs=2, type=float,
                         default=(100.0, 10.0), metavar=("SUM1", "NONNEG"),
                         help="penalty weights (default 100 10)")
@@ -301,9 +303,10 @@ def _add_solver_flags(parser) -> None:
                              "and ends the fit alone if its objective is within "
                              "--tol times |X|_F")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-iter", type=int, default=500)
     parser.add_argument("--tol", type=float, default=1e-8,
-                        help="relative objective convergence tolerance")
+                        help="exact-fit factor: restart 0 ends the fit alone "
+                             "if its objective is within --tol times |X|_F "
+                             "(default 1e-8)")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored; restarts run one after "
                              "another")

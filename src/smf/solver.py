@@ -7,16 +7,15 @@ must satisfy (non-negativity, rows summing to 1 on the stochastic side, and
 H bounded by 1).  Restart 0 starts from the separable anchors of X found
 by successive projection (Gillis & Vavasis, 2014), the others, which run
 only when restart 0 does not fit X exactly, from seeded random points.
-The restarts run one after another, each on its own 2-D arrays: a warm
-start of projected alternating least squares whose rounds are extrapolated
-with an adaptive step (Ang & Gillis, 2019), then projected/penalized
-gradient descent on H with the monotone line search of spectral projected
-gradient (Birgin, Martinez & Raydan, 2000) on the exact objective.
+The restarts run one after another, each on its own 2-D arrays: projected
+alternating least squares whose rounds are extrapolated with an adaptive
+step (Ang & Gillis, 2019).  The H a restart ends at is scored once on the
+concentrated objective, and the lowest score wins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -62,7 +61,11 @@ class RankDeficientError(ValueError):
 
 
 class Mode(Enum):
-    """How constraints are enforced during optimization."""
+    """How the concentrated W = X pinv(H) meets its constraints.  The warm
+    start keeps H and W feasible by projection in both modes.  PROJECTED
+    (the default) also projects W in the score and in the returned factors;
+    PENALTY keeps the raw W and charges its violations, and H's, in the
+    score."""
 
     PENALTY = "penalty"
     PROJECTED = "projected"
@@ -72,26 +75,25 @@ class Mode(Enum):
 class SolverConfig:
     """Solver settings.  Of up to ``restarts`` starts, restart 0 is the
     anchor (SPA) start, which does not depend on ``seed``, and restart
-    j >= 1 is the random start seeded ``seed + j``.  ``conv_tol`` is the
-    descent's relative stopping tolerance and also sets the exact-fit
-    bound ``conv_tol * |X|_F``: a restart 0 that ends within it is the
-    only restart that runs."""
+    j >= 1 is the random start seeded ``seed + j``.  ``conv_tol`` sets the
+    exact-fit bound ``conv_tol * |X|_F``: a restart 0 whose objective ends
+    within it is the only restart that runs.  ``max_iter`` is accepted and
+    ignored, so callers written for older versions still construct a
+    config."""
 
     rank: int
     orientation: Orientation = Orientation.W_ROWS_SUM_TO_1
-    max_iter: int = 500
     conv_tol: float = 1e-8
     penalty_sum1: float = 100.0
     penalty_nonneg: float = 10.0
     restarts: int = 5
     seed: int = 0
-    mode: Mode = Mode.PENALTY
+    mode: Mode = Mode.PROJECTED
+    max_iter: InitVar[Optional[int]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, max_iter):
         if self.rank < 1:
             raise InvalidInputError("rank must be at least 1")
-        if self.max_iter < 1:
-            raise InvalidInputError("max_iter must be at least 1")
         if self.restarts < 1:
             raise InvalidInputError("restarts must be at least 1")
         if self.conv_tol <= 0:
@@ -104,7 +106,11 @@ class SolverConfig:
 class SolveResult:
     factors: FactorPair
     objective: float
+    # [objective]: each restart is scored once, where its warm start ends.
     objective_trace: list[float]
+    # The winning restart's warm-start rounds, and whether its warm start
+    # stopped at the loss floor or a plateau (not at the round cap, on a
+    # second rise in a row, or on a rank-deficient point or zero W).
     iterations: int
     converged: bool
     best_restart: int
@@ -162,10 +168,10 @@ def objective_terms(x, h, config: SolverConfig) -> dict[str, float]:
     """
     xm = _check_x(x)
     hm = _as_matrix(h, "H")
-    out = _terms(xm, hm, config, np.empty(xm.shape), np.empty(xm.shape))
-    if out is None:
+    terms = _terms(xm, hm, config)
+    if terms is None:
         raise RankDeficientError(f"H of shape {hm.shape} does not have full row rank")
-    return out[0]
+    return terms
 
 
 def objective(x, h, config: SolverConfig) -> float:
@@ -173,26 +179,22 @@ def objective(x, h, config: SolverConfig) -> float:
     return float(sum(objective_terms(x, h, config).values()))
 
 
-def _terms(x, h, config, z, sq):
+def _terms(x, h, config):
     """The terms of :func:`objective_terms` at H, or None if H lacks full
-    row rank.
-
-    Returns ``(terms, hp, w)``: the terms by name, pinv(H) and W; the
-    residual X - W H is written into the buffer ``z`` and squared into
-    ``sq``.
-    """
+    row rank.  The residual X - W H is formed and squared in one array the
+    size of X."""
     hp = _full_rank_pinv(h)
     if hp is None:
         return None
     w = x @ hp
     if config.mode is Mode.PROJECTED:
         w = _feasible_w(w, config.orientation)
-    np.matmul(w, h, out=z)
+    z = w @ h
     np.subtract(x, z, out=z)
     # np.maximum(a, 0.0) is the ufunc np.clip(a, 0.0, None) calls, without
     # its wrappers' overhead.
     p1, p2 = config.penalty_sum1, config.penalty_nonneg
-    terms = {"residual": np.sqrt(np.multiply(z, z, out=sq).sum())}
+    terms = {"residual": np.sqrt(np.multiply(z, z, out=z).sum())}
     if config.mode is not Mode.PROJECTED:
         terms["w_nonneg"] = p2 * np.maximum(-w, 0.0).sum()
         if config.orientation.w_stochastic:
@@ -201,74 +203,7 @@ def _terms(x, h, config, z, sq):
         terms["h_row_sum"] = p1 * np.abs(h.sum(axis=1) - 1.0).sum()
     terms["h_nonneg"] = p2 * np.maximum(-h, 0.0).sum()
     terms["h_upper"] = p2 * np.maximum(h - 1.0, 0.0).sum()
-    return {name: float(t) for name, t in terms.items()}, hp, w
-
-
-def _eval(x, h, config, z, sq):
-    """The objective at H plus the intermediates the gradient reuses:
-    ``(value, hp, w, z, fro)``, z being the residual X - W H (in the buffer
-    ``z``) and fro its norm.  The value (inf for a rank-deficient H) sums
-    :func:`_terms` in order, so it equals :func:`objective` bit for bit.
-    """
-    out = _terms(x, h, config, z, sq)
-    if out is None:
-        return np.inf, None, None, None, None
-    terms, hp, w = out
-    return sum(terms.values()), hp, w, z, terms["residual"]
-
-
-def _smooth_sign(t: np.ndarray, mu: float) -> np.ndarray:
-    if mu <= 0.0:
-        return np.sign(t)
-    return np.tanh(t / mu)
-
-
-def _smooth_step(t: np.ndarray, mu: float) -> np.ndarray:
-    # Smooth version of the indicator [t > 0], used for hinge derivatives.
-    if mu <= 0.0:
-        return (t > 0.0).astype(np.float64)
-    return 1.0 / (1.0 + np.exp(np.clip(-t / mu, -500.0, 500.0)))
-
-
-def _gradient(h, hp, w, z, fro, config, mu: float = 0.0) -> np.ndarray:
-    """Analytic (sub)gradient / search direction with respect to H.
-
-    ``hp``, ``w``, ``z`` and ``fro`` are pinv(H), W, the residual X - W H
-    and its Frobenius norm, as :func:`_eval` returns them.
-
-    PENALTY mode: the residual and W-dependent penalty terms are
-    differentiated through W = X pinv(H) using the full-row-rank derivative
-    of the pseudoinverse.  With ``mu > 0`` the kinked penalty derivatives
-    (sign and hinge indicators) are smoothed at width ``mu``; the line
-    search still evaluates the exact objective, so smoothing only shapes
-    the search direction.
-
-    PROJECTED mode: gradient of the residual with the projected W held
-    fixed; feasibility is enforced by projection in the line search, so no
-    penalty terms enter the direction.
-    """
-    p1, p2 = config.penalty_sum1, config.penalty_nonneg
-    g = np.zeros_like(h)
-
-    if fro > 0.0:
-        g -= (w.T @ z) / fro
-    if config.mode is Mode.PROJECTED:
-        return g
-
-    # Derivative of the penalties that act on W, pushed through pinv(H).
-    v = np.zeros_like(w)
-    if config.orientation.w_stochastic:
-        v += p1 * _smooth_sign(w.sum(axis=1) - 1.0, mu)[:, None]
-    v -= p2 * _smooth_step(-w, mu)
-    if np.any(v):
-        gram = h @ h.T
-        g += np.linalg.solve(gram, v.T @ z)
-        g -= (w.T @ v) @ hp.T
-
-    if config.orientation.h_stochastic:
-        g += p1 * _smooth_sign(h.sum(axis=1) - 1.0, mu)[:, None]
-    g += p2 * (_smooth_step(h - 1.0, mu) - _smooth_step(-h, mu))
-    return g
+    return {name: float(t) for name, t in terms.items()}
 
 
 # The feasible sets of H and W, ``project`` being the row simplex projector:
@@ -347,119 +282,10 @@ def _anchor_start(x: np.ndarray, config: SolverConfig) -> Optional[np.ndarray]:
     return None if _full_rank_pinv(h) is None else h
 
 
-_MU_START = 1e-1
-_MU_FLOOR = 1e-9
-_BB_MIN, _BB_MAX = 1e-12, 1e8
+# The warm start's round cap, and its extrapolation weight beta: its start,
+# the start of its ceiling, its shrink factor after a discarded round, and
+# the growth factors of beta and of its ceiling after an accepted round.
 _WARM_START_ROUNDS = 2000
-_ARMIJO = 1e-4
-_SHRINK_MIN, _SHRINK_MAX = 0.1, 0.5
-_STEP_FLOOR = 1e-12
-
-
-def _descend(x, h, config: SolverConfig,
-             progress: Optional[Callable[[int, float], None]], exact: float = 0.0):
-    """Projected/penalized gradient descent from ``h``; returns ``(h, trace,
-    converged)``.
-
-    Every candidate is scored by :func:`_eval` into one residual buffer
-    (and one squaring buffer) allocated per call: the gradient is taken
-    from the residual as soon as a candidate is accepted, and only a
-    smoothing-width drop after a failed line search rebuilds X - W H, into
-    the same buffer.  A rank-deficient start has no objective and stops at
-    once; any other start is reported to ``progress`` as iteration 0, and
-    one whose objective is at most ``exact`` is an exact fit, returned
-    converged with no step.
-
-    The line search is the monotone one of spectral projected gradient
-    (Birgin, Martinez & Raydan, SIAM J. Optim. 10(4), 2000).  Along d =
-    feasible(H - step g) - H, step the Barzilai-Borwein step, it accepts
-    H + lam d once f falls there by at least -_ARMIJO lam g.d; otherwise lam
-    moves to the minimizer of the quadratic fit, kept in [_SHRINK_MIN lam,
-    _SHRINK_MAX lam].  Candidates are convex combinations of feasible
-    points, so none is projected.  The search fails once lam |d| <=
-    _STEP_FLOOR max(1, |H|): the smoothing width then shrinks or, at its
-    floor, the point is declared stationary.
-    """
-    buf, sq = np.empty(x.shape), np.empty(x.shape)
-    obj, hp, w, z, fro = _eval(x, h, config, buf, sq)
-    trace = [obj]
-    if obj == np.inf:
-        return h, trace, False
-    if progress is not None:
-        progress(0, obj)
-    if obj <= exact:
-        return h, trace, True
-    converged = False
-    smoothable = config.mode is Mode.PENALTY and (
-        config.penalty_sum1 > 0.0 or config.penalty_nonneg > 0.0)
-    mu = _MU_START if smoothable else 0.0
-    h_prev = g_prev = None
-    g = _gradient(h, hp, w, z, fro, config, mu)
-    # Annealing passes that fail to step do not count against max_iter; the
-    # mu ladder is finite so the extra budget is bounded.
-    for _ in range(config.max_iter + 200):
-        gn = frobenius_norm(g)
-        if gn == 0.0:
-            converged = True
-            break
-        if h_prev is None:
-            step = 1.0 / gn
-        else:
-            s = h - h_prev
-            y = g - g_prev
-            sy = float(np.sum(s * y))
-            step = float(np.sum(s * s)) / sy if sy > 1e-300 else 1.0 / gn
-            step = min(max(step, _BB_MIN), _BB_MAX)
-        # Penalty mode leaves H unconstrained.
-        d = (_feasible_h(h - step * g, config.orientation) - h
-             if config.mode is Mode.PROJECTED else -step * g)
-        slope = float(np.sum(g * d))
-        floor = _STEP_FLOOR * max(1.0, frobenius_norm(h))
-        dn = frobenius_norm(d)
-        lam, accepted = 1.0, None
-        while lam * dn > floor:
-            cand = h + lam * d
-            accepted = _eval(x, cand, config, buf, sq)
-            val = accepted[0]
-            if val < obj and val <= obj + _ARMIJO * lam * slope:
-                break
-            accepted = None
-            # The model's curvature is positive whenever the test fails; an
-            # infinite value (rank-deficient candidate) gives the largest cut.
-            curv = val - obj - lam * slope
-            q = -slope * lam * lam / (2.0 * curv) if curv > 0.0 else lam
-            lam = min(max(q, _SHRINK_MIN * lam), _SHRINK_MAX * lam)
-        if accepted is None:
-            if smoothable and mu > _MU_FLOOR:
-                mu *= 0.1
-                h_prev = g_prev = None
-                np.subtract(x, np.matmul(w, h, out=buf), out=buf)
-                g = _gradient(h, hp, w, buf, fro, config, mu)
-                continue
-            converged = True
-            break
-        h_prev, g_prev = h, g
-        val, hp, w, z, fro = accepted
-        rel = (obj - val) / max(abs(obj), 1e-300)
-        h, obj = cand, val
-        trace.append(obj)
-        if progress is not None:
-            progress(len(trace) - 1, obj)
-        if rel < config.conv_tol:
-            if not (smoothable and mu > _MU_FLOOR):
-                converged = True
-                break
-            mu *= 0.1
-            h_prev = g_prev = None
-        if len(trace) > config.max_iter:
-            break
-        g = _gradient(h, hp, w, z, fro, config, mu)
-    return h, trace, converged
-
-
-# The warm start's extrapolation weight beta: its start, the start of its
-# ceiling, its shrink factor after a discarded round, and the growth
-# factors of beta and of its ceiling after an accepted round.
 _BETA_START = 0.5
 _BETA_CEIL_START = 1.0
 _BETA_SHRINK = 1.5
@@ -467,28 +293,27 @@ _BETA_GROW = 1.01
 _BETA_CEIL_GROW = 1.005
 
 
-def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
-    """Extrapolated projected alternating least squares on the bilinear loss.
+def _warm_start(x, h, config: SolverConfig, rounds: int):
+    """Extrapolated projected alternating least squares on the bilinear loss;
+    returns ``(h, rounds_run, converged)``.
 
-    Cheap warm-up that settles both the row space and a feasible
-    representative before the exact-objective descent takes over.  Each
-    round refreshes W = X pinv(Y), projects it feasible, then takes three
-    Lipschitz-step projected gradient updates on H from Y for that fixed W.
-    After an accepted round H, the next Y is H + beta (H - H_acc) projected
-    feasible, H_acc being the previous accepted H (Ang & Gillis, Neural
-    Computation 31(2), 2019).  An extrapolated round whose loss rises is
-    discarded, shrinks beta and lowers its ceiling, and the next round
+    Each round refreshes W = X pinv(Y), projects it feasible, then takes
+    three Lipschitz-step projected gradient updates on H from Y for that
+    fixed W.  After an accepted round H, the next Y is H + beta (H - H_acc)
+    projected feasible, H_acc being the previous accepted H (Ang & Gillis,
+    Neural Computation 31(2), 2019).  An extrapolated round whose loss rises
+    is discarded, shrinks beta and lowers its ceiling, and the next round
     starts plain from H_acc; it still counts toward ``rounds``.  A plain
     round whose loss rises above H_acc's is kept as the next round's plain
     start, since a round with a projected W need not descend; a second
     such round in a row stops the restart.
 
-    It stops when the loss effectively reaches zero (returning the new H),
-    when it plateaus or rises twice (returning whichever of the new H and
-    H_acc has the lower loss), or when Y is rank-deficient or W is zero
-    (returning H_acc, its start if no round was accepted); at the round cap
-    it returns H_acc.  Each round's residual X - W H is written into one
-    buffer allocated per call and squared in place.
+    It stops converged when the loss effectively reaches zero (returning
+    the new H) or plateaus (returning the new H, or H_acc if the new loss is
+    higher).  It stops unconverged, returning H_acc (its start if no round
+    was accepted), on a second rise in a row, when Y is rank-deficient or W
+    is zero, and at the round cap.  Each round's residual X - W H is
+    written into one buffer allocated per call and squared in place.
     """
     floor = 1e-13 * max(1.0, frobenius_norm(x))
     z = np.empty(x.shape)
@@ -496,17 +321,17 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
     prev = np.inf
     beta, ceil = _BETA_START, _BETA_CEIL_START
     extrapolated = rose = False
-    for _ in range(rounds):
+    for t in range(rounds):
         hp = _full_rank_pinv(y)
         if hp is None:
-            return acc
+            return acc, t, False
         w = _feasible_w(x @ hp, config.orientation)
         gram = w.T @ w
         # The spectral norm of gram, as np.linalg.norm(gram, 2) finds it (the
         # largest singular value) without its per-call overhead.
         lip = np.linalg.svd(gram, compute_uv=False)[0]
         if not lip > 0.0:
-            return acc
+            return acc, t, False
         wtx = w.T @ x
         new = y
         for _ in range(3):
@@ -515,7 +340,7 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
         np.subtract(x, z, out=z)
         loss = np.sqrt(np.square(z, out=z).sum())
         if loss < floor:
-            return new
+            return new, t + 1, True
         if extrapolated and loss > prev:
             # A discarded round: the next one starts plain from H_acc.
             ceil, beta = beta, beta / _BETA_SHRINK
@@ -524,13 +349,14 @@ def _warm_start(x, h, config: SolverConfig, rounds: int) -> np.ndarray:
             # A plain round whose loss rose: the next one starts plain from it.
             y, rose = new, True
         elif prev - loss < 1e-13 * max(1.0, prev):
-            return new if loss <= prev else acc
+            # A plateau, or (loss above H_acc's) a second rise in a row.
+            return (new, t + 1, True) if loss <= prev else (acc, t + 1, False)
         else:
             y = _feasible_h(new + beta * (new - acc), config.orientation)
             acc, prev = new, loss
             beta, ceil = min(ceil, _BETA_GROW * beta), min(1.0, _BETA_CEIL_GROW * ceil)
             extrapolated, rose = True, False
-    return acc
+    return acc, rounds, False
 
 
 def _snap(arr: np.ndarray, eps: float, upper: bool = False) -> np.ndarray:
@@ -557,23 +383,23 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     """Estimate a non-negative factorization of X under the configured
     adding-up constraints.
 
-    Runs up to ``config.restarts`` independent descents and keeps the
-    restart with the lowest final objective (ties go to the lowest restart
-    index).  Restart 0 starts from the anchors of X: the rows (or, with only
-    H row-stochastic, the anchor words) that successive projection picks, as
+    Runs up to ``config.restarts`` independent warm starts, scores the H
+    each one ends at once on the concentrated objective, and keeps the
+    restart with the lowest score (ties go to the lowest restart index).
+    Restart 0 starts from the anchors of X: the rows (or, with only H
+    row-stochastic, the anchor words) that successive projection picks, as
     in the paper's uniqueness condition; if that start is rank-deficient it
     falls back to the random start seeded ``config.seed``.  Restart j >= 1
     starts from the random point seeded ``config.seed + j``, so a 1-restart
     fit does not depend on the seed.  Restart 0 runs first, alone; when its
-    objective ends at most ``config.conv_tol * |X|_F`` it is an exact fit
+    objective is at most ``config.conv_tol * |X|_F`` it is an exact fit
     (the objective is non-negative, so no other restart could improve it by
-    more than that tolerance) and the fit returns it, with no other restart
-    run and, if the warm start already reached the bound, no descent step.
-    Otherwise restarts 1..k-1 run after it, one at a time.  Each restart
-    keeps one residual buffer (and one squaring buffer) the size of X, so
-    the fit's peak memory is about two arrays the size of X whatever k is.
-    The returned W is the concentrated least-squares weight matrix
-    post-processed to feasibility for the configured mode.
+    more than that tolerance) and the fit returns it with no other restart
+    run.  Otherwise restarts 1..k-1 run after it, one at a time.  Each
+    warm start keeps one residual buffer the size of X, and the score forms
+    one more, so the fit's peak memory is about two arrays the size of X
+    whatever k is.  The returned W is the concentrated least-squares weight
+    matrix post-processed to feasibility for the configured mode.
 
     Parameters
     ----------
@@ -585,13 +411,14 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     threads : int
         Accepted and ignored; the restarts run one after another.
     progress : callable, optional
-        Called as ``progress(iteration, objective)`` for restart 0 at the
-        start of the descent (iteration 0), also on an exact fit, and after
-        each accepted step.
+        Called once as ``progress(rounds, objective)`` when restart 0's warm
+        start ends: its round count and its objective.
 
     Returns
     -------
     SolveResult
+        ``iterations`` and ``converged`` describe the winning restart's warm
+        start, and ``objective_trace`` is ``[objective]``.
     """
     xm = _check_x(x)
     n_rows, n_cols = xm.shape
@@ -621,30 +448,33 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
                      config.orientation)
         return _feasible_h(h0, config.orientation) if config.mode is Mode.PROJECTED else h0
 
-    def solve(h, report):
-        h = _warm_start(xm, h, config, _WARM_START_ROUNDS)
-        return _descend(xm, h, config, report, exact)
+    def solve(h):
+        h, rounds, converged = _warm_start(xm, h, config, _WARM_START_ROUNDS)
+        terms = _terms(xm, h, config)
+        return h, np.inf if terms is None else sum(terms.values()), rounds, converged
 
     # The objective is non-negative, so once a restart ends within conv_tol
     # |X|_F no other restart could improve on it by more than the solver's
     # own tolerance: restart 0 runs alone, the others only if it ends above.
     exact = config.conv_tol * frobenius_norm(xm)
     anchored = _anchor_start(xm, config)
-    results = [solve(random_start(0) if anchored is None else anchored, progress)]
-    if results[0][1][-1] > exact:
-        results += [solve(random_start(k), None) for k in range(1, config.restarts)]
+    results = [solve(random_start(0) if anchored is None else anchored)]
+    if progress is not None:
+        progress(results[0][2], results[0][1])
+    if results[0][1] > exact:
+        results += [solve(random_start(k)) for k in range(1, config.restarts)]
 
-    finals = [trace[-1] for _, trace, _ in results]
+    finals = [obj for _, obj, _, _ in results]
     best = min(range(len(finals)), key=lambda k: (finals[k], k))
-    h, trace, converged = results[best]
+    h, obj, rounds, converged = results[best]
     factors = _postprocess(xm, h, config)
     violation = factors.max_violation()
     eps = EPS_FEAS_PROJECTED if config.mode is Mode.PROJECTED else EPS_FEAS_PENALTY
     return SolveResult(
         factors=factors,
-        objective=trace[-1],
-        objective_trace=trace,
-        iterations=len(trace) - 1,
+        objective=obj,
+        objective_trace=[obj],
+        iterations=rounds,
         converged=converged,
         best_restart=best,
         max_violation=violation,

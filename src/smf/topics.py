@@ -191,14 +191,14 @@ class TopicModel:
 def fit_topics(corpus: Corpus, config: SolverConfig, *, threads: int = 1) -> TopicModel:
     """Factorize row-normalized term frequencies into topics.
 
-    The factors are the solver's.  In projected mode its W, the per-document
-    topic mixtures, is the simplex-projected rows of X pinv(H) for the
-    returned H; in penalty mode the solver's W, which the penalties keep
-    only near the simplex, has its rows projected onto it.  Either way W
-    lies on the simplex exactly.  Restarts run one after another, with one
-    residual buffer per restart, so the fit's peak is about two arrays the
-    size of X whatever the number of restarts; ``threads`` is accepted and
-    ignored.
+    The factors are the solver's.  In projected mode (the default) its W,
+    the per-document topic mixtures, is the simplex-projected rows of X
+    pinv(H) for the returned H; in penalty mode the solver's W, the raw
+    X pinv(H) with near-zero entries snapped, has its rows projected onto
+    the simplex.  Either way W lies on it exactly.  Restarts run one after
+    another, each a warm start scored once, with one residual buffer per
+    restart, so the fit's peak is about two arrays the size of X whatever
+    the number of restarts; ``threads`` is accepted and ignored.
     """
     if config.orientation is not Orientation.BOTH:
         raise ValueError("fit_topics requires config.orientation = BOTH")

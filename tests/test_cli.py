@@ -89,7 +89,7 @@ def test_factorize_manifest_records_run(tmp_path):
     assert manifest["command"] == "factorize"
     assert manifest["version"] == smf.__version__
     assert manifest["options"]["weights"] == [100.0, 10.0]
-    assert manifest["options"]["mode"] == "penalty"
+    assert manifest["options"]["mode"] == "projected"
     assert manifest["options"]["orientation"] == "w-rows"
     assert manifest["options"]["seed"] == 0
     (entry,) = manifest["inputs"]
@@ -171,8 +171,8 @@ def penalty_block_corpus(tmp_path):
 def test_infeasible_fit_exits_numerical_after_writing(tmp_path, capsys, command):
     doc_term, vocab, x_path = penalty_block_corpus(tmp_path)
     out = tmp_path / "run"
-    flags = ("--rank", 3, "--orientation", "both", "--restarts", 2,
-             "--seed", 0, "--out-dir", out)
+    flags = ("--rank", 3, "--orientation", "both", "--mode", "penalty",
+             "--restarts", 2, "--seed", 0, "--out-dir", out)
     if command == "factorize":
         code = run_cli("factorize", x_path, *flags)
     else:

@@ -21,8 +21,7 @@ def instances(draw):
                     orientation=orientation, seed=draw(st.integers(0, 10_000)))
     config = dict(rank=rank, orientation=orientation,
                   mode=draw(st.sampled_from(list(Mode))),
-                  restarts=draw(st.integers(2, 4)), seed=draw(st.integers(0, 100)),
-                  max_iter=60)
+                  restarts=draw(st.integers(2, 4)), seed=draw(st.integers(0, 100)))
     return x, config
 
 
@@ -44,6 +43,10 @@ def test_restarts_stop_at_an_exact_fit_and_never_lose_to_restart_0(instance):
     # Restart 0 is the 1-restart fit, so k restarts never do worse.
     assert objs[0] == one.objective
     assert res.objective <= one.objective
+    # Projected mode returns feasible factors on every draw.
+    if config["mode"] is Mode.PROJECTED:
+        assert res.feasible
+        assert one.feasible
     if len(objs) == 1:
         assert res.factors.w.tobytes() == one.factors.w.tobytes()
         assert res.factors.h.tobytes() == one.factors.h.tobytes()

@@ -26,12 +26,8 @@ from smf.solver import (
     EPS_FEAS_PENALTY,
     EPS_FEAS_PROJECTED,
     _anchor_start,
-    _descend,
-    _eval,
     _feasible_h,
     _feasible_w,
-    _full_rank_pinv,
-    _gradient,
     _init_h,
     _spa,
     _warm_start,
@@ -66,8 +62,6 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         cfg(rank=0)
     with pytest.raises(InvalidInputError):
-        cfg(max_iter=0)
-    with pytest.raises(InvalidInputError):
         cfg(restarts=0)
     with pytest.raises(InvalidInputError):
         cfg(conv_tol=0.0)
@@ -79,7 +73,7 @@ def test_default_penalty_weights():
     c = cfg()
     assert c.penalty_sum1 == 100.0
     assert c.penalty_nonneg == 10.0
-    assert c.mode is Mode.PENALTY
+    assert c.mode is Mode.PROJECTED
 
 
 # ------------------------------------------------------------ concentration
@@ -140,7 +134,7 @@ def test_objective_zero_at_exact_factorization():
     # X itself is doubly stochastic and H = I, so W = X is feasible and the
     # residual vanishes: every term is zero.
     x = np.array([[0.6, 0.4], [0.2, 0.8]])
-    c = cfg(orientation=Orientation.BOTH)
+    c = cfg(orientation=Orientation.BOTH, mode=Mode.PENALTY)
     terms = objective_terms(x, np.eye(2), c)
     assert objective(x, np.eye(2), c) == pytest.approx(0.0, abs=1e-12)
     assert set(terms) == {"residual", "w_nonneg", "w_row_sum",
@@ -154,7 +148,7 @@ def test_objective_charges_h_above_one():
     # stochastic H, penalty_sum1 * 0.2 in h_row_sum.
     x = np.array([[0.6, 0.4], [0.2, 0.8]])
     h = np.array([[1.2, 0.0], [0.0, 1.0]])
-    c = cfg(orientation=Orientation.H_ROWS_SUM_TO_1)
+    c = cfg(orientation=Orientation.H_ROWS_SUM_TO_1, mode=Mode.PENALTY)
     terms = objective_terms(x, h, c)
     assert terms["h_upper"] == pytest.approx(10.0 * 0.2, abs=1e-12)
     assert terms["h_row_sum"] == pytest.approx(100.0 * 0.2, abs=1e-12)
@@ -169,7 +163,7 @@ def test_objective_charges_negative_w():
     # totals 1 + 4/3.
     x = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.4]])
     h = np.array([[0.7, 0.3], [0.4, 0.6]])
-    c = cfg(orientation=Orientation.H_ROWS_SUM_TO_1)
+    c = cfg(orientation=Orientation.H_ROWS_SUM_TO_1, mode=Mode.PENALTY)
     terms = objective_terms(x, h, c)
     assert terms["w_nonneg"] == pytest.approx(10.0 * (1.0 + 4.0 / 3.0),
                                               rel=1e-9)
@@ -190,39 +184,6 @@ def test_objective_projected_mode_drops_w_terms():
 def test_objective_rejects_rank_deficient_h():
     with pytest.raises(RankDeficientError):
         objective(np.eye(3), np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]), cfg())
-
-
-# --------------------------------------------------------- gradient oracle
-
-
-def numerical_gradient(x, h, config, eps=1e-6):
-    g = np.zeros_like(h)
-    for r in range(h.shape[0]):
-        for j in range(h.shape[1]):
-            hp = h.copy()
-            hm = h.copy()
-            hp[r, j] += eps
-            hm[r, j] -= eps
-            g[r, j] = (objective(x, hp, config) - objective(x, hm, config)) / (2 * eps)
-    return g
-
-
-@pytest.mark.parametrize("orientation", list(Orientation))
-def test_penalty_gradient_matches_finite_differences(orientation):
-    # Central differences on the exact penalized objective, evaluated away
-    # from the hinge kinks (H strictly inside (0, 1), row sums off 1).
-    rng = np.random.default_rng(23)
-    for trial in range(5):
-        x = rng.uniform(0.1, 1.0, size=(6, 5))
-        if orientation is Orientation.BOTH:
-            x = x / x.sum(axis=1, keepdims=True)
-        h = rng.uniform(0.2, 0.8, size=(2, 5))
-        c = cfg(orientation=orientation)
-        _, hp, w, z, fro = _eval(x, h, c, np.empty(x.shape), np.empty(x.shape))
-        got = _gradient(h, hp, w, z, fro, c, mu=0.0)
-        want = numerical_gradient(x, h, c)
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.max(np.abs(got - want)) / scale < 1e-5
 
 
 # ----------------------------------------------------------------- solving
@@ -324,9 +285,8 @@ def test_noiseless_recovery_is_accurate():
 def check_bookkeeping(res, c):
     assert res.objective == min(res.restart_objectives)
     assert res.best_restart == int(np.argmin(res.restart_objectives))
-    assert res.objective == res.objective_trace[-1]
-    assert res.iterations == len(res.objective_trace) - 1
-    assert len(res.objective_trace) <= c.max_iter + 1
+    assert res.objective_trace == [res.objective]
+    assert res.iterations >= 1
 
 
 def test_result_bookkeeping():
@@ -382,10 +342,10 @@ def test_stacked_restarts_match_single_restart_runs(mode, orientation):
     x, _ = generate(30, 9, 3, seed=37, noise_sigma=0.03, orientation=orientation)
     seed = 5
     res = factorize(x, cfg(rank=3, orientation=orientation, mode=mode,
-                           restarts=4, seed=seed, max_iter=60))
+                           restarts=4, seed=seed))
     for j in range(1, 4):
         two = factorize(x, cfg(rank=3, orientation=orientation, mode=mode,
-                               restarts=2, seed=seed + j - 1, max_iter=60))
+                               restarts=2, seed=seed + j - 1))
         assert res.restart_objectives[0] == two.restart_objectives[0]
         assert res.restart_objectives[j] == two.restart_objectives[1]
         if res.best_restart in (0, j):
@@ -393,26 +353,33 @@ def test_stacked_restarts_match_single_restart_runs(mode, orientation):
             assert res.factors.w.tobytes() == two.factors.w.tobytes()
             assert res.factors.h.tobytes() == two.factors.h.tobytes()
             assert res.objective_trace == two.objective_trace
+            assert res.iterations == two.iterations
             assert res.converged == two.converged
 
 
 def test_progress_callback_sees_descent():
-    x, _ = generate(20, 8, 2, seed=19, orientation=Orientation.W_ROWS_SUM_TO_1)
-    seen = []
-    factorize(x, cfg(rank=2, restarts=2, seed=0),
-              progress=lambda it, obj: seen.append((it, obj)))
-    assert seen
-    its = [it for it, _ in seen]
-    assert its == sorted(its)
-    objs = [obj for _, obj in seen]
-    assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
-
-
-def test_max_iter_caps_trace():
-    x, _ = generate(25, 9, 2, seed=21, noise_sigma=0.05,
+    # progress fires once, when restart 0's warm start ends, with its round
+    # count and objective; the random restarts do not report.
+    x, _ = generate(20, 8, 2, seed=19, noise_sigma=0.05,
                     orientation=Orientation.W_ROWS_SUM_TO_1)
-    res = factorize(x, cfg(rank=2, max_iter=3, restarts=1, seed=0))
-    assert len(res.objective_trace) <= 4
+    seen = []
+    c = cfg(rank=2, restarts=3, seed=0)
+    res = factorize(x, c, progress=lambda it, obj: seen.append((it, obj)))
+    one = factorize(x, cfg(rank=2, restarts=1, seed=0))
+    assert len(res.restart_objectives) == 3
+    assert seen == [(one.iterations, res.restart_objectives[0])]
+    assert one.iterations >= 1
+
+
+def test_warm_start_round_cap_is_not_convergence(monkeypatch):
+    # A restart ends where its warm start stops, so one cut at the round cap
+    # is reported unconverged, with the rounds it ran.
+    monkeypatch.setattr(solver, "_WARM_START_ROUNDS", 2)
+    x, _ = generate(30, 9, 3, seed=37, noise_sigma=0.03,
+                    orientation=Orientation.W_ROWS_SUM_TO_1)
+    res = factorize(x, cfg(rank=3, mode=Mode.PROJECTED))
+    assert not res.converged
+    assert res.iterations == 2
 
 
 def test_seed_changes_initialization():
@@ -420,26 +387,9 @@ def test_seed_changes_initialization():
     # anchor start whatever the seed.
     x, _ = generate(25, 9, 3, seed=23, noise_sigma=0.1,
                     orientation=Orientation.W_ROWS_SUM_TO_1)
-    r0 = factorize(x, cfg(rank=3, restarts=2, seed=0, max_iter=5))
-    r1 = factorize(x, cfg(rank=3, restarts=2, seed=100, max_iter=5))
+    r0 = factorize(x, cfg(rank=3, restarts=2, seed=0))
+    r1 = factorize(x, cfg(rank=3, restarts=2, seed=100))
     assert r0.restart_objectives[1] != r1.restart_objectives[1]
-
-
-@pytest.mark.parametrize("orientation", list(Orientation))
-def test_penalty_smoothing_ladder_lowers_the_objective(orientation, monkeypatch):
-    # In penalty mode the descent direction smooths the kinked penalties at
-    # width _MU_START and narrows it tenfold whenever the search stalls.
-    # Without that ladder (width 0 throughout) these fits stop at a higher
-    # objective.  A noisy generated h-rows instance ends at the same point
-    # either way, so that orientation fits uniform data.
-    if orientation is Orientation.H_ROWS_SUM_TO_1:
-        x = np.random.default_rng(1).uniform(0.0, 1.0, size=(30, 12))
-    else:
-        x, _ = generate(30, 12, 3, noise_sigma=0.05, orientation=orientation, seed=3)
-    c = cfg(rank=3, orientation=orientation)
-    smoothed = factorize(x, c).objective
-    monkeypatch.setattr(solver, "_MU_START", 0.0)
-    assert smoothed < factorize(x, c).objective
 
 
 # ------------------------------------------------------------ anchor start
@@ -486,7 +436,7 @@ def test_rank_deficient_anchor_start_falls_back_to_seeded_start(orientation):
     # columns) make a rank-3 H: restart 0 is then the random start seeded
     # seed, which is restart 1 of a 2-restart run seeded seed - 1.
     x, _ = generate(20, 8, 2, anchors=True, orientation=orientation, seed=11)
-    c = cfg(rank=3, orientation=orientation, max_iter=20)
+    c = cfg(rank=3, orientation=orientation)
     assert _anchor_start(x, c) is None
     if orientation is Orientation.H_ROWS_SUM_TO_1:
         # A free W admits an all-zero X, which has no anchor at all.
@@ -495,9 +445,9 @@ def test_rank_deficient_anchor_start_falls_back_to_seeded_start(orientation):
     # The seeded start of restart 0 fits this input exactly under h-rows and
     # both, which would end the 2-restart run before restart 1; a tolerance
     # below every objective lets restart 1 run.
-    one = factorize(x, cfg(rank=3, orientation=orientation, max_iter=20,
+    one = factorize(x, cfg(rank=3, orientation=orientation,
                            restarts=1, seed=4, conv_tol=1e-300))
-    two = factorize(x, cfg(rank=3, orientation=orientation, max_iter=20,
+    two = factorize(x, cfg(rank=3, orientation=orientation,
                            restarts=2, seed=3, conv_tol=1e-300))
     assert one.restart_objectives[0] == two.restart_objectives[1]
     assert one.restart_objectives[0] != two.restart_objectives[0]
@@ -534,8 +484,7 @@ def counting_warm_start(monkeypatch):
 @pytest.mark.parametrize("orientation", list(Orientation))
 def test_exact_fit_runs_restart_0_alone(mode, orientation, monkeypatch):
     # On noiseless anchored input the anchor start fits X exactly: restart
-    # 0 ends within conv_tol |X|_F, the random restarts never start, and
-    # the descent takes no step.
+    # 0 ends within conv_tol |X|_F and the random restarts never start.
     x, gt = generate(40, 12, 3, anchors=True, orientation=orientation, seed=6)
     c = cfg(rank=3, orientation=orientation, mode=mode, restarts=5)
     starts = counting_warm_start(monkeypatch)
@@ -546,10 +495,10 @@ def test_exact_fit_runs_restart_0_alone(mode, orientation, monkeypatch):
     assert res.best_restart == 0
     assert res.objective <= c.conv_tol * frobenius_norm(x)
     assert res.converged
-    assert res.iterations == 0
+    assert res.iterations >= 1
     assert res.objective_trace == [res.objective]
     assert res.feasible
-    assert seen == [(0, res.objective)]
+    assert seen == [(res.iterations, res.objective)]
     _, err = align_and_score(res.factors.h, gt.h)
     assert err < 1e-6
 
@@ -561,32 +510,12 @@ def test_noisy_fit_runs_every_restart(mode, orientation, monkeypatch):
     # after it, one at a time.
     x, _ = generate(40, 12, 3, anchors=True, noise_sigma=0.03,
                     orientation=orientation, seed=6)
-    c = cfg(rank=3, orientation=orientation, mode=mode, restarts=5, max_iter=60)
+    c = cfg(rank=3, orientation=orientation, mode=mode, restarts=5)
     starts = counting_warm_start(monkeypatch)
     res = factorize(x, c)
     assert len(starts) == 5
     assert len(res.restart_objectives) == 5
     assert res.restart_objectives[0] > c.conv_tol * frobenius_norm(x)
-
-
-@pytest.mark.parametrize("mode", list(Mode))
-def test_descent_from_an_exact_fit_takes_no_step(mode, monkeypatch):
-    # A start whose objective is within the exact-fit bound is reported as
-    # iteration 0 and returned converged after its one evaluation.
-    x, gt = generate(60, 12, 3, anchors=True, seed=4)
-    c = cfg(rank=3, orientation=Orientation.BOTH, mode=mode)
-    exact = c.conv_tol * frobenius_norm(x)
-    seen = []
-    calls = feeding_eval(monkeypatch)
-    h, trace, converged = _descend(x, gt.h, c, lambda it, obj: seen.append((it, obj)),
-                                   exact)
-    [(first, start)] = calls
-    assert first is gt.h
-    assert start[0] <= exact
-    assert h is gt.h
-    assert trace == [start[0]]
-    assert converged
-    assert seen == [(0, start[0])]
 
 
 # ------------------------------------------------ warm-start reference
@@ -598,7 +527,8 @@ def reference_warm_start(x, h, config, rounds):
     # and np.linalg.norm(gram, 2) for the step.  The solver's
     # version must reproduce it bit for bit.  Returns the final H, the
     # number of rounds that updated H before the stop (None at the cap),
-    # the accepted losses, the number of discarded rounds, the number of
+    # whether the stop is convergence (the loss floor or a plateau), the
+    # accepted losses, the number of discarded rounds, the number of
     # accepted rounds whose new beta is the ceiling and the number of plain
     # rounds whose loss rose without ending the run.
     floor = 1e-13 * max(1.0, frobenius_norm(x))
@@ -610,19 +540,19 @@ def reference_warm_start(x, h, config, rounds):
     for t in range(rounds):
         s = np.linalg.svd(y, compute_uv=False)
         if s[0] <= 0.0 or s[-1] <= DEFAULT_RANK_TOL * s[0]:
-            return acc, t, accepted, discarded, capped, rises
+            return acc, t, False, accepted, discarded, capped, rises
         w = _feasible_w(x @ pseudoinverse(y, DEFAULT_RANK_TOL), config.orientation)
         gram = w.T @ w
         lip = float(np.linalg.norm(gram, 2))
         if lip <= 0.0:
-            return acc, t, accepted, discarded, capped, rises
+            return acc, t, False, accepted, discarded, capped, rises
         wtx = w.T @ x
         new = y
         for _ in range(3):
             new = _feasible_h(new - (gram @ new - wtx) / lip, config.orientation)
         loss = frobenius_norm(x - w @ new)
         if loss < floor:
-            return new, t + 1, accepted, discarded, capped, rises
+            return new, t + 1, True, accepted, discarded, capped, rises
         if extrapolated and loss > prev:
             ceil, beta = beta, beta / 1.5
             y, extrapolated = acc, False
@@ -634,13 +564,16 @@ def reference_warm_start(x, h, config, rounds):
             continue
         rose = False
         if prev - loss < 1e-13 * max(1.0, prev):
-            return (new if loss <= prev else acc), t + 1, accepted, discarded, capped, rises
+            # A plateau converges; a second rise in a row is a stall.
+            if loss <= prev:
+                return new, t + 1, True, accepted, discarded, capped, rises
+            return acc, t + 1, False, accepted, discarded, capped, rises
         y = _feasible_h(new + beta * (new - acc), config.orientation)
         acc, prev, extrapolated = new, loss, True
         accepted.append(loss)
         capped += ceil < 1.01 * beta
         beta, ceil = min(ceil, 1.01 * beta), min(1.0, 1.005 * ceil)
-    return acc, None, accepted, discarded, capped, rises
+    return acc, None, False, accepted, discarded, capped, rises
 
 
 # Per orientation, a (seed, noise) instance whose first restart climbs back
@@ -671,8 +604,11 @@ def test_warm_start_matches_reference_bitwise(mode, orientation):
         for rounds in (1, 7, 200, 2000):
             runs = [reference_warm_start(x, h, c, rounds) for h in h0]
             for h, run in zip(h0, runs):
-                assert np.array_equal(_warm_start(x, h, c, rounds), run[0])
-        for _, _, accepted, n_discarded, n_capped, n_rises in runs:
+                got, got_rounds, got_converged = _warm_start(x, h, c, rounds)
+                assert np.array_equal(got, run[0])
+                assert got_rounds == (rounds if run[1] is None else run[1])
+                assert got_converged == run[2]
+        for _, _, _, accepted, n_discarded, n_capped, n_rises in runs:
             assert all(b < a for a, b in zip(accepted, accepted[1:]))
             discarded += n_discarded
             capped += n_capped
@@ -701,191 +637,14 @@ def test_warm_start_goes_on_after_one_rising_round(mode):
     h0 = _init_h(np.random.default_rng(20), 3, x.shape[1], c.orientation)
     if mode is Mode.PROJECTED:
         h0 = _feasible_h(h0, c.orientation)
-    _, _, first, _, _, first_rises = reference_warm_start(x, h0, c, 7)
-    h, stop, accepted, _, _, _ = reference_warm_start(x, h0, c, 2000)
-    assert np.array_equal(_warm_start(x, h0, c, 2000), h)
+    _, _, _, first, _, _, first_rises = reference_warm_start(x, h0, c, 7)
+    h, stop, converged, accepted, _, _, _ = reference_warm_start(x, h0, c, 2000)
+    got, got_stop, got_converged = _warm_start(x, h0, c, 2000)
+    assert np.array_equal(got, h)
+    assert (got_stop, got_converged) == (stop, converged)
     assert first_rises == 1
     assert stop > 20
     assert accepted[-1] < first[-1] / 3.0
-
-
-# ---------------------------------------------------- descent reference
-
-
-def serial_eval(x, h, config):
-    # One candidate scored with its own arrays: pinv(H) and W as the solver
-    # forms them, then a fresh residual array, frobenius_norm and
-    # _terms_from_parts_z.
-    hp = _full_rank_pinv(h)
-    if hp is None:
-        return np.inf, None, None, None, None
-    w = x @ hp
-    if config.mode is Mode.PROJECTED:
-        w = _feasible_w(w, config.orientation)
-    z = x - w @ h
-    value = float(sum(_terms_from_parts_z(z, h, w, config).values()))
-    return value, hp, w, z, frobenius_norm(z)
-
-
-def feeding_eval(monkeypatch, evaluate=serial_eval):
-    # The descent's evaluations come from ``evaluate`` instead of _eval;
-    # returns the (H, evaluation) pairs it asks for, in order.
-    calls = []
-
-    def fed(x, h, config, z, sq):
-        calls.append((h, evaluate(x, h, config)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(solver, "_eval", fed)
-    return calls
-
-
-@pytest.mark.parametrize("mode", list(Mode))
-@pytest.mark.parametrize("orientation", list(Orientation))
-def test_descent_matches_reference_evaluator_bitwise(mode, orientation, monkeypatch):
-    # The buffered residual, norm and penalty reductions of _eval add up to
-    # the objective of _terms_from_parts_z bit for bit, so the descent
-    # follows the same path when scored by either; a rank-deficient start
-    # (two equal rows) stops at once.
-    for seed in range(2):
-        x, _ = generate(30, 9, 3, seed=seed, noise_sigma=0.03, orientation=orientation)
-        c = cfg(rank=3, orientation=orientation, mode=mode, max_iter=80)
-        h0 = np.stack([_init_h(np.random.default_rng(seed + 10 * j), 3, x.shape[1],
-                               orientation) for j in range(4)])
-        h0[2, 1] = h0[2, 0]
-        if mode is Mode.PROJECTED:
-            h0 = _feasible_h(h0, orientation)
-        got = [_descend(x, h, c, None) for h in h0]
-        with monkeypatch.context() as patch:
-            feeding_eval(patch)
-            want = [_descend(x, h, c, None) for h in h0]
-        for (gh, gtrace, gconv), (wh, wtrace, wconv) in zip(got, want):
-            assert gh.tobytes() == wh.tobytes()
-            assert gtrace == wtrace
-            assert gconv == wconv
-        assert want[2][1:] == ([np.inf], False)
-        assert all(len(want[j][1]) > 5 for j in (0, 1, 3))
-
-
-# ------------------------------------------------------------- line search
-
-
-@pytest.mark.parametrize("mode", list(Mode))
-@pytest.mark.parametrize("orientation", list(Orientation))
-def test_descent_from_exact_solution_is_cheap(mode, orientation, monkeypatch):
-    # At the true H the objective sits at its rounding floor, so every
-    # search fails; a search gives up once lam |d| reaches 1e-12 max(1, |H|),
-    # a few evaluations per smoothing width.  A search that halves lam 60
-    # times before giving up costs 144-680 evaluations here.
-    x, gt = generate(60, 12, 3, anchors=True, seed=4, orientation=orientation)
-    c = cfg(rank=3, orientation=orientation, mode=mode)
-    calls = feeding_eval(monkeypatch)
-    _, trace, converged = _descend(x, gt.h, c, None)
-    assert converged
-    assert len(calls) <= (150 if mode is Mode.PENALTY else 40)
-
-
-@pytest.mark.parametrize("mode", list(Mode))
-@pytest.mark.parametrize("orientation", list(Orientation))
-def test_line_search_steps_satisfy_armijo(mode, orientation, monkeypatch):
-    # Each search tries H + lam d, lam = 1 first and then cut by a factor in
-    # [0.1, 0.5] per try, after one gradient g; the gradient after an
-    # accepted step is taken at the accepted candidate itself, which
-    # identifies it.  Every accepted step decreases the objective by at
-    # least 1e-4 g.(H' - H), and in projected mode every candidate is
-    # feasible without a projection.  The gradients and evaluations are
-    # logged in the order the descent asks for them and replayed.
-    log = []
-
-    def recording(h, *args):
-        log.append(("grad", h, _gradient(h, *args)))
-        return log[-1][2]
-
-    def evaluating(x, h, config):
-        log.append(("eval", h, serial_eval(x, h, config)))
-        return log[-1][2]
-
-    monkeypatch.setattr(solver, "_gradient", recording)
-    feeding_eval(monkeypatch, evaluating)
-    for seed in range(2):
-        x, _ = generate(30, 9, 3, seed=seed, noise_sigma=0.03, orientation=orientation)
-        c = cfg(rank=3, orientation=orientation, mode=mode, max_iter=80)
-        base = _init_h(np.random.default_rng(seed), 3, x.shape[1], orientation)
-        if mode is Mode.PROJECTED:
-            base = _feasible_h(base, orientation)
-        log.clear()
-        h, trace, _ = _descend(x, base, c, None)
-        (_, _, ev), *steps = log
-        obj, tries, accepted = ev[0], [], []
-
-        def accept(cand):
-            # ev is the evaluation of the last candidate tried.
-            nonlocal base, obj
-            val = ev[0]
-            assert val < obj
-            assert val <= obj + 1e-4 * float(np.sum(g * (cand - base)))
-            accepted.append(val)
-            base, obj = cand, val
-
-        for kind, cand, out in steps:
-            if kind == "grad":
-                if tries and cand is tries[-1]:
-                    accept(cand)
-                g, tries = out, []
-                continue
-            if tries:
-                ratio = frobenius_norm(cand - base) / frobenius_norm(tries[-1] - base)
-                # Rounding of cand - base reaches about 2e-4 of the
-                # shortest step tried.
-                assert 0.1 - 1e-3 <= ratio <= 0.5 + 1e-3
-            tries.append(cand)
-            if mode is Mode.PROJECTED:
-                assert cand.min() >= -1e-12
-                if orientation.h_stochastic:
-                    assert np.abs(cand.sum(axis=1) - 1.0).max() <= 1e-12
-                else:
-                    assert cand.max() <= 1.0 + 1e-12
-            ev = out
-        if tries and h is tries[-1]:
-            accept(h)
-        assert accepted == trace[1:]
-        assert len(trace) > 5
-
-
-class _Enough(Exception):
-    pass
-
-
-@pytest.mark.parametrize("mode", list(Mode))
-def test_line_search_rejects_insufficient_decrease(mode, monkeypatch):
-    # A candidate whose objective falls, but by less than 1e-4 lam g.d, is
-    # not accepted: the search tries a shorter step on the same ray.  (On
-    # real objectives the condition rarely binds, so the decrease is faked:
-    # one ulp below f(H).)  The descent is stopped at its third evaluation.
-    x, _ = generate(30, 9, 3, seed=0, noise_sigma=0.03)
-    c = cfg(rank=3, mode=mode)
-    h = _feasible_h(_init_h(np.random.default_rng(0), 3, x.shape[1], c.orientation),
-                    c.orientation)
-    tried, evals = [], []
-
-    def faking(x, cand, config):
-        tried.append(cand)
-        if len(tried) == 3:
-            raise _Enough
-        ev = serial_eval(x, cand, config)
-        if len(tried) == 2:
-            ev = (np.nextafter(evals[0][0], 0.0),) + ev[1:]
-        evals.append(ev)
-        return ev
-
-    feeding_eval(monkeypatch, faking)
-    with pytest.raises(_Enough):
-        _descend(x, h, c, None)
-    _, first, second = tried
-    d = first - h
-    lam = float(np.sum((second - h) * d) / np.sum(d * d))
-    assert 0.1 - 1e-9 <= lam <= 0.5 + 1e-9
-    assert np.allclose(second - h, lam * d, rtol=0.0, atol=1e-12)
 
 
 # ------------------------------------------------------------- peak memory
@@ -903,36 +662,15 @@ def traced_peak(run):
 
 @pytest.mark.parametrize("restarts", [1, 2, 5])
 def test_factorize_peak_memory_is_one_residual_per_restart(restarts):
-    # Restarts run one after another, each with one residual buffer and one
-    # squaring buffer the size of X, and no restart keeps a residual after
-    # it ends: the traced peak stays within 3 arrays of X's size whatever the
-    # number of restarts, for a whole noisy fit (which runs every restart)
-    # and for descents of 30 steps from the raw random starts on the
-    # noiseless instance (on the noisy one they converge sooner).
+    # Restarts run one after another: each warm start keeps one residual
+    # buffer the size of X, the score of its H forms one more after it, and
+    # no restart keeps a residual after it ends, so the traced peak of a
+    # whole noisy fit (which runs every restart) stays within 3 arrays of
+    # X's size whatever the number of restarts.
     noisy, _ = generate(600, 200, 2, seed=0, noise_sigma=0.02,
                         orientation=Orientation.BOTH)
     c = cfg(rank=2, orientation=Orientation.BOTH, mode=Mode.PROJECTED,
-            max_iter=30, restarts=restarts)
+            restarts=restarts)
     res, peak = traced_peak(lambda: factorize(noisy, c))
     assert len(res.restart_objectives) == restarts
     assert peak <= 3 * noisy.nbytes
-    x, _ = generate(600, 200, 2, seed=0, orientation=Orientation.BOTH)
-    h0 = [_feasible_h(_init_h(np.random.default_rng(c.seed + k), 2, x.shape[1],
-                              c.orientation), c.orientation) for k in range(restarts)]
-    results, peak = traced_peak(lambda: [_descend(x, h, c, None) for h in h0])
-    assert [len(trace) - 1 for _, trace, _ in results] == [30] * restarts
-    assert peak <= 3 * x.nbytes
-
-
-def test_smoothing_drop_rebuilds_the_residual_in_its_buffer():
-    # From the true H every penalty-mode line search fails, so the descent
-    # walks the whole smoothing ladder without a step, and each drop of the
-    # width rebuilds X - W H for the new direction.  It is rebuilt in the
-    # descent's residual buffer: the traced peak stays within 3 arrays of
-    # X's size (a fresh X - W H took it to 4).
-    x, gt = generate(600, 200, 3, anchors=True, seed=4, orientation=Orientation.BOTH)
-    c = cfg(rank=3, orientation=Orientation.BOTH, mode=Mode.PENALTY)
-    (_, trace, converged), peak = traced_peak(lambda: _descend(x, gt.h, c, None))
-    assert converged
-    assert len(trace) == 1
-    assert peak <= 3 * x.nbytes

@@ -210,12 +210,14 @@ def test_fit_topics_recovers_blocks():
 
 
 def test_fit_topics_penalty_mode_puts_w_on_the_simplex():
-    # The penalty solver's W is feasible only approximately; the topic
-    # mixtures are its rows projected onto the simplex.
+    # The penalty solver's W, the raw X pinv(H), is off the simplex here
+    # (its rows miss 1 by more than 1e-3); the topic mixtures are its rows
+    # projected onto the simplex.
     corpus = block_corpus(np.random.default_rng(37))
-    cfg = SolverConfig(rank=3, orientation=Orientation.BOTH, restarts=2, seed=0)
+    cfg = SolverConfig(rank=3, orientation=Orientation.BOTH, restarts=2, seed=0,
+                       mode=Mode.PENALTY)
     model = fit_topics(corpus, cfg)
-    assert model.solve_result.factors.w.min() < 0.0
+    assert np.abs(model.solve_result.factors.w.sum(axis=1) - 1.0).max() > 1e-3
     assert model.factors.h is model.solve_result.factors.h
     assert np.abs(model.factors.w.sum(axis=1) - 1.0).max() <= 1e-12
     assert model.factors.w.min() >= 0.0
@@ -225,7 +227,8 @@ def test_penalty_fit_reports_infeasible_factors():
     # Penalty mode cannot fit this corpus within its 1e-3 contract; the
     # result says so instead of passing the factors off as feasible.
     corpus = block_corpus(np.random.default_rng(37))
-    cfg = SolverConfig(rank=3, orientation=Orientation.BOTH, restarts=2, seed=0)
+    cfg = SolverConfig(rank=3, orientation=Orientation.BOTH, restarts=2, seed=0,
+                       mode=Mode.PENALTY)
     res = fit_topics(corpus, cfg).solve_result
     assert res.feasible is False
     assert res.max_violation > 1e-3
