@@ -196,9 +196,9 @@ def fit_topics(corpus: Corpus, config: SolverConfig, *, threads: int = 1) -> Top
     pinv(H) for the returned H; in penalty mode the solver's W, the raw
     X pinv(H) with near-zero entries snapped, has its rows projected onto
     the simplex.  Either way W lies on it exactly.  Restarts run one after
-    another, each a warm start scored once, with one residual buffer per
-    restart, so the fit's peak is about two arrays the size of X whatever
-    the number of restarts; ``threads`` is accepted and ignored.
+    another, each a warm start scored once, so the fit's traced peak is
+    about one array the size of X whatever the number of restarts (see
+    :func:`smf.solver.factorize`); ``threads`` is accepted and ignored.
     """
     if config.orientation is not Orientation.BOTH:
         raise ValueError("fit_topics requires config.orientation = BOTH")

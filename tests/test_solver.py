@@ -272,6 +272,25 @@ def test_factorize_modes_and_orientations(mode, orientation):
     assert err < 1e-2
 
 
+def test_projected_fits_of_uniform_inputs_are_feasible():
+    # Inputs no rank-R model fits exactly, each a uniform X scaled into the
+    # orientation's domain (rows normalized for both, divided by its max for
+    # w-rows): every projected-mode fit meets EPS_FEAS_PROJECTED.
+    rng = np.random.default_rng(12345)
+    for i in range(60):
+        orientation = list(Orientation)[i % 3]
+        n_rows, n_cols = int(rng.integers(12, 40)), int(rng.integers(8, 20))
+        rank = int(rng.integers(2, 5))
+        x = rng.uniform(size=(n_rows, n_cols))
+        if orientation is Orientation.BOTH:
+            x = x / x.sum(axis=1, keepdims=True)
+        elif orientation is Orientation.W_ROWS_SUM_TO_1:
+            x = x / x.max()
+        res = factorize(x, cfg(rank=rank, orientation=orientation, seed=i,
+                               restarts=3, mode=Mode.PROJECTED))
+        assert res.feasible, (i, res.max_violation)
+
+
 def test_noiseless_recovery_is_accurate():
     x, gt = generate(40, 12, 3, anchors=True,
                      orientation=Orientation.W_ROWS_SUM_TO_1, seed=2)
@@ -647,6 +666,28 @@ def test_warm_start_goes_on_after_one_rising_round(mode):
     assert accepted[-1] < first[-1] / 3.0
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("seed, sigma", [(1, 0.01), (3, 0.005)])
+def test_warm_start_matches_reference_where_gram_rounding_is_largest(mode, seed, sigma):
+    # The warm start reads a round's loss off |X|^2 - 2 <W'X, H> + <W'W H, H>,
+    # whose rounding grows with |X|^2 / loss^2.  These low-noise instances
+    # end at |X|^2 / loss^2 of about 2.6e3 and 1.1e4, the largest the Gram
+    # score meets (from 1e6 on a round forms its residual instead), and the
+    # rounds must still take the reference's accept, discard and stop
+    # decisions.
+    x, _ = generate(400, 60, 5, seed=seed, noise_sigma=sigma,
+                    orientation=Orientation.W_ROWS_SUM_TO_1)
+    c = cfg(rank=5, mode=mode)
+    h0 = _init_h(np.random.default_rng(seed), 5, x.shape[1], c.orientation)
+    if mode is Mode.PROJECTED:
+        h0 = _feasible_h(h0, c.orientation)
+    h, stop, converged, accepted, _, _, _ = reference_warm_start(x, h0, c, 2000)
+    got, got_stop, got_converged = _warm_start(x, h0, c, 2000)
+    assert np.array_equal(got, h)
+    assert (got_stop, got_converged) == (stop, converged)
+    assert 1e3 < frobenius_norm(x) ** 2 / accepted[-1] ** 2 < 1e6
+
+
 # ------------------------------------------------------------- peak memory
 
 
@@ -662,11 +703,12 @@ def traced_peak(run):
 
 @pytest.mark.parametrize("restarts", [1, 2, 5])
 def test_factorize_peak_memory_is_one_residual_per_restart(restarts):
-    # Restarts run one after another: each warm start keeps one residual
-    # buffer the size of X, the score of its H forms one more after it, and
-    # no restart keeps a residual after it ends, so the traced peak of a
-    # whole noisy fit (which runs every restart) stays within 3 arrays of
-    # X's size whatever the number of restarts.
+    # Restarts run one after another: a noisy warm start reads each round's
+    # loss off its R×m Gram products and forms no residual, the score of its
+    # H forms one array the size of X after it, and no restart keeps a
+    # residual after it ends.  The traced peak of a whole noisy fit (which
+    # runs every restart) is about 1.04 arrays of X's size whatever the
+    # number of restarts; the bound allows 3.
     noisy, _ = generate(600, 200, 2, seed=0, noise_sigma=0.02,
                         orientation=Orientation.BOTH)
     c = cfg(rank=2, orientation=Orientation.BOTH, mode=Mode.PROJECTED,
