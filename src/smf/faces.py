@@ -29,6 +29,8 @@ __all__ = [
 
 _PGM_MAXVAL = 255
 _WEIGHT_SUM_TOL = 1e-6
+_EPS = float(np.finfo(np.float64).eps)
+_ONE = np.ones(1)
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,12 @@ class GrayImage:
         p = _frozen(self.pixels)
         if p.ndim != 2 or p.size == 0:
             raise ValueError("image must be a non-empty 2-dimensional array")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("image intensities must be finite")
-        if p.min() < 0.0 or p.max() > 1.0:
+        # NaN and +-inf fail the range test too; only then is the input
+        # scanned to tell the two errors apart.
+        lo, hi = p.min(), p.max()
+        if not (0.0 <= lo and hi <= 1.0):
+            if not np.all(np.isfinite(p)):
+                raise ValueError("image intensities must be finite")
             raise ValueError("image intensities must lie in [0, 1]")
         object.__setattr__(self, "pixels", p)
 
@@ -180,20 +185,44 @@ def retrieve(query: GrayImage, model: FactorPair) -> tuple:
     """Nearest stored image by comparing mixture weights in R-space.
 
     The query is compressed to its simplex-projected weight vector
-    ``simplex_project(q @ pinv(H))`` and compared against the rows of the
-    stored W by Euclidean distance.  pinv(H) is computed once per model
-    (``FactorPair.h_pinv``), so repeated queries against one model share it.
-    Returns ``(index, distance)`` with ties resolved toward the lowest index.
+    ``p = simplex_project(q @ pinv(H))`` and compared against the rows of
+    the stored W by Euclidean distance.  pinv(H) and ``FactorPair.w_aug``,
+    W with the column -||w_i||^2 / 2 appended, are computed once per model
+    and shared by every query, so a query costs one matrix-vector product
+    over W's rows; the rows within rounding of the best have their distance
+    computed exactly.  Returns ``(index, distance)`` with ties resolved
+    toward the lowest index.
     """
-    q = query.flatten()
+    q = query.pixels.reshape(-1)
     if q.size != model.h.shape[1]:
         raise ValueError(
             f"query has {q.size} pixels but the model stores {model.h.shape[1]}"
         )
-    diff = model.w - simplex_project(q @ model.h_pinv)
+    p = simplex_project(q @ model.h_pinv)
+    aug, max_sq = model.w_aug
+    # s_i = w_i.p - ||w_i||^2 / 2 = (||p||^2 - d_i) / 2 with d_i = ||w_i - p||^2,
+    # so the nearest row has the largest s_i.  The rows whose computed s_i is
+    # within tol of the largest get d_i computed as the reference does, by
+    # einsum with the first minimum winning.  Bound (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., sec. 3.1; u = eps / 2,
+    # g_k = k u / (1 - k u), M^2 = max_sq, P = ||p|| <= 1 on the simplex):
+    # the computed s_i is within E = g_{R+1} (1 + g_R) (M + P)^2 of s_i in
+    # any summation order (BLAS blocking, threads, FMA), and the computed
+    # d_i within g_{R+2} (M + P)^2 of d_i.  So the row with the least
+    # computed d_i trails the largest computed s_i by at most
+    # g_{R+2} (M + P)^2 + 2 E, about 1.5 (R + 2) eps (M + P)^2.  tol is
+    # 4 (R + 2) eps (M + 1)^2, over twice that, which covers the rounding
+    # of tol and of s.max() - tol.  No step assumes W non-negative or on the
+    # simplex.  If M^2 overflows, tol is inf, and "not below" keeps every
+    # row, nan included.
+    m = math.sqrt(max_sq) + 1.0
+    tol = 4.0 * (p.size + 2) * _EPS * (m * m)
+    s = aug @ np.concatenate((p, _ONE))
+    rows = (~(s < s.max() - tol)).nonzero()[0]
+    diff = model.w[rows] - p
     sq = np.einsum("ij,ij->i", diff, diff)
-    idx = int(np.argmin(sq))
-    return idx, math.sqrt(sq[idx])
+    k = int(np.argmin(sq))
+    return int(rows[k]), math.sqrt(sq[k])
 
 
 def reconstruction_error(x, factors: FactorPair) -> float:

@@ -40,6 +40,10 @@ class FactorPair:
 
     ``w`` and ``h`` are read-only float64 arrays (a writeable input is copied):
     an in-place edit raises ``ValueError``, so build a new pair instead.
+    Two read-only arrays derived from them are computed on first use and
+    kept for the pair's lifetime: ``h_pinv`` (m x rank floats) and
+    ``w_aug`` (n x (rank + 1) floats, W with the column -||w_i||^2 / 2
+    appended), which ``faces.retrieve`` shares across queries.
 
     Attributes
     ----------
@@ -78,6 +82,23 @@ class FactorPair:
         pinv = pseudoinverse(self.h)
         pinv.setflags(write=False)
         return pinv
+
+    @cached_property
+    def w_aug(self) -> tuple:
+        """``(A, m)`` for nearest-row search, computed once per pair.
+
+        ``A`` is W with the column -||w_i||^2 / 2 appended: a read-only,
+        C-ordered (n, rank + 1) float64 array, 8 n (rank + 1) bytes beside
+        W, so that ``A @ [p, 1] = -(||w_i - p||^2 - ||p||^2) / 2`` ranks the
+        rows by their distance to p in one matrix-vector product.  ``m`` is
+        the largest ||w_i||^2, which bounds the rounding of that product.
+        """
+        sq = np.einsum("ij,ij->i", self.w, self.w)
+        aug = np.empty((self.w.shape[0], self.rank + 1))
+        aug[:, :-1] = self.w
+        aug[:, -1] = -0.5 * sq
+        aug.setflags(write=False)
+        return aug, float(sq.max())
 
     def max_violation(self) -> float:
         """Largest feasibility violation over non-negativity and row sums."""

@@ -7,6 +7,9 @@ identical inputs.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 __all__ = [
@@ -121,16 +124,6 @@ def row_normalize(a) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def _project_once(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    cssv = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    hit = np.flatnonzero(u * ind > cssv)
-    rho = hit[-1] if hit.size else 0
-    theta = cssv[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
 def _simplex_rows_raw(m: np.ndarray) -> np.ndarray:
     # Vectorized simplex projection along the last axis (of a matrix or a
     # stack of them) without the exact-sum canonicalization pass; sums land
@@ -146,30 +139,8 @@ def _simplex_rows_raw(m: np.ndarray) -> np.ndarray:
     return np.maximum(m - (theta / (rho + 1.0))[..., None], 0.0)
 
 
-def _canonicalize(w: np.ndarray) -> np.ndarray:
-    # Rewrite the smallest positive entry so that the cumulative sum of the
-    # descending-sorted support is exactly 1.0, which makes the projection a
-    # bitwise fixed point of _project_once.
-    w = w.copy()
-    pos = np.flatnonzero(w > 0)
-    order = pos[np.argsort(-w[pos], kind="stable")]
-    while order.size:
-        cs = np.cumsum(w[order])
-        if cs[-1] == 1.0:
-            return w
-        partial = cs[-2] if order.size > 1 else 0.0
-        last = 1.0 - partial
-        if last > 0.0:
-            w[order[-1]] = last
-            return w
-        w[order[-1]] = 0.0
-        order = order[:-1]
-    w[0] = 1.0
-    return w
-
-
 def _canonicalize_rows(w: np.ndarray) -> np.ndarray:
-    # _canonicalize on each row, bit for bit.  The loop there keeps the
+    # _canonicalize_list on each row, bit for bit.  The loop there keeps the
     # longest prefix of the descending-sorted support whose sum is exactly
     # 1.0 or whose sum without its last entry is below 1.0; that last entry
     # becomes 1.0 minus that sum unless the prefix sums to 1.0 exactly.
@@ -192,6 +163,44 @@ def _canonicalize_rows(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _project_list(x: list) -> list:
+    # One simplex projection of a list of floats: sort descending, find the
+    # last index rho where u[rho] * (rho + 1) exceeds the cumulative sum minus
+    # 1, and subtract that sum over rho + 1 from every entry.
+    u = sorted(x, reverse=True)
+    total = 0.0
+    rho, cssv_rho = 0, u[0] - 1.0
+    for i, a in enumerate(u):
+        total += a
+        c = total - 1.0
+        if a * (i + 1) > c:
+            rho, cssv_rho = i, c
+    theta = cssv_rho / (rho + 1.0)
+    # A difference of exactly zero (of either sign) becomes +0.0.
+    return [d if (d := a - theta) > 0.0 else 0.0 for a in x]
+
+
+def _canonicalize_list(w: list) -> list:
+    # Rewrite the smallest positive entry so that the cumulative sum of the
+    # descending-sorted support is exactly 1.0, which makes the projection a
+    # bitwise fixed point of _project_list.  Ties keep index order (sorted
+    # is stable under reverse=True).
+    w = list(w)
+    order = sorted((i for i, a in enumerate(w) if a > 0.0),
+                   key=w.__getitem__, reverse=True)
+    cs = list(itertools.accumulate(w[i] for i in order))
+    for k in range(len(order) - 1, -1, -1):
+        if cs[k] == 1.0:
+            return w
+        last = 1.0 - (cs[k - 1] if k else 0.0)
+        if last > 0.0:
+            w[order[k]] = last
+            return w
+        w[order[k]] = 0.0
+    w[0] = 1.0
+    return w
+
+
 def simplex_project(v) -> np.ndarray:
     """Euclidean projection of a vector onto the probability simplex.
 
@@ -199,27 +208,32 @@ def simplex_project(v) -> np.ndarray:
     the descending cumulative sum used internally), and the projection is
     idempotent: projecting an already-projected vector returns it unchanged.
     """
-    # Kept beside simplex_project_rows (same bits) for speed on one vector: per
-    # query of a 2400-image, R=10 retrieval run, 60 us here against 86 us for
-    # simplex_project_rows(v[None]) (2-core Linux, one BLAS thread).
+    # Python floats, not numpy calls: on vectors of R entries, as in
+    # retrieval, per-call overhead outweighs the arithmetic.  The IEEE
+    # operations and their order are those of simplex_project_rows, so the
+    # bits are too.  Per call (400 vectors, half near the simplex; 2-core
+    # x86-64 Linux): 11 us at n = 10 against 45 us for the numpy version,
+    # but 13 ms at n = 10,000 against 1.2 ms (simplex_project_rows: 1.6 ms).
     x = np.asarray(v, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("simplex_project expects a non-empty vector")
-    if not np.all(np.isfinite(x)):
+    xs = x.tolist()
+    if not all(map(math.isfinite, xs)):
         raise ValueError("simplex_project expects finite values")
-    if x.size == 1:
+    if len(xs) == 1:
         return np.array([1.0])
     # Shift very large inputs toward the origin; the projection is invariant
     # to adding a constant to every coordinate, and moderate magnitudes avoid
     # catastrophic cancellation in the threshold computation.
-    if np.max(np.abs(x)) > 2.0:
-        x = x - (np.max(x) - 1.0)
-    w = _project_once(x)
+    if max(map(abs, xs)) > 2.0:
+        shift = max(xs) - 1.0
+        xs = [a - shift for a in xs]
+    w = _project_list(xs)
     for _ in range(32):
-        if np.array_equal(_project_once(w), w):
-            return w
-        w = _canonicalize(w)
-    return w
+        if _project_list(w) == w:
+            break
+        w = _canonicalize_list(w)
+    return np.array(w)
 
 
 def simplex_project_rows(a) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Unit tests for the gray-scale image pipeline."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,15 @@ def test_gray_image_validation():
         GrayImage(pixels=np.array([[-0.1, 0.0]]))
     with pytest.raises(ValueError):
         GrayImage(pixels=np.array([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+    (-0.1, "\\[0, 1\\]"), (1.5, "\\[0, 1\\]"),
+])
+def test_gray_image_names_the_failed_check(value, message):
+    with pytest.raises(ValueError, match=message):
+        GrayImage(pixels=np.array([[0.5, value], [0.0, 1.0]]))
 
 
 def test_gray_image_copies_a_writeable_caller_array():
@@ -226,6 +238,22 @@ def retrieval_model():
     return FactorPair(w=w, h=h, orientation=Orientation.W_ROWS_SUM_TO_1)
 
 
+def retrieve_reference(query, model):
+    # retrieve as first written: every row's distance, then the first minimum.
+    diff = model.w - simplex_project(query.flatten() @ model.h_pinv)
+    sq = np.einsum("ij,ij->i", diff, diff)
+    idx = int(np.argmin(sq))
+    return idx, math.sqrt(sq[idx])
+
+
+def assert_retrieve_matches_reference(model, queries):
+    # Index and distance bits equal to the reference for every query.
+    side = math.isqrt(queries.shape[1])
+    for q in queries:
+        query = GrayImage(pixels=q.reshape(side, side))
+        assert retrieve(query, model) == retrieve_reference(query, model)
+
+
 def test_retrieve_finds_exact_rows():
     model = retrieval_model()
     x = model.w @ model.h
@@ -276,8 +304,84 @@ def test_retrieve_matches_per_query_pinv_reference():
         dists = np.sqrt(np.sum((model.w - w_q) ** 2, axis=1))
         want = int(np.argmin(dists))
         idx, dist = retrieve(query, model)
+        assert (idx, dist) == retrieve_reference(query, model)
         assert idx == want
-        assert dist == pytest.approx(dists[want], rel=1e-12, abs=0.0)
+        # Two summation orders of 10 non-negative squares differ by at most
+        # 2 * 9 u relative (u = eps / 2); after the square roots, and their
+        # own rounding, that is under 1.5e-15.
+        assert dist == pytest.approx(dists[want], rel=1.5e-15, abs=0.0)
+
+
+def test_retrieve_breaks_ties_between_distant_duplicates_toward_lowest_index():
+    # Exact duplicate rows at indices 3, 9 and 17, the nearest for a query
+    # at their image, and rows 1 ulp apart in one entry at 5 and 12.
+    rng = np.random.default_rng(3)
+    w = rng.dirichlet(np.ones(4), size=20)
+    w[[9, 17]] = w[3]
+    w[12] = w[5]
+    w[12, 0] = np.nextafter(w[5, 0], 1.0)
+    h = rng.uniform(0.0, 1.0, size=(4, 16))
+    model = FactorPair(w=w, h=h, orientation=Orientation.W_ROWS_SUM_TO_1)
+    x = w @ h
+    assert retrieve(GrayImage(pixels=x[17].reshape(4, 4)), model)[0] == 3
+    assert retrieve(GrayImage(pixels=x[12].reshape(4, 4)), model)[0] in (5, 12)
+    queries = np.vstack([x, np.clip(x + rng.normal(scale=0.01, size=x.shape), 0, 1)])
+    assert_retrieve_matches_reference(model, queries)
+
+
+def test_retrieve_matches_reference_among_rounding_ties():
+    # The rows are p + v for every permutation v of one vector, p being the
+    # query's projected weights: 120 rows at the same exact distance, whose
+    # computed distances differ in their last bits.  The nearest by the
+    # matrix-vector product alone is the reference's answer in only about
+    # 1 of 20 such models, so this checks the exact recheck.
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        h = rng.uniform(0.0, 1.0, size=(5, 16))
+        q = rng.uniform(0.0, 1.0, size=16)
+        p = simplex_project(q @ pseudoinverse(h))
+        w = p + np.array(list(itertools.permutations(rng.normal(scale=0.05, size=5))))
+        model = FactorPair(w=w, h=h, orientation=Orientation.W_ROWS_SUM_TO_1)
+        assert_retrieve_matches_reference(model, q[None])
+
+
+def test_retrieve_matches_reference_off_the_simplex():
+    # A penalty-mode fit of noisy data: W has negative entries and rows that
+    # do not sum to 1, so the rows' norms are not those of simplex points.
+    x, _ = generate(200, 36, 5, anchors=True, noise_sigma=0.05,
+                    orientation=Orientation.W_ROWS_SUM_TO_1, seed=3)
+    x = np.clip(x, 0.0, 1.0)
+    cfg = SolverConfig(rank=5, orientation=Orientation.W_ROWS_SUM_TO_1,
+                       restarts=1, seed=3, mode=Mode.PENALTY)
+    model = factorize(x, cfg).factors
+    assert model.w.min() < 0.0
+    assert np.abs(model.w.sum(axis=1) - 1.0).max() > 1e-3
+    noisy = np.random.default_rng(3).normal(scale=0.05, size=x.shape)
+    assert_retrieve_matches_reference(
+        model, np.vstack([x, np.clip(x + noisy, 0.0, 1.0)]))
+
+
+def test_retrieve_matches_reference_at_rank_1():
+    # Every query's weights project to [1.0].  Rows 1, 2, 4 and 5 all lie
+    # 0.25 from it, and the first of them wins.
+    w = np.array([[0.5], [1.25], [0.75], [-2.0], [1.25], [0.75]])
+    h = np.array([[0.2, 0.4, 0.6, 0.8]])
+    model = FactorPair(w=w, h=h, orientation=Orientation.W_ROWS_SUM_TO_1)
+    assert retrieve(GrayImage(pixels=h.reshape(2, 2)), model) == (1, 0.25)
+    assert_retrieve_matches_reference(model, np.array([[0.0, 0.5, 1.0, 0.25],
+                                                       [0.2, 0.4, 0.6, 0.8]]))
+
+
+def test_retrieve_reads_read_only_pixels_in_place():
+    # A read-only view at an 8-byte offset is used without a copy and
+    # gives the reference's answer.
+    model = retrieval_model()
+    buf = np.zeros(5)
+    buf[1:] = (model.w[2] @ model.h) * 0.9
+    buf.setflags(write=False)
+    query = GrayImage(pixels=buf[1:].reshape(2, 2))
+    assert np.shares_memory(query.pixels, buf)
+    assert retrieve(query, model) == retrieve_reference(query, model)
 
 
 def test_retrieve_rejects_wrong_pixel_count():

@@ -7,7 +7,6 @@ import pytest
 
 from smf.linalg import (
     EmptyRowError,
-    _canonicalize,
     _canonicalize_rows,
     _simplex_rows_raw,
     frobenius_norm,
@@ -180,6 +179,85 @@ def brute_force_simplex(v):
     return best
 
 
+# The numpy simplex projection that simplex_project replaced, kept as the
+# reference for its bits: one projection by sort and cumsum, and the
+# canonicalization that makes the descending cumulative sum exactly 1.0.
+def project_once_reference(v):
+    u = np.sort(v)[::-1]
+    cssv = np.cumsum(u) - 1.0
+    ind = np.arange(1, v.size + 1)
+    hit = np.flatnonzero(u * ind > cssv)
+    rho = hit[-1] if hit.size else 0
+    theta = cssv[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def canonicalize_reference(w):
+    w = w.copy()
+    pos = np.flatnonzero(w > 0)
+    order = pos[np.argsort(-w[pos], kind="stable")]
+    while order.size:
+        cs = np.cumsum(w[order])
+        if cs[-1] == 1.0:
+            return w
+        partial = cs[-2] if order.size > 1 else 0.0
+        last = 1.0 - partial
+        if last > 0.0:
+            w[order[-1]] = last
+            return w
+        w[order[-1]] = 0.0
+        order = order[:-1]
+    w[0] = 1.0
+    return w
+
+
+def simplex_project_reference(v):
+    # The projection and the number of canonicalization rounds it took.
+    x = np.asarray(v, dtype=np.float64)
+    if x.size == 1:
+        return np.array([1.0]), 0
+    if np.max(np.abs(x)) > 2.0:
+        x = x - (np.max(x) - 1.0)
+    w = project_once_reference(x)
+    for k in range(32):
+        if np.array_equal(project_once_reference(w), w):
+            return w, k
+        w = canonicalize_reference(w)
+    return w, 32
+
+
+def test_simplex_project_matches_numpy_reference_bitwise():
+    # Random sizes 2-50 at scales 1e-3 to 1e6 (the shift above 2 runs),
+    # tied entries, signed zeros, near-simplex vectors that take several
+    # canonicalization rounds, and size 1.
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(400):
+        n = int(rng.integers(2, 51))
+        cases.append(rng.normal(scale=10.0 ** rng.uniform(-3, 6), size=n))
+    for _ in range(100):
+        n = int(rng.integers(2, 12))
+        cases.append(rng.integers(-2, 3, size=n) / rng.choice([1.0, 2.0, 4.0, 7.0]))
+    zeros = [np.array(z) for z in ([1.0, -0.0], [-0.0, 1.0], [-0.0, 0.0, -0.0],
+                                   [0.5, -0.0, 0.5, 0.0], [-0.0, -0.0], [-0.0])]
+    for _ in range(100):
+        v = rng.dirichlet(np.full(8, 0.5))
+        v[rng.random(8) < 0.3] = rng.choice([0.0, -0.0])
+        zeros.append(v)
+    # Simplex points with most entries set to 1e-17 or 1e-16: about 2% take
+    # two canonicalization rounds.
+    near = rng.dirichlet(np.full(20, 0.3), size=600)
+    tiny = rng.random(near.shape) < 0.6
+    near[tiny] = rng.choice([1e-17, 1e-16], size=tiny.sum())
+    cases += zeros + list(near) + [rng.normal(size=1), np.array([5e6])]
+    rounds = []
+    for v in cases:
+        want, k = simplex_project_reference(v)
+        assert simplex_project(v).tobytes() == want.tobytes()
+        rounds.append(k)
+    assert max(rounds) >= 2
+
+
 def test_simplex_project_examples():
     assert np.allclose(simplex_project(np.array([0.2, 0.3])), [0.45, 0.55],
                        atol=1e-15)
@@ -260,9 +338,9 @@ def test_simplex_project_rows_matches_row_loop_bitwise():
 
 
 def test_canonicalize_rows_matches_row_loop_bitwise():
-    # The vectorized canonicalization is _canonicalize row by row, bit for
-    # bit, on any non-negative rows: sums above and below 1, entries the
-    # loop drops, zero and negative-zero entries, and all-zero rows.
+    # The vectorized canonicalization is canonicalize_reference row by row,
+    # bit for bit, on any non-negative rows: sums above and below 1, entries
+    # the loop drops, zero and negative-zero entries, and all-zero rows.
     rng = np.random.default_rng(23)
     w = np.abs(rng.normal(size=(400, 7)))
     w[:100] /= w[:100].sum(axis=1, keepdims=True)
@@ -272,7 +350,7 @@ def test_canonicalize_rows_matches_row_loop_bitwise():
     w[[5, 250]] = 0.0
     w[7] = -0.0
     got = _canonicalize_rows(w)
-    assert got.tobytes() == np.vstack([_canonicalize(r) for r in w]).tobytes()
+    assert got.tobytes() == np.vstack([canonicalize_reference(r) for r in w]).tobytes()
 
 
 def simplex_rows_by_cumsum(m):
