@@ -55,7 +55,6 @@ from .solver import (
     concentrate_w,
     factorize,
     objective,
-    objective_terms,
 )
 from .synthetic import GroundTruth, align_and_score, generate
 from .topics import (
@@ -107,7 +106,6 @@ __all__ = [
     "natural_bounds",
     "numerical_rank",
     "objective",
-    "objective_terms",
     "pseudoinverse",
     "read_corpus",
     "read_matrix",

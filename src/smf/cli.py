@@ -9,7 +9,7 @@ files byte for byte (the manifest itself carries the wall-clock duration
 and is excluded from that guarantee).
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure.  A fit
-whose factors are not feasible within the mode's tolerance exits 3 after
+whose factors are not feasible within ``EPS_FEAS_PROJECTED`` exits 3 after
 writing all of its outputs.
 """
 
@@ -35,8 +35,9 @@ from .identify import (DEFAULT_ZERO_TOL_ESTIMATED, DegenerateFactorError,
 from .matrixio import read_matrix, write_matrix_binary, write_matrix_csv
 from .solver import (InvalidInputError, Mode, RankDeficientError, SolverConfig,
                      factorize)
-from .topics import (TopicModel, build_corpus, fit_topics, read_corpus,
-                     write_corpus, write_histogram_csv, write_top_terms_csv)
+from .topics import (TopicModel, _read_lines, build_corpus, fit_topics,
+                     read_corpus, write_corpus, write_histogram_csv,
+                     write_top_terms_csv)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -86,11 +87,9 @@ def _solver_config(args) -> SolverConfig:
         rank=args.rank,
         orientation=Orientation(args.orientation),
         conv_tol=args.tol,
-        penalty_sum1=args.weights[0],
-        penalty_nonneg=args.weights[1],
         restarts=args.restarts,
         seed=args.seed,
-        mode=Mode(args.mode),
+        mode=args.mode,
     )
 
 
@@ -107,11 +106,11 @@ def _result_payload(result) -> dict:
     }
 
 
-def _write_fit(factors: FactorPair, result, out_dir: str, binary: bool) -> int:
-    # The files are written either way; factors outside the mode's
-    # feasibility tolerance make the run a numerical failure.
-    _write_matrix(factors.w, out_dir, "W", binary)
-    _write_matrix(factors.h, out_dir, "H", binary)
+def _write_fit(result, out_dir: str, binary: bool) -> int:
+    # The files are written either way; factors outside the feasibility
+    # tolerance make the run a numerical failure.
+    _write_matrix(result.factors.w, out_dir, "W", binary)
+    _write_matrix(result.factors.h, out_dir, "H", binary)
     _dump_json(_result_payload(result), os.path.join(out_dir, "result.json"))
     if result.feasible:
         return EXIT_OK
@@ -126,7 +125,7 @@ def _write_fit(factors: FactorPair, result, out_dir: str, binary: bool) -> int:
 def _cmd_factorize(args, out_dir: str):
     result = factorize(read_matrix(args.input), _solver_config(args),
                        threads=args.threads)
-    return [args.input], _write_fit(result.factors, result, out_dir, args.binary)
+    return [args.input], _write_fit(result, out_dir, args.binary)
 
 
 def _cmd_analyze(args, out_dir: str):
@@ -225,8 +224,7 @@ def _cmd_topics_build(args, out_dir: str):
     stop_words = ()
     inputs = [args.corpus]
     if args.stop_words:
-        with open(args.stop_words, encoding="utf-8") as fh:
-            stop_words = tuple(w.strip() for w in fh if w.strip())
+        stop_words = _read_lines(args.stop_words)
         inputs.append(args.stop_words)
     corpus = build_corpus(documents, stop_words=stop_words,
                           min_doc_fraction=args.min_doc_fraction)
@@ -238,18 +236,13 @@ def _cmd_topics_build(args, out_dir: str):
 def _cmd_topics_fit(args, out_dir: str):
     corpus = read_corpus(args.doc_term, args.vocab)
     model = fit_topics(corpus, _solver_config(args), threads=args.threads)
-    return ([args.doc_term, args.vocab],
-            _write_fit(model.factors, model.solve_result, out_dir, args.binary))
-
-
-def _read_vocab(path: str) -> tuple:
-    with open(path, encoding="utf-8") as fh:
-        return tuple(line.strip() for line in fh if line.strip())
+    status = _write_fit(model.solve_result, out_dir, args.binary)
+    return [args.doc_term, args.vocab], status
 
 
 def _load_topic_model(args) -> TopicModel:
     return TopicModel(factors=_load_factors(args.w, args.h, Orientation.BOTH),
-                      vocabulary=_read_vocab(args.vocab))
+                      vocabulary=_read_lines(args.vocab))
 
 
 def _cmd_topics_top_terms(args, out_dir: str):
@@ -291,13 +284,7 @@ def _add_solver_flags(parser) -> None:
                         help="which factor rows sum to 1 (default w-rows)")
     parser.add_argument("--mode", default="projected",
                         choices=[m.value for m in Mode],
-                        help="constraint handling: projected returns exactly "
-                             "feasible factors; penalty scores and returns the "
-                             "raw W = X pinv(H), charging its violations "
-                             "(default projected)")
-    parser.add_argument("--weights", nargs=2, type=float,
-                        default=(100.0, 10.0), metavar=("SUM1", "NONNEG"),
-                        help="penalty weights (default 100 10)")
+                        help="constraint handling (projected, the only mode)")
     parser.add_argument("--restarts", type=int, default=5,
                         help="up to k starts (default 5); restart 0 runs first "
                              "and ends the fit alone if its objective is within "
@@ -430,9 +417,15 @@ def _options_dict(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NON_OPTION_KEYS}
 
 
+# A command's options: reading one that a rerun manifest lacks is an input error.
+class _Options(argparse.Namespace):
+    def __getattr__(self, name):
+        raise InvalidInputError(f"manifest options lack {name!r}")
+
+
 def _execute(command: str, options: dict) -> int:
     handler = _HANDLERS[command]
-    args = argparse.Namespace(**options)
+    args = _Options(**options)
     os.makedirs(args.out_dir, exist_ok=True)
     start = time.monotonic()
     inputs, status = handler(args, args.out_dir)
@@ -444,11 +437,18 @@ def _execute(command: str, options: dict) -> int:
 def _rerun(args) -> int:
     with open(args.manifest, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    command = manifest["command"]
-    if command not in _HANDLERS:
+    if not isinstance(manifest, dict):
+        raise InvalidInputError("manifest is not a JSON object")
+    command, options, inputs = map(manifest.get, ("command", "options", "inputs"))
+    if not (isinstance(command, str) and command in _HANDLERS):
         raise InvalidInputError(f"manifest names unknown command {command!r}")
-    options = dict(manifest["options"])
-    for entry in manifest["inputs"]:
+    if not (isinstance(options, dict) and isinstance(inputs, list)
+            and all(isinstance(e, dict) and isinstance(e.get("path"), str)
+                    and isinstance(e.get("sha256"), str) for e in inputs)):
+        raise InvalidInputError("manifest lacks an options object or a list of "
+                                "input path and sha256 entries")
+    options = dict(options)
+    for entry in inputs:
         digest = _sha256(entry["path"])
         if digest != entry["sha256"]:
             raise InvalidInputError(

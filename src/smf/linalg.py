@@ -127,8 +127,8 @@ def row_normalize(a) -> np.ndarray:
 def _simplex_rows_raw(m: np.ndarray) -> np.ndarray:
     # Vectorized simplex projection along the last axis (of a matrix or a
     # stack of them) without the exact-sum canonicalization pass; sums land
-    # within ~1e-15 of 1.  Internal hot path for iterative solvers; public
-    # callers get simplex_project_rows.
+    # within ~1e-15 of 1.  The solver's projection, in its iterations and
+    # for the factors it returns; other callers get simplex_project_rows.
     u = -np.sort(-m, axis=-1)
     cssv = np.cumsum(u, axis=-1) - 1.0
     n = m.shape[-1]

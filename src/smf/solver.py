@@ -1,16 +1,16 @@
 """Constrained least-squares factorization solver.
 
 The estimator concentrates W out of the problem: for a candidate H, the
-weight matrix is W = X @ pinv(H), and the loss is the Frobenius norm of the
-residual X - W @ H plus weighted penalties for the constraints that W and H
-must satisfy (non-negativity, rows summing to 1 on the stochastic side, and
-H bounded by 1).  Restart 0 starts from the separable anchors of X found
-by successive projection (Gillis & Vavasis, 2014), the others, which run
-only when restart 0 does not fit X exactly, from seeded random points.
+weight matrix is W = X @ pinv(H) projected onto its feasible set, and the
+loss is the Frobenius norm of the residual X - W @ H.  Restart 0 starts
+from the separable anchors of X found by successive projection (Gillis &
+Vavasis, 2014), the others, which run only when restart 0 does not fit X
+exactly, from seeded random points.
 The restarts run one after another, each on its own 2-D arrays: projected
 alternating least squares whose rounds are extrapolated with an adaptive
 step (Ang & Gillis, 2019).  The H a restart ends at is scored once on the
-concentrated objective, and the lowest score wins.
+concentrated objective, and the lowest score wins: its H and the W its
+score used are the returned factors.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .linalg import (
     frobenius_norm,
     pseudoinverse,
     row_normalize,
-    simplex_project_rows,
 )
 
 __all__ = [
@@ -41,12 +40,9 @@ __all__ = [
     "concentrate_w",
     "factorize",
     "objective",
-    "objective_terms",
-    "EPS_FEAS_PENALTY",
     "EPS_FEAS_PROJECTED",
 ]
 
-EPS_FEAS_PENALTY = 1e-3
 EPS_FEAS_PROJECTED = 1e-9
 
 _X_ROW_SUM_TOL = 1e-6
@@ -61,14 +57,19 @@ class RankDeficientError(ValueError):
 
 
 class Mode(Enum):
-    """How the concentrated W = X pinv(H) meets its constraints.  The warm
-    start keeps H and W feasible by projection in both modes.  PROJECTED
-    (the default) also projects W in the score and in the returned factors;
-    PENALTY keeps the raw W and charges its violations, and H's, in the
-    score."""
+    """How the concentrated W = X pinv(H) meets its constraints; PROJECTED,
+    the only mode, projects it onto its feasible set."""
 
-    PENALTY = "penalty"
     PROJECTED = "projected"
+    # An alias, not a second mode: perfbench/workloads.py still names
+    # Mode.PENALTY.  Penalty mode, which returned the raw W, is gone.
+    PENALTY = "projected"
+
+    @classmethod
+    def _missing_(cls, value):
+        if value == "penalty":
+            raise ValueError("penalty mode was removed; use mode 'projected'")
+        return None
 
 
 @dataclass
@@ -84,8 +85,6 @@ class SolverConfig:
     rank: int
     orientation: Orientation = Orientation.W_ROWS_SUM_TO_1
     conv_tol: float = 1e-8
-    penalty_sum1: float = 100.0
-    penalty_nonneg: float = 10.0
     restarts: int = 5
     seed: int = 0
     mode: Mode = Mode.PROJECTED
@@ -98,8 +97,7 @@ class SolverConfig:
             raise InvalidInputError("restarts must be at least 1")
         if self.conv_tol <= 0:
             raise InvalidInputError("conv_tol must be positive")
-        if self.penalty_sum1 < 0 or self.penalty_nonneg < 0:
-            raise InvalidInputError("penalty weights must be non-negative")
+        self.mode = Mode(self.mode)
 
 
 @dataclass
@@ -115,7 +113,7 @@ class SolveResult:
     converged: bool
     best_restart: int
     # Largest feasibility violation of ``factors``, and whether it is within
-    # the mode's EPS_FEAS_PENALTY or EPS_FEAS_PROJECTED.
+    # EPS_FEAS_PROJECTED.
     max_violation: float
     feasible: bool
     # Final objective of each restart that ran, by index: restart 0 alone
@@ -156,69 +154,43 @@ def concentrate_w(x, h, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return xm @ hp
 
 
-def objective_terms(x, h, config: SolverConfig) -> dict[str, float]:
-    """Break the concentrated objective into its named components.
+def objective(x, h, config: SolverConfig) -> float:
+    """Concentrated objective at H: |X - W H|_F for W = X pinv(H) projected
+    onto its feasible set, the score that :func:`factorize` gives an H.
 
-    In PENALTY mode W is the raw least-squares weight X pinv(H) and the keys
-    are ``residual`` (Frobenius norm of X - W H), ``w_nonneg``, ``h_nonneg``,
-    ``h_upper``, plus the row-sum penalties ``w_row_sum`` / ``h_row_sum`` for
-    whichever factors the orientation declares stochastic.  In PROJECTED mode
-    W is first projected onto its feasible set, so its penalty terms are
-    identically zero and only the residual and H terms remain.
+    Raises :class:`RankDeficientError` if H lacks full row rank.
     """
     xm = _check_x(x)
     hm = _as_matrix(h, "H")
-    terms = _terms(xm, hm, config)
-    if terms is None:
+    obj, w = _score(xm, hm, config)
+    if w is None:
         raise RankDeficientError(f"H of shape {hm.shape} does not have full row rank")
-    return terms
+    return obj
 
 
-def objective(x, h, config: SolverConfig) -> float:
-    """Concentrated objective at H (penalized or projected per config.mode)."""
-    return float(sum(objective_terms(x, h, config).values()))
-
-
-def _terms(x, h, config):
-    """The terms of :func:`objective_terms` at H, or None if H lacks full
-    row rank.  The residual X - W H is formed and squared in one array the
-    size of X."""
+def _score(x, h, config):
+    """``(|X - W H|_F, W)`` at H, W being X pinv(H) projected feasible, or
+    ``(inf, None)`` if H lacks full row rank.  The residual X - W H is
+    formed and squared in one array the size of X."""
     hp = _full_rank_pinv(h)
     if hp is None:
-        return None
-    w = x @ hp
-    if config.mode is Mode.PROJECTED:
-        w = _feasible_w(w, config.orientation)
+        return np.inf, None
+    w = _feasible_w(x @ hp, config.orientation)
     z = w @ h
     np.subtract(x, z, out=z)
-    # np.maximum(a, 0.0) is the ufunc np.clip(a, 0.0, None) calls, without
-    # its wrappers' overhead.
-    p1, p2 = config.penalty_sum1, config.penalty_nonneg
-    terms = {"residual": np.sqrt(np.multiply(z, z, out=z).sum())}
-    if config.mode is not Mode.PROJECTED:
-        terms["w_nonneg"] = p2 * np.maximum(-w, 0.0).sum()
-        if config.orientation.w_stochastic:
-            terms["w_row_sum"] = p1 * np.abs(w.sum(axis=1) - 1.0).sum()
-    if config.orientation.h_stochastic:
-        terms["h_row_sum"] = p1 * np.abs(h.sum(axis=1) - 1.0).sum()
-    terms["h_nonneg"] = p2 * np.maximum(-h, 0.0).sum()
-    terms["h_upper"] = p2 * np.maximum(h - 1.0, 0.0).sum()
-    return {name: float(t) for name, t in terms.items()}
+    return float(np.sqrt(np.multiply(z, z, out=z).sum())), w
 
 
-# The feasible sets of H and W, ``project`` being the row simplex projector:
-# _simplex_rows_raw in the iterations, the exact one in _postprocess.
-def _feasible_h(h: np.ndarray, orientation: Orientation,
-                project=_simplex_rows_raw) -> np.ndarray:
+# The feasible sets of H and W.
+def _feasible_h(h: np.ndarray, orientation: Orientation) -> np.ndarray:
     if orientation.h_stochastic:
-        return project(h)
+        return _simplex_rows_raw(h)
     return np.clip(h, 0.0, 1.0)
 
 
-def _feasible_w(w: np.ndarray, orientation: Orientation,
-                project=_simplex_rows_raw) -> np.ndarray:
+def _feasible_w(w: np.ndarray, orientation: Orientation) -> np.ndarray:
     if orientation.w_stochastic:
-        return project(w)
+        return _simplex_rows_raw(w)
     return np.clip(w, 0.0, None)
 
 
@@ -367,25 +339,6 @@ def _warm_start(x, h, config: SolverConfig, rounds: int):
     return acc, rounds, False
 
 
-def _snap(arr: np.ndarray, eps: float, upper: bool = False) -> np.ndarray:
-    out = arr.copy()
-    out[(out > -eps) & (out < 0.0)] = 0.0
-    if upper:
-        out[(out > 1.0) & (out < 1.0 + eps)] = 1.0
-    return out
-
-
-def _postprocess(x, h, config: SolverConfig) -> FactorPair:
-    if config.mode is Mode.PENALTY:
-        w = _snap(x @ pseudoinverse(h), EPS_FEAS_PENALTY)
-        h = _snap(h, EPS_FEAS_PENALTY, upper=True)
-        return FactorPair(w=w, h=h, orientation=config.orientation)
-    # W is built from the projected H, so it is the W of the H returned.
-    h = _feasible_h(h, config.orientation, simplex_project_rows)
-    w = _feasible_w(x @ pseudoinverse(h), config.orientation, simplex_project_rows)
-    return FactorPair(w=w, h=h, orientation=config.orientation)
-
-
 def factorize(x, config: SolverConfig, *, threads: int = 1,
               progress: Optional[Callable[[int, float], None]] = None) -> SolveResult:
     """Estimate a non-negative factorization of X under the configured
@@ -400,15 +353,15 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     falls back to the random start seeded ``config.seed``.  Restart j >= 1
     starts from the random point seeded ``config.seed + j``, so a 1-restart
     fit does not depend on the seed.  Restart 0 runs first, alone; when its
-    objective is at most ``config.conv_tol * |X|_F`` it is an exact fit
-    (the objective is non-negative, so no other restart could improve it by
-    more than that tolerance) and the fit returns it with no other restart
-    run.  Otherwise restarts 1..k-1 run after it, one at a time.  A warm
+    objective is at most ``config.conv_tol * |X|_F`` it is an exact fit and
+    the fit returns it with no other restart run.  Otherwise restarts
+    1..k-1 run after it, one at a time.  A warm
     start forms a residual the size of X only in near-exact rounds, and the
     score forms one, so a fit's traced peak memory is about one array the
     size of X (1.04 X on a noisy 600x200 fit) whatever k is.  The returned
-    W is the concentrated least-squares weight matrix post-processed to
-    feasibility for the configured mode.
+    factors are the winning restart's H and the W its score used, the
+    concentrated least-squares weights projected feasible, so ``objective``
+    is the residual |X - W H|_F of the returned pair.
 
     Parameters
     ----------
@@ -428,6 +381,11 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     SolveResult
         ``iterations`` and ``converged`` describe the winning restart's warm
         start, and ``objective_trace`` is ``[objective]``.
+
+    Raises
+    ------
+    RankDeficientError
+        If every restart ends at an H without full row rank.
     """
     xm = _check_x(x)
     n_rows, n_cols = xm.shape
@@ -455,12 +413,12 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     def random_start(k):
         h0 = _init_h(np.random.default_rng(config.seed + k), config.rank, n_cols,
                      config.orientation)
-        return _feasible_h(h0, config.orientation) if config.mode is Mode.PROJECTED else h0
+        return _feasible_h(h0, config.orientation)
 
     def solve(h):
         h, rounds, converged = _warm_start(xm, h, config, _WARM_START_ROUNDS)
-        terms = _terms(xm, h, config)
-        return h, np.inf if terms is None else sum(terms.values()), rounds, converged
+        obj, w = _score(xm, h, config)
+        return h, obj, rounds, converged, w
 
     # The objective is non-negative, so once a restart ends within conv_tol
     # |X|_F no other restart could improve on it by more than the solver's
@@ -473,12 +431,13 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     if results[0][1] > exact:
         results += [solve(random_start(k)) for k in range(1, config.restarts)]
 
-    finals = [obj for _, obj, _, _ in results]
+    finals = [obj for _, obj, _, _, _ in results]
     best = min(range(len(finals)), key=lambda k: (finals[k], k))
-    h, obj, rounds, converged = results[best]
-    factors = _postprocess(xm, h, config)
+    h, obj, rounds, converged, w = results[best]
+    if w is None:
+        raise RankDeficientError("every restart ended at an H without full row rank")
+    factors = FactorPair(w=w, h=h, orientation=config.orientation)
     violation = factors.max_violation()
-    eps = EPS_FEAS_PROJECTED if config.mode is Mode.PROJECTED else EPS_FEAS_PENALTY
     return SolveResult(
         factors=factors,
         objective=obj,
@@ -487,6 +446,6 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
         converged=converged,
         best_restart=best,
         max_violation=violation,
-        feasible=violation <= eps,
+        feasible=violation <= EPS_FEAS_PROJECTED,
         restart_objectives=finals,
     )

@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .factors import FactorPair, Orientation
-from .linalg import _frozen, row_normalize, simplex_project_rows
-from .solver import Mode, SolveResult, SolverConfig, factorize
+from .linalg import _frozen, row_normalize
+from .solver import SolveResult, SolverConfig, factorize
 
 __all__ = [
     "Corpus",
@@ -153,8 +153,7 @@ def read_corpus(matrix_path, vocab_path) -> Corpus:
     from .matrixio import read_matrix
 
     counts = read_matrix(matrix_path)
-    with open(vocab_path, encoding="utf-8") as fh:
-        vocab = tuple(line.strip() for line in fh if line.strip())
+    vocab = _read_lines(vocab_path)
     if counts.shape[1] != len(vocab):
         raise ValueError(
             f"doc-term matrix has {counts.shape[1]} columns but the "
@@ -165,6 +164,12 @@ def read_corpus(matrix_path, vocab_path) -> Corpus:
         doc_term=counts,
         doc_ids=tuple(str(i) for i in range(counts.shape[0])),
     )
+
+
+def _read_lines(path) -> tuple:
+    # The stripped non-blank lines of a vocabulary sidecar or stop-word list.
+    with open(path, encoding="utf-8") as fh:
+        return tuple(line.strip() for line in fh if line.strip())
 
 
 @dataclass(frozen=True)
@@ -191,24 +196,16 @@ class TopicModel:
 def fit_topics(corpus: Corpus, config: SolverConfig, *, threads: int = 1) -> TopicModel:
     """Factorize row-normalized term frequencies into topics.
 
-    The factors are the solver's.  In projected mode (the default) its W,
-    the per-document topic mixtures, is the simplex-projected rows of X
-    pinv(H) for the returned H; in penalty mode the solver's W, the raw
-    X pinv(H) with near-zero entries snapped, has its rows projected onto
-    the simplex.  Either way W lies on it exactly.  Restarts run one after
-    another, each a warm start scored once, so the fit's traced peak is
-    about one array the size of X whatever the number of restarts (see
-    :func:`smf.solver.factorize`); ``threads`` is accepted and ignored.
+    The factors are the solver's: W, the per-document topic mixtures, is
+    the simplex-projected rows of X pinv(H) for the returned H.  Its cost
+    and memory are those of :func:`smf.solver.factorize`; ``threads`` is
+    accepted and ignored.
     """
     if config.orientation is not Orientation.BOTH:
         raise ValueError("fit_topics requires config.orientation = BOTH")
     x = row_normalize(corpus.doc_term)
     result = factorize(x, config, threads=threads)
-    factors = result.factors
-    if config.mode is Mode.PENALTY:
-        factors = FactorPair(w=simplex_project_rows(factors.w), h=factors.h,
-                             orientation=Orientation.BOTH)
-    return TopicModel(factors=factors, vocabulary=corpus.vocabulary,
+    return TopicModel(factors=result.factors, vocabulary=corpus.vocabulary,
                       solve_result=result)
 
 

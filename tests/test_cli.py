@@ -25,7 +25,7 @@ from smf import (
     write_matrix_csv,
     write_pgm,
 )
-from smf import cli
+from smf import cli, solver
 from smf.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 
 
@@ -88,7 +88,7 @@ def test_factorize_manifest_records_run(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "factorize"
     assert manifest["version"] == smf.__version__
-    assert manifest["options"]["weights"] == [100.0, 10.0]
+    assert "weights" not in manifest["options"]
     assert manifest["options"]["mode"] == "projected"
     assert manifest["options"]["orientation"] == "w-rows"
     assert manifest["options"]["seed"] == 0
@@ -156,9 +156,9 @@ def test_factorize_rejects_negative_data(tmp_path, capsys):
     assert "negative" in capsys.readouterr().err
 
 
-def penalty_block_corpus(tmp_path):
-    # The block corpus that penalty mode cannot fit within its 1e-3
-    # feasibility contract (see tests/test_topics.py).
+def block_corpus_files(tmp_path):
+    # The doc-term counts of a 3-topic block corpus (see tests/test_topics.py),
+    # its vocabulary, and its term frequencies X.
     from test_topics import block_corpus
 
     corpus = block_corpus(np.random.default_rng(37))
@@ -168,10 +168,20 @@ def penalty_block_corpus(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["factorize", "topics-fit"])
-def test_infeasible_fit_exits_numerical_after_writing(tmp_path, capsys, command):
-    doc_term, vocab, x_path = penalty_block_corpus(tmp_path)
+def test_infeasible_fit_exits_numerical_after_writing(tmp_path, capsys, command,
+                                                     monkeypatch):
+    # A solver whose W misses the simplex by 0.01 in every entry, standing in
+    # for any defect that returns infeasible factors.
+    score = solver._score
+
+    def off_the_simplex(x, h, config):
+        obj, w = score(x, h, config)
+        return obj, None if w is None else w - 0.01
+
+    monkeypatch.setattr(solver, "_score", off_the_simplex)
+    doc_term, vocab, x_path = block_corpus_files(tmp_path)
     out = tmp_path / "run"
-    flags = ("--rank", 3, "--orientation", "both", "--mode", "penalty",
+    flags = ("--rank", 3, "--orientation", "both",
              "--restarts", 2, "--seed", 0, "--out-dir", out)
     if command == "factorize":
         code = run_cli("factorize", x_path, *flags)
@@ -194,7 +204,7 @@ def test_infeasible_fit_exits_numerical_after_writing(tmp_path, capsys, command)
 
 
 def test_feasible_topics_fit_exits_ok(tmp_path):
-    doc_term, vocab, _ = penalty_block_corpus(tmp_path)
+    doc_term, vocab, _ = block_corpus_files(tmp_path)
     out = tmp_path / "run"
     assert run_cli("topics", "fit", doc_term, vocab, "--rank", 3,
                    "--mode", "projected", "--restarts", 2, "--seed", 0,
@@ -532,6 +542,50 @@ def test_rerun_rejects_unknown_command(tmp_path, capsys):
                                "inputs": []}), encoding="utf-8")
     assert run_cli("rerun", bad) == EXIT_INPUT
     assert "unknown command" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ({"command": "factorize"}, "lacks an options object"),
+    ({"command": "factorize", "options": {}, "inputs": []}, "options lack"),
+    ([1, 2], "not a JSON object"),
+    ({"command": "factorize", "options": {}, "inputs": [{"path": 1}]}, "sha256 entries"),
+])
+def test_rerun_rejects_malformed_manifest(tmp_path, capsys, manifest, message):
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest), encoding="utf-8")
+    assert run_cli("rerun", bad, "--out-dir", tmp_path / "run") == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+def edit_options(manifest_path, **changes):
+    manifest = json.loads(manifest_path.read_text())
+    manifest["options"].update(changes)
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def test_rerun_rejects_a_penalty_mode_manifest(tmp_path, capsys):
+    x_path, _ = write_instance(tmp_path, seed=5)
+    out1 = tmp_path / "run1"
+    assert run_cli("factorize", x_path, "--rank", 2, "--restarts", 2,
+                   "--out-dir", out1) == EXIT_OK
+    edit_options(out1 / "manifest.json", mode="penalty")
+    code = run_cli("rerun", out1 / "manifest.json", "--out-dir", tmp_path / "run2")
+    assert code == EXIT_INPUT
+    assert "penalty mode was removed" in capsys.readouterr().err
+
+
+def test_rerun_of_a_manifest_with_penalty_weights_is_bitwise(tmp_path):
+    # Manifests of projected fits written while --weights existed record
+    # "weights", which no command reads now; they rerun to the same bytes.
+    x_path, _ = write_instance(tmp_path, seed=5)
+    out1 = tmp_path / "run1"
+    assert run_cli("factorize", x_path, "--rank", 2, "--restarts", 2,
+                   "--out-dir", out1) == EXIT_OK
+    edit_options(out1 / "manifest.json", weights=[100.0, 10.0])
+    out2 = tmp_path / "run2"
+    assert run_cli("rerun", out1 / "manifest.json", "--out-dir", out2) == EXIT_OK
+    for name in ("W.csv", "H.csv", "result.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 # ----------------------------------------------------------------- plumbing

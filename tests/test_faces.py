@@ -13,6 +13,7 @@ from smf import (
     Mode,
     Orientation,
     SolverConfig,
+    concentrate_w,
     downsample_2x2,
     factorize,
     generate,
@@ -346,14 +347,17 @@ def test_retrieve_matches_reference_among_rounding_ties():
 
 
 def test_retrieve_matches_reference_off_the_simplex():
-    # A penalty-mode fit of noisy data: W has negative entries and rows that
-    # do not sum to 1, so the rows' norms are not those of simplex points.
+    # The unprojected W = X pinv(H) of a fit of noisy data: W has negative
+    # entries and rows that do not sum to 1, so the rows' norms are not those
+    # of simplex points.
     x, _ = generate(200, 36, 5, anchors=True, noise_sigma=0.05,
                     orientation=Orientation.W_ROWS_SUM_TO_1, seed=3)
     x = np.clip(x, 0.0, 1.0)
     cfg = SolverConfig(rank=5, orientation=Orientation.W_ROWS_SUM_TO_1,
-                       restarts=1, seed=3, mode=Mode.PENALTY)
-    model = factorize(x, cfg).factors
+                       restarts=1, seed=3)
+    h = factorize(x, cfg).factors.h
+    model = FactorPair(w=concentrate_w(x, h), h=h,
+                       orientation=Orientation.W_ROWS_SUM_TO_1)
     assert model.w.min() < 0.0
     assert np.abs(model.w.sum(axis=1) - 1.0).max() > 1e-3
     noisy = np.random.default_rng(3).normal(scale=0.05, size=x.shape)

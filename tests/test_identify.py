@@ -8,7 +8,6 @@ from smf import (
     DegenerateFactorError,
     FactorPair,
     MixingMatrix,
-    Mode,
     Orientation,
     SolverConfig,
     Violation,
@@ -16,6 +15,7 @@ from smf import (
     analysis_report,
     average_consistency_diagnostic,
     check_uniqueness,
+    concentrate_w,
     factorize,
     generate,
     natural_bounds,
@@ -365,15 +365,16 @@ def reference_sample_feasible_A(factors, n_samples, seed, step=0.05, *,
     return out
 
 
-def penalty_factors_off_the_identity():
-    # Penalty-mode factors of a noisy instance: W has small negative
-    # entries, so at zero_tol=0 the identity itself is infeasible, while
-    # some moves away from it are feasible.
+def off_simplex_factors():
+    # A fitted H of a noisy instance with the unprojected W = X pinv(H): W
+    # has small negative entries, so at zero_tol=0 the identity itself is
+    # infeasible, while some moves away from it are feasible.
     x, _ = generate(40, 12, 3, anchors=False, seed=0, noise_sigma=0.02,
                     orientation=Orientation.W_ROWS_SUM_TO_1)
     cfg = SolverConfig(rank=3, orientation=Orientation.W_ROWS_SUM_TO_1,
-                       restarts=1, seed=0, max_iter=100, mode=Mode.PENALTY)
-    return factorize(x, cfg).factors
+                       restarts=1, seed=0)
+    h = factorize(x, cfg).factors.h
+    return pair(concentrate_w(x, h), h, Orientation.W_ROWS_SUM_TO_1)
 
 
 def non_anchored_pair(seed, rank=3):
@@ -383,7 +384,7 @@ def non_anchored_pair(seed, rank=3):
 
 @pytest.mark.parametrize("case", [
     "anchored", "non-anchored", "zero-tol", "anchored-zero-tol", "rank-1",
-    "worked", "penalty",
+    "worked", "off-simplex",
 ])
 def test_sampler_matches_reference_loop_bitwise(case):
     zero_tol = 1e-3 if case in ("zero-tol", "anchored-zero-tol") else 0.0
@@ -394,7 +395,7 @@ def test_sampler_matches_reference_loop_bitwise(case):
         "anchored-zero-tol": lambda: (anchored_pair(seed=20), 600),
         "rank-1": lambda: (pair(np.ones((4, 1)), [[0.2, 0.3, 0.5]]), 50),
         "worked": lambda: (pair(WORKED_W, WORKED_H), 2000),
-        "penalty": lambda: (penalty_factors_off_the_identity(), 600),
+        "off-simplex": lambda: (off_simplex_factors(), 600),
     }[case]()
     got = sample_feasible_A(p, n, seed=23, zero_tol=zero_tol)
     want = reference_sample_feasible_A(p, n, seed=23, zero_tol=zero_tol)
@@ -404,10 +405,10 @@ def test_sampler_matches_reference_loop_bitwise(case):
         assert g.a.tobytes() == r.tobytes()
     eye = np.eye(p.rank)
     moved = sum(not np.array_equal(r, eye) for r in want)
-    if case in ("non-anchored", "zero-tol", "worked", "penalty"):
+    if case in ("non-anchored", "zero-tol", "worked", "off-simplex"):
         # Moves are accepted, so the inputs exercise more than the identity.
         assert moved > 0
-    if case == "penalty":
+    if case == "off-simplex":
         assert p.w.min() < 0.0
         assert not _reference_is_feasible(eye, p.w, p.h, 0.0)
         # The walk leaves the identity and never returns to it.

@@ -6,7 +6,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from smf import Mode, Orientation, SolverConfig, factorize, generate  # noqa: E402
+from smf import Orientation, SolverConfig, factorize, generate  # noqa: E402
 from smf.linalg import frobenius_norm  # noqa: E402
 
 
@@ -20,7 +20,6 @@ def instances(draw):
     x, _ = generate(n_rows, n_cols, rank, noise_sigma=noise_sigma,
                     orientation=orientation, seed=draw(st.integers(0, 10_000)))
     config = dict(rank=rank, orientation=orientation,
-                  mode=draw(st.sampled_from(list(Mode))),
                   restarts=draw(st.integers(2, 4)), seed=draw(st.integers(0, 100)))
     return x, config
 
@@ -43,10 +42,9 @@ def test_restarts_stop_at_an_exact_fit_and_never_lose_to_restart_0(instance):
     # Restart 0 is the 1-restart fit, so k restarts never do worse.
     assert objs[0] == one.objective
     assert res.objective <= one.objective
-    # Projected mode returns feasible factors on every draw.
-    if config["mode"] is Mode.PROJECTED:
-        assert res.feasible
-        assert one.feasible
+    # The factors are feasible on every draw.
+    assert res.feasible
+    assert one.feasible
     if len(objs) == 1:
         assert res.factors.w.tobytes() == one.factors.w.tobytes()
         assert res.factors.h.tobytes() == one.factors.h.tobytes()

@@ -1,5 +1,6 @@
 """Unit tests for the constrained factorization solver."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,12 +19,10 @@ from smf import (
     factorize,
     generate,
     objective,
-    objective_terms,
 )
 from smf import solver
 from smf.linalg import DEFAULT_RANK_TOL, frobenius_norm, pseudoinverse
 from smf.solver import (
-    EPS_FEAS_PENALTY,
     EPS_FEAS_PROJECTED,
     _anchor_start,
     _feasible_h,
@@ -32,23 +31,6 @@ from smf.solver import (
     _spa,
     _warm_start,
 )
-
-
-def _terms_from_parts_z(z, h, w, config):
-    # The objective's terms for one H, with the residual z = X - W H, written
-    # term by term with frobenius_norm and np.clip: the reference for the
-    # solver's buffered reductions.
-    p1, p2 = config.penalty_sum1, config.penalty_nonneg
-    terms = {"residual": frobenius_norm(z)}
-    if config.mode is not Mode.PROJECTED:
-        terms["w_nonneg"] = p2 * float(np.clip(-w, 0.0, None).sum())
-        if config.orientation.w_stochastic:
-            terms["w_row_sum"] = p1 * float(np.abs(w.sum(axis=1) - 1.0).sum())
-    if config.orientation.h_stochastic:
-        terms["h_row_sum"] = p1 * float(np.abs(h.sum(axis=1) - 1.0).sum())
-    terms["h_nonneg"] = p2 * float(np.clip(-h, 0.0, None).sum())
-    terms["h_upper"] = p2 * float(np.clip(h - 1.0, 0.0, None).sum())
-    return terms
 
 
 def cfg(rank=2, orientation=Orientation.W_ROWS_SUM_TO_1, **kw):
@@ -65,15 +47,29 @@ def test_config_validation():
         cfg(restarts=0)
     with pytest.raises(InvalidInputError):
         cfg(conv_tol=0.0)
-    with pytest.raises(InvalidInputError):
-        cfg(penalty_sum1=-1.0)
 
 
 def test_default_penalty_weights():
+    # Penalty mode went with its weights: the config takes none, and its
+    # one mode is the default.
     c = cfg()
-    assert c.penalty_sum1 == 100.0
-    assert c.penalty_nonneg == 10.0
     assert c.mode is Mode.PROJECTED
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "rank", "orientation", "conv_tol", "restarts", "seed", "mode"]
+    with pytest.raises(TypeError):
+        cfg(penalty_sum1=100.0)
+
+
+def test_penalty_mode_is_an_alias_that_old_values_cannot_reach():
+    # Mode.PENALTY names the one mode, so code that spells it still runs a
+    # projected fit; the value "penalty" (an old CLI manifest's) is refused.
+    assert Mode.PENALTY is Mode.PROJECTED
+    assert list(Mode) == [Mode.PROJECTED]
+    assert Mode("projected") is Mode.PROJECTED
+    for make in (lambda: Mode("penalty"), lambda: cfg(mode="penalty")):
+        with pytest.raises(ValueError, match="penalty mode was removed"):
+            make()
+    assert cfg(mode="projected").mode is Mode.PROJECTED
 
 
 # ------------------------------------------------------------ concentration
@@ -102,7 +98,7 @@ def test_concentrate_w_validates_h():
         with pytest.raises(ValueError):
             concentrate_w(x, h)
         with pytest.raises(ValueError):
-            objective_terms(x, h, cfg(rank=1))
+            objective(x, h, cfg(rank=1))
 
 
 def reference_instances():
@@ -118,67 +114,28 @@ def reference_instances():
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_concentrate_w_and_terms_equal_pseudoinverse_bitwise(mode):
+    # The objective, its residual formed and squared in one buffer, against
+    # frobenius_norm of the residual of the projected W = X pinv(H).
     for orientation, x, h in reference_instances():
         w = x @ pseudoinverse(h)
         assert np.array_equal(concentrate_w(x, h), w)
         c = cfg(rank=h.shape[0], orientation=orientation, mode=mode)
-        if mode is Mode.PROJECTED:
-            w = _feasible_w(w, orientation)
-        assert objective_terms(x, h, c) == _terms_from_parts_z(x - w @ h, h, w, c)
+        assert objective(x, h, c) == frobenius_norm(x - _feasible_w(w, orientation) @ h)
 
 
 # ------------------------------------------------- objective frozen examples
 
 
-def test_objective_zero_at_exact_factorization():
-    # X itself is doubly stochastic and H = I, so W = X is feasible and the
-    # residual vanishes: every term is zero.
-    x = np.array([[0.6, 0.4], [0.2, 0.8]])
-    c = cfg(orientation=Orientation.BOTH, mode=Mode.PENALTY)
-    terms = objective_terms(x, np.eye(2), c)
-    assert objective(x, np.eye(2), c) == pytest.approx(0.0, abs=1e-12)
-    assert set(terms) == {"residual", "w_nonneg", "w_row_sum",
-                          "h_nonneg", "h_row_sum", "h_upper"}
-    for val in terms.values():
-        assert val == pytest.approx(0.0, abs=1e-12)
-
-
-def test_objective_charges_h_above_one():
-    # H entry 1.2 costs penalty_nonneg * 0.2 in h_upper and, for a
-    # stochastic H, penalty_sum1 * 0.2 in h_row_sum.
-    x = np.array([[0.6, 0.4], [0.2, 0.8]])
-    h = np.array([[1.2, 0.0], [0.0, 1.0]])
-    c = cfg(orientation=Orientation.H_ROWS_SUM_TO_1, mode=Mode.PENALTY)
-    terms = objective_terms(x, h, c)
-    assert terms["h_upper"] == pytest.approx(10.0 * 0.2, abs=1e-12)
-    assert terms["h_row_sum"] == pytest.approx(100.0 * 0.2, abs=1e-12)
-    assert terms["residual"] == pytest.approx(0.0, abs=1e-10)
-    assert terms["w_nonneg"] == pytest.approx(0.0, abs=1e-10)
-    assert "w_row_sum" not in terms
-
-
-def test_objective_charges_negative_w():
-    # Rows of X outside the cone spanned by H need negative weights:
-    # W = X inv(H) has rows [2, -1] and [-4/3, 7/3], so the hinge on -W
-    # totals 1 + 4/3.
-    x = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.4]])
-    h = np.array([[0.7, 0.3], [0.4, 0.6]])
-    c = cfg(orientation=Orientation.H_ROWS_SUM_TO_1, mode=Mode.PENALTY)
-    terms = objective_terms(x, h, c)
-    assert terms["w_nonneg"] == pytest.approx(10.0 * (1.0 + 4.0 / 3.0),
-                                              rel=1e-9)
-    assert terms["h_row_sum"] == pytest.approx(0.0, abs=1e-12)
-    assert objective(x, h, c) == pytest.approx(10.0 * 7.0 / 3.0, rel=1e-9)
-
-
 def test_objective_projected_mode_drops_w_terms():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.4]])
     h = np.array([[0.7, 0.3], [0.4, 0.6]])
-    c = cfg(orientation=Orientation.H_ROWS_SUM_TO_1, mode=Mode.PROJECTED)
-    terms = objective_terms(x, h, c)
-    assert set(terms) == {"residual", "h_nonneg", "h_row_sum", "h_upper"}
-    # Clipping W to the feasible set leaves a genuine residual here.
-    assert terms["residual"] > 0.1
+    c = cfg(orientation=Orientation.H_ROWS_SUM_TO_1)
+    # W = X inv(H) has rows [2, -1] and [-4/3, 7/3].  The objective charges
+    # no penalty for them: it clips them to the feasible set, which leaves
+    # a genuine residual.
+    clipped = np.clip(x @ pseudoinverse(h), 0.0, None)
+    assert objective(x, h, c) == frobenius_norm(x - clipped @ h)
+    assert objective(x, h, c) > 0.1
 
 
 def test_objective_rejects_rank_deficient_h():
@@ -262,9 +219,8 @@ def test_factorize_modes_and_orientations(mode, orientation):
     x, gt = generate(24, 10, 2, anchors=True, orientation=orientation, seed=31)
     c = cfg(rank=2, orientation=orientation, mode=mode, restarts=2, seed=0)
     res = factorize(x, c)
-    eps = EPS_FEAS_PROJECTED if mode is Mode.PROJECTED else EPS_FEAS_PENALTY
-    assert res.factors.max_violation() <= eps
-    assert res.factors.h.max() <= 1.0 + eps
+    assert res.factors.max_violation() <= EPS_FEAS_PROJECTED
+    assert res.factors.h.max() <= 1.0 + EPS_FEAS_PROJECTED
     assert np.isfinite(res.objective)
     diffs = np.diff(res.objective_trace)
     assert np.all(diffs <= 1e-9)
@@ -299,6 +255,35 @@ def test_noiseless_recovery_is_accurate():
     _, err = align_and_score(res.factors.h, gt.h)
     assert err < 1e-2
     assert res.converged
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.03])
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_objective_is_the_residual_of_the_returned_factors(orientation, sigma):
+    # The returned W is the one the winning score used, so the objective is
+    # the residual of the returned pair bit for bit, on exact and noisy fits.
+    x, _ = generate(40, 12, 3, anchors=True, noise_sigma=sigma,
+                    orientation=orientation, seed=6)
+    c = cfg(rank=3, orientation=orientation, restarts=3)
+    res = factorize(x, c)
+    assert res.objective == objective(x, res.factors.h, c)
+    assert res.objective == frobenius_norm(x - res.factors.w @ res.factors.h)
+
+
+def test_fit_raises_when_every_restart_ends_rank_deficient(monkeypatch):
+    # Every score is inf when no restart ends at a full-rank H: no W
+    # exists to return, so the fit fails instead of returning factors.
+    x, _ = generate(30, 9, 3, seed=37, noise_sigma=0.03,
+                    orientation=Orientation.W_ROWS_SUM_TO_1)
+
+    def degenerate(x, h, config, rounds):
+        h = h.copy()
+        h[1] = h[0]
+        return h, 1, False
+
+    monkeypatch.setattr(solver, "_warm_start", degenerate)
+    with pytest.raises(RankDeficientError):
+        factorize(x, cfg(rank=3, restarts=2))
 
 
 def check_bookkeeping(res, c):
@@ -445,7 +430,7 @@ def test_instance_without_anchors_fits_through_random_restarts():
     assert res.restart_objectives[0] > 1e-3
     assert res.best_restart >= 1
     assert res.objective < 1e-9
-    assert res.factors.max_violation() <= EPS_FEAS_PENALTY
+    assert res.factors.max_violation() <= EPS_FEAS_PROJECTED
     assert frobenius_norm(x - res.factors.w @ res.factors.h) < 1e-9
 
 
@@ -618,8 +603,7 @@ def test_warm_start_matches_reference_bitwise(mode, orientation):
         h0 = np.stack([_init_h(np.random.default_rng(seed + 10 * j), 3, x.shape[1],
                                orientation) for j in range(5)])
         h0[2, 1] = h0[2, 0]
-        if mode is Mode.PROJECTED:
-            h0 = _feasible_h(h0, orientation)
+        h0 = _feasible_h(h0, orientation)
         for rounds in (1, 7, 200, 2000):
             runs = [reference_warm_start(x, h, c, rounds) for h in h0]
             for h, run in zip(h0, runs):
@@ -653,9 +637,8 @@ def test_warm_start_goes_on_after_one_rising_round(mode):
     x, _ = generate(30, 9, 3, seed=0, noise_sigma=0.02,
                     orientation=Orientation.H_ROWS_SUM_TO_1)
     c = cfg(rank=3, orientation=Orientation.H_ROWS_SUM_TO_1, mode=mode)
-    h0 = _init_h(np.random.default_rng(20), 3, x.shape[1], c.orientation)
-    if mode is Mode.PROJECTED:
-        h0 = _feasible_h(h0, c.orientation)
+    h0 = _feasible_h(_init_h(np.random.default_rng(20), 3, x.shape[1], c.orientation),
+                     c.orientation)
     _, _, _, first, _, _, first_rises = reference_warm_start(x, h0, c, 7)
     h, stop, converged, accepted, _, _, _ = reference_warm_start(x, h0, c, 2000)
     got, got_stop, got_converged = _warm_start(x, h0, c, 2000)
@@ -678,9 +661,8 @@ def test_warm_start_matches_reference_where_gram_rounding_is_largest(mode, seed,
     x, _ = generate(400, 60, 5, seed=seed, noise_sigma=sigma,
                     orientation=Orientation.W_ROWS_SUM_TO_1)
     c = cfg(rank=5, mode=mode)
-    h0 = _init_h(np.random.default_rng(seed), 5, x.shape[1], c.orientation)
-    if mode is Mode.PROJECTED:
-        h0 = _feasible_h(h0, c.orientation)
+    h0 = _feasible_h(_init_h(np.random.default_rng(seed), 5, x.shape[1], c.orientation),
+                     c.orientation)
     h, stop, converged, accepted, _, _, _ = reference_warm_start(x, h0, c, 2000)
     got, got_stop, got_converged = _warm_start(x, h0, c, 2000)
     assert np.array_equal(got, h)

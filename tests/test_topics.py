@@ -209,37 +209,6 @@ def test_fit_topics_recovers_blocks():
     assert sorted(hist.tolist()) == [40, 40, 40]
 
 
-def test_fit_topics_penalty_mode_puts_w_on_the_simplex():
-    # The penalty solver's W, the raw X pinv(H), is off the simplex here
-    # (its rows miss 1 by more than 1e-3); the topic mixtures are its rows
-    # projected onto the simplex.
-    corpus = block_corpus(np.random.default_rng(37))
-    cfg = SolverConfig(rank=3, orientation=Orientation.BOTH, restarts=2, seed=0,
-                       mode=Mode.PENALTY)
-    model = fit_topics(corpus, cfg)
-    assert np.abs(model.solve_result.factors.w.sum(axis=1) - 1.0).max() > 1e-3
-    assert model.factors.h is model.solve_result.factors.h
-    assert np.abs(model.factors.w.sum(axis=1) - 1.0).max() <= 1e-12
-    assert model.factors.w.min() >= 0.0
-
-
-def test_penalty_fit_reports_infeasible_factors():
-    # Penalty mode cannot fit this corpus within its 1e-3 contract; the
-    # result says so instead of passing the factors off as feasible.
-    corpus = block_corpus(np.random.default_rng(37))
-    cfg = SolverConfig(rank=3, orientation=Orientation.BOTH, restarts=2, seed=0,
-                       mode=Mode.PENALTY)
-    res = fit_topics(corpus, cfg).solve_result
-    assert res.feasible is False
-    assert res.max_violation > 1e-3
-    assert res.max_violation == res.factors.max_violation()
-    cfg = SolverConfig(rank=3, orientation=Orientation.BOTH, restarts=2, seed=0,
-                       mode=Mode.PROJECTED)
-    res = fit_topics(corpus, cfg).solve_result
-    assert res.feasible is True
-    assert res.max_violation <= 1e-9
-
-
 def test_corpus_copies_a_writeable_caller_array():
     counts = np.array([[1.0, 2.0], [3.0, 0.0]])
     corpus = Corpus(vocabulary=("a", "b"), doc_term=counts, doc_ids=("0", "1"))
