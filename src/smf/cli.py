@@ -426,9 +426,24 @@ class _Options(argparse.Namespace):
 def _execute(command: str, options: dict) -> int:
     handler = _HANDLERS[command]
     args = _Options(**options)
+    # The output directory and its parents that this call creates,
+    # innermost first.
+    created = []
+    path = os.path.abspath(args.out_dir)
+    while not os.path.isdir(path):
+        created.append(path)
+        path = os.path.dirname(path)
     os.makedirs(args.out_dir, exist_ok=True)
     start = time.monotonic()
-    inputs, status = handler(args, args.out_dir)
+    try:
+        inputs, status = handler(args, args.out_dir)
+    except BaseException:
+        # A refused or failed run leaves no empty directory of its own behind.
+        for path in created:
+            if os.listdir(path):
+                break
+            os.rmdir(path)
+        raise
     duration = time.monotonic() - start
     _write_manifest(command, options, inputs, args.out_dir, duration)
     return status

@@ -244,7 +244,9 @@ def _is_feasible(a: np.ndarray, w: np.ndarray, h: np.ndarray,
     if np.min(w @ a) < -zero_tol:
         return False
     try:
-        mixed_h = np.linalg.solve(a, h)
+        # One R x R inverse and a product: LAPACK's solve with H's many
+        # right-hand sides takes several times as long.
+        mixed_h = np.linalg.inv(a) @ h
     except np.linalg.LinAlgError:
         return False
     if not np.all(np.isfinite(mixed_h)):
@@ -259,7 +261,7 @@ def sample_feasible_A(factors: FactorPair, n_samples: int, seed: int,
     Starting from the identity, each iteration proposes either a reset to
     the identity, a move of a single off-diagonal entry, or a dense Gaussian
     perturbation (row sums re-imposed via the diagonal in all cases).  The
-    proposal is adopted only when both W.A and solve(A, H) stay above
+    proposal is adopted only when both W.A and inv(A) H stay above
     ``-zero_tol`` elementwise; the current state is recorded every
     iteration, so exactly ``n_samples`` matrices are returned.  Samples are
     read-only, and every iteration that keeps a state records the same

@@ -3,6 +3,11 @@
 CSV files are UTF-8, comma-separated, one matrix row per line, '.' as the
 decimal separator and no header row.  Values are written with Python's
 shortest round-trip float representation, so read(write(M)) == M bitwise.
+The reader skips blank and whitespace-only lines and whitespace around
+fields, and parses fields with numpy's C reader, which takes what Python's
+float() takes except digit-group underscores (``1_0``) and non-ASCII
+digits; a ragged row or a field that does not parse raises ValueError
+naming its line.
 
 The binary format is an 8-byte magic string ``SMFMAT01``, two little-endian
 unsigned 64-bit integers (rows, cols), then the row-major float64
@@ -39,32 +44,64 @@ def _check_matrix(a) -> np.ndarray:
 
 def write_matrix_csv(path, a) -> None:
     m = _check_matrix(a)
-    lines = [",".join(map(repr, row)) for row in m.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if np.array_equal(m, np.rint(m)) and not np.any(np.signbit(m[m == 0.0])):
+        # Integer counts repeat few values, so each distinct value is
+        # formatted once.  A -0.0 would be looked up as 0.0, so it takes the
+        # per-element path below.
+        values = np.unique(m)
+        table = np.array([repr(v) for v in values.tolist()], dtype=object)
+        rows = table[np.searchsorted(values, m)].tolist()
+    else:
+        rows = [map(repr, row) for row in m.tolist()]
+    Path(path).write_text("\n".join(map(",".join, rows)) + "\n", encoding="utf-8")
+
+
+# Python's float() refuses the ASCII information separators U+001C..U+001F
+# inside a field, while str.strip() and numpy's reader take them for spaces.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_rows(lines) -> np.ndarray:
+    return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                      ndmin=2)
+
+
+def _raise_first_fault(path, numbered) -> None:
+    # Checks line by line, in file order, what read_matrix_csv checks for
+    # the whole file at once, and raises for the first line at fault.
+    width = numbered[0][1].count(",") + 1
+    for lineno, line in numbered:
+        fields = line.count(",") + 1
+        if fields != width:
+            raise ValueError(
+                f"{path}: line {lineno} has {fields} fields, expected {width}"
+            )
+        if any(c in line for c in _SEPARATORS):
+            raise ValueError(f"{path}: line {lineno}: a field holds one of "
+                             f"the control characters U+001C..U+001F")
+        try:
+            _parse_rows([line])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    width = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ValueError(
-                    f"{path}: line {lineno} has {len(fields)} fields, expected {width}"
-                )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
+        numbered = [(lineno, line)
+                    for lineno, line in enumerate(map(str.strip, fh), start=1)
+                    if line]
+    if not numbered:
         raise ValueError(f"{path}: no data rows")
-    m = np.array(rows, dtype=np.float64)
+    lines = [line for _, line in numbered]
+    joined = "".join(lines)
+    if any(c in joined for c in _SEPARATORS):
+        _raise_first_fault(path, numbered)
+    try:
+        # Raises on a ragged row as well as on a field that does not parse.
+        m = _parse_rows(lines)
+    except ValueError:
+        _raise_first_fault(path, numbered)
+        raise
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path}: matrix contains non-finite values")
     return m

@@ -12,6 +12,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -74,13 +75,6 @@ class Corpus:
         return self.doc_term.shape[1]
 
 
-def _term_counts(text: str, stop) -> dict:
-    # Occurrences of each lowercased word-character run that is purely
-    # alphabetic and not a stop word.
-    runs = Counter(_TOKEN_RE.findall(text.lower()))
-    return {t: n for t, n in runs.items() if t.isalpha() and t not in stop}
-
-
 def build_corpus(documents, *, stop_words=(),
                  min_doc_fraction: float = DEFAULT_MIN_DOC_FRACTION,
                  doc_ids=None) -> Corpus:
@@ -105,25 +99,37 @@ def build_corpus(documents, *, stop_words=(),
             raise ValueError("doc_ids length must match the document count")
     stop = {w.lower() for w in stop_words}
 
-    doc_counts = [_term_counts(d, stop) for d in docs]
-    doc_freq = Counter()
-    for terms in doc_counts:
-        doc_freq.update(terms.keys())
+    # Occurrences of each lowercased word-character run, per document.
+    runs = [Counter(_TOKEN_RE.findall(d.lower())) for d in docs]
+    tokens = list(set().union(*runs))
+    token_id = {t: k for k, t in enumerate(tokens)}
+    # The (document, token) cells with their counts, flattened in document
+    # order; a document's distinct tokens each appear in one cell.
+    lengths = np.fromiter(map(len, runs), dtype=np.intp, count=len(runs))
+    n_cells = int(lengths.sum())
+    cell_token = np.fromiter(map(token_id.__getitem__, chain.from_iterable(runs)),
+                             dtype=np.intp, count=n_cells)
+    cell_count = np.fromiter(chain.from_iterable(r.values() for r in runs),
+                             dtype=np.float64, count=n_cells)
+    cell_doc = np.repeat(np.arange(len(docs)), lengths)
+
+    # Each distinct token is tested once: purely alphabetic, not a stop
+    # word, and in at least min_docs documents.
+    doc_freq = np.bincount(cell_token, minlength=len(tokens)).tolist()
     min_docs = max(1, math.ceil(min_doc_fraction * len(docs)))
-    vocab = sorted(t for t, df in doc_freq.items() if df >= min_docs)
+    vocab = sorted(t for t, df in zip(tokens, doc_freq)
+                   if df >= min_docs and t.isalpha() and t not in stop)
     if not vocab:
         raise ValueError("no terms survive pruning; lower min_doc_fraction")
-    index = {t: j for j, t in enumerate(vocab)}
+    column = np.full(len(tokens), -1, dtype=np.intp)
+    column[[token_id[t] for t in vocab]] = np.arange(len(vocab))
 
     # One bincount over the flat (document, term) cells, weighted by count.
     shape = (len(docs), len(vocab))
-    cells, weights = [], []
-    for i, terms in enumerate(doc_counts):
-        for t, n in terms.items():
-            if t in index:
-                cells.append(i * shape[1] + index[t])
-                weights.append(n)
-    counts = np.bincount(np.array(cells, dtype=np.intp), weights=weights,
+    cell_column = column[cell_token]
+    in_vocab = cell_column >= 0
+    counts = np.bincount(cell_doc[in_vocab] * shape[1] + cell_column[in_vocab],
+                         weights=cell_count[in_vocab],
                          minlength=shape[0] * shape[1]).reshape(shape)
     keep = counts.sum(axis=1) > 0
     if not np.any(keep):

@@ -572,6 +572,22 @@ def test_rerun_rejects_a_penalty_mode_manifest(tmp_path, capsys):
     code = run_cli("rerun", out1 / "manifest.json", "--out-dir", tmp_path / "run2")
     assert code == EXIT_INPUT
     assert "penalty mode was removed" in capsys.readouterr().err
+    # The refused run removes the output directory it created, parents
+    # included ...
+    assert not (tmp_path / "run2").exists()
+    manifest = out1 / "manifest.json"
+    code = run_cli("rerun", manifest, "--out-dir", tmp_path / "new" / "run3")
+    assert code == EXIT_INPUT
+    assert not (tmp_path / "new").exists()
+    # ... and leaves directories that existed before it alone.
+    (tmp_path / "old").mkdir()
+    code = run_cli("rerun", manifest, "--out-dir", tmp_path / "old" / "run4")
+    assert code == EXIT_INPUT
+    assert (tmp_path / "old").is_dir() and not (tmp_path / "old" / "run4").exists()
+    (tmp_path / "run5").mkdir()
+    code = run_cli("rerun", manifest, "--out-dir", tmp_path / "run5")
+    assert code == EXIT_INPUT
+    assert (tmp_path / "run5").is_dir()
 
 
 def test_rerun_of_a_manifest_with_penalty_weights_is_bitwise(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from smf import (
     AxisBound,
+    Corpus,
     DegenerateFactorError,
     FactorPair,
     MixingMatrix,
@@ -17,11 +18,13 @@ from smf import (
     check_uniqueness,
     concentrate_w,
     factorize,
+    fit_topics,
     generate,
     natural_bounds,
     sample_feasible_A,
     support_sets,
 )
+from smf.identify import DEFAULT_ZERO_TOL_ESTIMATED
 
 WORKED_W = np.array([[0.7, 0.3], [0.4, 0.6]])
 WORKED_H = np.array([[0.6, 0.4], [0.2, 0.8]])
@@ -382,12 +385,35 @@ def non_anchored_pair(seed, rank=3):
     return gt.pair
 
 
+def topic_factors(n_docs=200, n_topics=20, terms_per=18):
+    # An R=20 fit of a block-anchored corpus like acceptance criterion 8's,
+    # so the sampler meets fitted factors at R=20 with 360 columns of H.
+    rng = np.random.default_rng(8)
+    h = np.zeros((n_topics, n_topics * terms_per))
+    for r in range(n_topics):
+        p = rng.dirichlet(np.ones(terms_per))
+        p = 0.7 * p / p.sum()
+        p[0] += 0.3
+        h[r, r * terms_per:(r + 1) * terms_per] = p
+    w = rng.dirichlet(np.ones(n_topics), size=n_docs)
+    w[:n_topics] = np.eye(n_topics)
+    probs = w @ h
+    counts = np.stack([rng.multinomial(int(rng.integers(80, 200)), probs[i])
+                       for i in range(n_docs)]).astype(np.float64)
+    corpus = Corpus(vocabulary=[f"t{j}" for j in range(h.shape[1])],
+                    doc_term=counts, doc_ids=[str(i) for i in range(n_docs)])
+    cfg = SolverConfig(rank=n_topics, orientation=Orientation.BOTH,
+                       restarts=2, seed=0)
+    return fit_topics(corpus, cfg).factors
+
+
 @pytest.mark.parametrize("case", [
     "anchored", "non-anchored", "zero-tol", "anchored-zero-tol", "rank-1",
-    "worked", "off-simplex",
+    "worked", "off-simplex", "rank-20",
 ])
 def test_sampler_matches_reference_loop_bitwise(case):
-    zero_tol = 1e-3 if case in ("zero-tol", "anchored-zero-tol") else 0.0
+    zero_tol = {"zero-tol": 1e-3, "anchored-zero-tol": 1e-3,
+                "rank-20": DEFAULT_ZERO_TOL_ESTIMATED}.get(case, 0.0)
     p, n = {
         "anchored": lambda: (anchored_pair(seed=19), 600),
         "non-anchored": lambda: (non_anchored_pair(seed=101), 600),
@@ -396,6 +422,7 @@ def test_sampler_matches_reference_loop_bitwise(case):
         "rank-1": lambda: (pair(np.ones((4, 1)), [[0.2, 0.3, 0.5]]), 50),
         "worked": lambda: (pair(WORKED_W, WORKED_H), 2000),
         "off-simplex": lambda: (off_simplex_factors(), 600),
+        "rank-20": lambda: (topic_factors(), 600),
     }[case]()
     got = sample_feasible_A(p, n, seed=23, zero_tol=zero_tol)
     want = reference_sample_feasible_A(p, n, seed=23, zero_tol=zero_tol)

@@ -105,12 +105,14 @@ def test_build_corpus_counts_match_token_loop():
     docs = [" ".join(rng.choice(words, size=int(rng.integers(0, 12))))
             for _ in range(60)]
     docs += ["the and 2016 x9", "only-rare-word qq", "zebra zebra zebra"]
+    # Frequent enough to be kept, but a word run with an underscore.
+    docs += ["snake_case zebra"] * 4
     stop_words = ("the", "and")
     corpus = build_corpus(docs, stop_words=stop_words, min_doc_fraction=0.05)
     vocab, counts, keep = reference_doc_term(docs, stop_words, min_docs=4)
     assert corpus.vocabulary == vocab
     assert "café" in vocab and "ärger" in vocab
-    assert "the" not in vocab and "qq" not in vocab
+    assert "the" not in vocab and "qq" not in vocab and "snake_case" not in vocab
     # Some documents were left without a term and dropped.
     assert not keep.all()
     assert corpus.doc_ids == tuple(str(i) for i in np.flatnonzero(keep))
