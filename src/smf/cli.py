@@ -235,7 +235,7 @@ def _cmd_topics_build(args, out_dir: str):
 
 def _cmd_topics_fit(args, out_dir: str):
     corpus = read_corpus(args.doc_term, args.vocab)
-    model = fit_topics(corpus, _solver_config(args), threads=args.threads)
+    model = fit_topics(corpus, _solver_config(args))
     status = _write_fit(model.solve_result, out_dir, args.binary)
     return [args.doc_term, args.vocab], status
 

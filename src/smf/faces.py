@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factors import FactorPair
+from .factors import FactorPair, _data_matrix
 from .linalg import _frozen, simplex_project
 
 __all__ = [
@@ -227,13 +227,5 @@ def retrieve(query: GrayImage, model: FactorPair) -> tuple:
 
 def reconstruction_error(x, factors: FactorPair) -> float:
     """Mean squared per-cell difference between X and W.H."""
-    xm = np.asarray(x, dtype=np.float64)
-    if xm.ndim != 2:
-        raise ValueError("X must be 2-dimensional")
-    if xm.shape != (factors.w.shape[0], factors.h.shape[1]):
-        raise ValueError(
-            f"X shape {xm.shape} does not match factors "
-            f"({factors.w.shape[0]}, {factors.h.shape[1]})"
-        )
-    diff = xm - factors.w @ factors.h
+    diff = _data_matrix(x, factors) - factors.w @ factors.h
     return float(np.mean(diff * diff))

@@ -117,3 +117,16 @@ class FactorPair:
             raise ValueError(
                 f"factor pair violates feasibility by {gap:.3e} (> {eps_feas:.1e})"
             )
+
+
+def _data_matrix(x, factors: FactorPair) -> np.ndarray:
+    # X as float64, checked to have the shape (n, m) of W @ H.
+    xm = np.asarray(x, dtype=np.float64)
+    if xm.ndim != 2:
+        raise ValueError("X must be 2-dimensional")
+    if xm.shape != (factors.w.shape[0], factors.h.shape[1]):
+        raise ValueError(
+            f"X shape {xm.shape} does not match factors "
+            f"({factors.w.shape[0]}, {factors.h.shape[1]})"
+        )
+    return xm

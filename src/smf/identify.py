@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .factors import FactorPair
+from .factors import FactorPair, _data_matrix
 from .linalg import _frozen
 
 __all__ = [
@@ -308,15 +308,7 @@ def average_consistency_diagnostic(x, factors: FactorPair) -> float:
     averaged noise, so for a correct H this gap shrinks with the row count
     while a wrong H leaves a persistent offset.
     """
-    xm = np.asarray(x, dtype=np.float64)
-    if xm.ndim != 2:
-        raise ValueError("X must be 2-dimensional")
-    if xm.shape != (factors.w.shape[0], factors.h.shape[1]):
-        raise ValueError(
-            f"X shape {xm.shape} does not match factors "
-            f"({factors.w.shape[0]}, {factors.h.shape[1]})"
-        )
-    x_mean = xm.mean(axis=0)
+    x_mean = _data_matrix(x, factors).mean(axis=0)
     w_mean = factors.w.mean(axis=0)
     return float(np.max(np.abs(x_mean - w_mean @ factors.h)))
 

@@ -139,30 +139,6 @@ def _simplex_rows_raw(m: np.ndarray) -> np.ndarray:
     return np.maximum(m - (theta / (rho + 1.0))[..., None], 0.0)
 
 
-def _canonicalize_rows(w: np.ndarray) -> np.ndarray:
-    # _canonicalize_list on each row, bit for bit.  The loop there keeps the
-    # longest prefix of the descending-sorted support whose sum is exactly
-    # 1.0 or whose sum without its last entry is below 1.0; that last entry
-    # becomes 1.0 minus that sum unless the prefix sums to 1.0 exactly.
-    order = np.argsort(-w, axis=1, kind="stable")
-    s = np.take_along_axis(w, order, axis=1)
-    cs = np.cumsum(s, axis=1)
-    partial = np.zeros_like(cs)
-    partial[:, 1:] = cs[:, :-1]
-    ok = ((cs == 1.0) | (partial < 1.0)) & (s > 0)
-    n = w.shape[1]
-    k = (n - 1) - ok[:, ::-1].argmax(axis=1)
-    has = ok.any(axis=1)
-    s[(np.arange(n) > k[:, None]) & (s > 0)] = 0.0
-    rows = np.flatnonzero(has & (cs[np.arange(len(w)), k] != 1.0))
-    s[rows, k[rows]] = 1.0 - partial[rows, k[rows]]
-    out = np.empty_like(w)
-    np.put_along_axis(out, order, s, axis=1)
-    # A row without a positive entry becomes the first unit vector.
-    out[~has, 0] = 1.0
-    return out
-
-
 def _project_list(x: list) -> list:
     # One simplex projection of a list of floats: sort descending, find the
     # last index rho where u[rho] * (rho + 1) exceeds the cumulative sum minus
@@ -201,6 +177,16 @@ def _canonicalize_list(w: list) -> list:
     return w
 
 
+def _fixed_point(w: list) -> list:
+    # Canonicalize a projection that _project_list does not map to itself
+    # until it does; the rounds are capped at 32.
+    for _ in range(32):
+        w = _canonicalize_list(w)
+        if _project_list(w) == w:
+            break
+    return w
+
+
 def simplex_project(v) -> np.ndarray:
     """Euclidean projection of a vector onto the probability simplex.
 
@@ -211,9 +197,10 @@ def simplex_project(v) -> np.ndarray:
     # Python floats, not numpy calls: on vectors of R entries, as in
     # retrieval, per-call overhead outweighs the arithmetic.  The IEEE
     # operations and their order are those of simplex_project_rows, so the
-    # bits are too.  Per call (400 vectors, half near the simplex; 2-core
-    # x86-64 Linux): 11 us at n = 10 against 45 us for the numpy version,
-    # but 13 ms at n = 10,000 against 1.2 ms (simplex_project_rows: 1.6 ms).
+    # bits are too.  Per call (400 vectors, half near the simplex; 1 BLAS
+    # thread, 2-core x86-64 Linux): 10 us at n = 10 against 45 us for a
+    # numpy version, but 7.9 ms at n = 10,000 against 2.7 ms for
+    # simplex_project_rows on that one row.
     x = np.asarray(v, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("simplex_project expects a non-empty vector")
@@ -229,11 +216,7 @@ def simplex_project(v) -> np.ndarray:
         shift = max(xs) - 1.0
         xs = [a - shift for a in xs]
     w = _project_list(xs)
-    for _ in range(32):
-        if _project_list(w) == w:
-            break
-        w = _canonicalize_list(w)
-    return np.array(w)
+    return np.array(w if _project_list(w) == w else _fixed_point(w))
 
 
 def simplex_project_rows(a) -> np.ndarray:
@@ -241,8 +224,8 @@ def simplex_project_rows(a) -> np.ndarray:
 
     Bitwise equal to :func:`simplex_project` applied to each row: one
     vectorized projection (after the same shift of rows with an entry above
-    2 in magnitude) and one vectorized fixed-point check, then the
-    canonicalization rounds, vectorized, for the rows that fail it.
+    2 in magnitude) and one vectorized fixed-point check; each row that
+    fails the check then takes simplex_project's canonicalization rounds.
     """
     m = _as_matrix(a)
     if m.shape[1] == 1:
@@ -252,13 +235,6 @@ def simplex_project_rows(a) -> np.ndarray:
         m = m.copy()
         m[big] -= (m[big].max(axis=1) - 1.0)[:, None]
     w = _simplex_rows_raw(m)
-    bad = np.flatnonzero((_simplex_rows_raw(w) != w).any(axis=1))
-    if bad.size:
-        v = _canonicalize_rows(w[bad])
-        for _ in range(31):
-            again = (_simplex_rows_raw(v) != v).any(axis=1)
-            if not again.any():
-                break
-            v[again] = _canonicalize_rows(v[again])
-        w[bad] = v
+    for i in np.flatnonzero((_simplex_rows_raw(w) != w).any(axis=1)):
+        w[i] = _fixed_point(w[i].tolist())
     return w

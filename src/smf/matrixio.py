@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import _as_matrix
+
 __all__ = [
-    "BINARY_MAGIC",
     "read_matrix",
     "read_matrix_binary",
     "read_matrix_csv",
@@ -33,17 +34,8 @@ __all__ = [
 BINARY_MAGIC = b"SMFMAT01"
 
 
-def _check_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError("expected a non-empty 2-dimensional matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite values")
-    return m
-
-
 def write_matrix_csv(path, a) -> None:
-    m = _check_matrix(a)
+    m = _as_matrix(a)
     if np.array_equal(m, np.rint(m)) and not np.any(np.signbit(m[m == 0.0])):
         # Integer counts repeat few values, so each distinct value is
         # formatted once.  A -0.0 would be looked up as 0.0, so it takes the
@@ -108,7 +100,7 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_matrix_binary(path, a) -> None:
-    m = _check_matrix(a)
+    m = _as_matrix(a)
     with open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(struct.pack("<QQ", m.shape[0], m.shape[1]))

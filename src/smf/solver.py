@@ -40,7 +40,6 @@ __all__ = [
     "concentrate_w",
     "factorize",
     "objective",
-    "EPS_FEAS_PROJECTED",
 ]
 
 EPS_FEAS_PROJECTED = 1e-9
@@ -287,7 +286,7 @@ def _warm_start(x, h, config: SolverConfig, rounds: int):
     the new H) or plateaus (returning the new H, or H_acc if the new loss is
     higher).  It stops unconverged, returning H_acc (its start if no round
     was accepted), on a second rise in a row, when Y is rank-deficient or W
-    is zero, and at the round cap.  A round's loss comes from the R×m
+    is zero (converged if X is zero too), and at the round cap.  A round's loss comes from the R×m
     products it already forms, |X - W H|^2 = |X|^2 - 2 <W'X, H> + <W'W H, H>
     (Gillis & Glineur, 2012); only a near-exact round forms X - W H, in one
     buffer the size of X allocated at its first use and squared in place.
@@ -309,7 +308,8 @@ def _warm_start(x, h, config: SolverConfig, rounds: int):
         # largest singular value) without its per-call overhead.
         lip = np.linalg.svd(gram, compute_uv=False)[0]
         if not lip > 0.0:
-            return acc, t, False
+            # W = 0 leaves the loss at |X|, so only a zero X has converged.
+            return acc, t, norm < floor
         wtx = w.T @ x
         new = y
         for _ in range(3):

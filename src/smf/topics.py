@@ -199,18 +199,17 @@ class TopicModel:
         return self.factors.rank
 
 
-def fit_topics(corpus: Corpus, config: SolverConfig, *, threads: int = 1) -> TopicModel:
+def fit_topics(corpus: Corpus, config: SolverConfig) -> TopicModel:
     """Factorize row-normalized term frequencies into topics.
 
     The factors are the solver's: W, the per-document topic mixtures, is
     the simplex-projected rows of X pinv(H) for the returned H.  Its cost
-    and memory are those of :func:`smf.solver.factorize`; ``threads`` is
-    accepted and ignored.
+    and memory are those of :func:`smf.solver.factorize`.
     """
     if config.orientation is not Orientation.BOTH:
         raise ValueError("fit_topics requires config.orientation = BOTH")
     x = row_normalize(corpus.doc_term)
-    result = factorize(x, config, threads=threads)
+    result = factorize(x, config)
     return TopicModel(factors=result.factors, vocabulary=corpus.vocabulary,
                       solve_result=result)
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from smf import FactorPair, Orientation
+from smf import (FactorPair, Orientation, average_consistency_diagnostic,
+                 reconstruction_error)
 from smf.linalg import pseudoinverse
 
 
@@ -105,3 +106,16 @@ def test_w_aug_is_cached_and_holds_w_and_halved_row_norms():
     assert np.array_equal(aug[:, :2], w)
     assert np.array_equal(aug[:, 2], [-0.25, -0.5, -1.15625])
     assert max_sq == 2.3125
+
+
+@pytest.mark.parametrize("measure", [reconstruction_error,
+                                     average_consistency_diagnostic])
+def test_data_matrix_must_match_the_factors_shape(measure):
+    pair = FactorPair(w=np.full((3, 2), 0.5), h=np.eye(2),
+                      orientation=Orientation.W_ROWS_SUM_TO_1)
+    assert measure([[0.5, 0.5]] * 3, pair) == 0.0
+    with pytest.raises(ValueError, match="X must be 2-dimensional"):
+        measure(np.zeros(6), pair)
+    with pytest.raises(ValueError, match=r"X shape \(2, 3\) does not match "
+                                         r"factors \(3, 2\)"):
+        measure(np.zeros((2, 3)), pair)

@@ -7,7 +7,7 @@ import pytest
 
 from smf.linalg import (
     EmptyRowError,
-    _canonicalize_rows,
+    _canonicalize_list,
     _simplex_rows_raw,
     frobenius_norm,
     numerical_rank,
@@ -337,10 +337,10 @@ def test_simplex_project_rows_matches_row_loop_bitwise():
         assert simplex_project_rows(got).tobytes() == got.tobytes()
 
 
-def test_canonicalize_rows_matches_row_loop_bitwise():
-    # The vectorized canonicalization is canonicalize_reference row by row,
-    # bit for bit, on any non-negative rows: sums above and below 1, entries
-    # the loop drops, zero and negative-zero entries, and all-zero rows.
+def test_canonicalize_list_matches_reference_bitwise():
+    # The canonicalization on Python floats is canonicalize_reference, bit
+    # for bit, on any non-negative row: sums above and below 1, entries the
+    # loop drops, zero and negative-zero entries, and all-zero rows.
     rng = np.random.default_rng(23)
     w = np.abs(rng.normal(size=(400, 7)))
     w[:100] /= w[:100].sum(axis=1, keepdims=True)
@@ -349,8 +349,9 @@ def test_canonicalize_rows_matches_row_loop_bitwise():
     w[rng.random(w.shape) < 0.05] = -0.0
     w[[5, 250]] = 0.0
     w[7] = -0.0
-    got = _canonicalize_rows(w)
-    assert got.tobytes() == np.vstack([canonicalize_reference(r) for r in w]).tobytes()
+    for r in w:
+        got = np.array(_canonicalize_list(r.tolist()))
+        assert got.tobytes() == canonicalize_reference(r).tobytes()
 
 
 def simplex_rows_by_cumsum(m):

@@ -445,7 +445,8 @@ def test_rank_deficient_anchor_start_falls_back_to_seeded_start(orientation):
     if orientation is Orientation.H_ROWS_SUM_TO_1:
         # A free W admits an all-zero X, which has no anchor at all.
         assert _anchor_start(np.zeros_like(x), c) is None
-        assert factorize(np.zeros_like(x), c).objective == 0.0
+        zero = factorize(np.zeros_like(x), c)
+        assert zero.objective == 0.0 and zero.converged is True
     # The seeded start of restart 0 fits this input exactly under h-rows and
     # both, which would end the 2-restart run before restart 1; a tolerance
     # below every objective lets restart 1 run.
