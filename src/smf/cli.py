@@ -3,10 +3,11 @@
 Every command writes its outputs plus a ``manifest.json`` into ``--out-dir``
 (default ``./smf-out``).  The manifest records the subcommand, every
 resolved option (input paths made absolute, so a run can be repeated from
-any directory), the SHA-256 of each input file, and the package version;
-``smf rerun manifest.json`` re-executes the run and reproduces all output
-files byte for byte (the manifest itself carries the wall-clock duration
-and is excluded from that guarantee).
+any directory), the SHA-256 of each input file, the package version, and
+the BLAS thread settings with the CPU count; ``smf rerun manifest.json``
+re-executes the run and reproduces all output files byte for byte under
+the same BLAS threading, and warns when that differs (the manifest itself
+carries the wall-clock duration and is excluded from that guarantee).
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure.  A fit
 whose factors are not feasible within ``EPS_FEAS_PROJECTED`` exits 3 after
@@ -65,6 +66,16 @@ def _write_matrix(matrix, out_dir: str, stem: str, binary: bool) -> None:
     write(os.path.join(out_dir, f"{stem}.bin" if binary else f"{stem}.csv"), matrix)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_threads() -> dict:
+    # What sets the BLAS thread count, on which a fit's bits depend.
+    threads = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    threads["cpu_count"] = os.cpu_count()
+    return threads
+
+
 def _write_manifest(command: str, options: dict, input_paths, out_dir: str,
                     duration: float) -> None:
     manifest = {
@@ -73,6 +84,7 @@ def _write_manifest(command: str, options: dict, input_paths, out_dir: str,
         "inputs": [{"path": p, "sha256": _sha256(p)} for p in input_paths],
         "version": __version__,
         "duration_seconds": duration,
+        "blas_threads": _blas_threads(),
     }
     _dump_json(manifest, os.path.join(out_dir, _MANIFEST_NAME))
 
@@ -470,6 +482,11 @@ def _rerun(args) -> int:
                 f"input {entry['path']} changed since the recorded run "
                 f"(sha256 {digest} != {entry['sha256']})"
             )
+    recorded, current = manifest.get("blas_threads"), _blas_threads()
+    if recorded is not None and recorded != current:
+        print(f"warning: BLAS threading {current} differs from the recorded "
+              f"{recorded}; a fit may not reproduce byte for byte",
+              file=sys.stderr)
     if args.out_dir is not None:
         options["out_dir"] = args.out_dir
     return _execute(command, options)

@@ -234,24 +234,51 @@ def _fix_row_sums(a: np.ndarray) -> np.ndarray:
     # Re-impose unit row sums by adjusting the diagonal, leaving the
     # off-diagonal proposal untouched.
     out = a.copy()
-    np.fill_diagonal(out, 0.0)
-    np.fill_diagonal(out, 1.0 - out.sum(axis=1))
+    diagonal = out.reshape(-1)[::out.shape[0] + 1]
+    diagonal[:] = 0.0
+    diagonal[:] = 1.0 - out.sum(axis=1)
     return out
 
 
+def _screens(w: np.ndarray, h: np.ndarray) -> tuple:
+    # For each factor, the row of W where its column peaks and the column of
+    # H where its row peaks: its anchor row and column, when it has them,
+    # where W A and inv(A) H turn negative first as A moves off the
+    # identity.  Each slack, times the largest |A| entry (W side) or the
+    # largest |inv(A)| row sum (H side), bounds how far two BLAS products
+    # may round one length-R dot product apart.
+    ws = w[np.unique(np.argmax(w, axis=0))]
+    hs = h[:, np.unique(np.argmax(h, axis=1))]
+    gamma = 2.0 * (w.shape[1] + 1) * np.finfo(np.float64).eps
+    return ws, gamma * np.abs(ws).sum(axis=1).max(), hs, gamma * np.abs(hs).max()
+
+
 def _is_feasible(a: np.ndarray, w: np.ndarray, h: np.ndarray,
-                 zero_tol: float) -> bool:
-    if np.min(w @ a) < -zero_tol:
+                 zero_tol: float, screens: tuple) -> bool:
+    # W A >= -zero_tol and inv(A) H >= -zero_tol, tested first on the
+    # screen rows of W and columns of H, so a proposal that a screen rejects
+    # forms neither full product.  A screen rejects only below -zero_tol by
+    # more than its rounding slack, where the full product rejects as well,
+    # so the screens change the cost of a verdict and never the verdict.
+    ws, w_slack, hs, h_slack = screens
+    low = (ws @ a).min() + zero_tol
+    if low < 0.0 and low < -w_slack * np.abs(a).max():
         return False
     try:
         # One R x R inverse and a product: LAPACK's solve with H's many
         # right-hand sides takes several times as long.
-        mixed_h = np.linalg.inv(a) @ h
+        inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         return False
+    low = (inv @ hs).min() + zero_tol
+    if low < 0.0 and low < -h_slack * np.abs(inv).sum(axis=1).max():
+        return False
+    if (w @ a).min() < -zero_tol:
+        return False
+    mixed_h = inv @ h
     if not np.all(np.isfinite(mixed_h)):
         return False
-    return np.min(mixed_h) >= -zero_tol
+    return mixed_h.min() >= -zero_tol
 
 
 def sample_feasible_A(factors: FactorPair, n_samples: int, seed: int,
@@ -277,8 +304,9 @@ def sample_feasible_A(factors: FactorPair, n_samples: int, seed: int,
     w, h = factors.w, factors.h
     rank = factors.rank
     identity = MixingMatrix(a=np.eye(rank))
+    screens = _screens(w, h)
     # Resets propose the same matrix every time, so their verdict is fixed.
-    reset_ok = _is_feasible(identity.a, w, h, zero_tol)
+    reset_ok = _is_feasible(identity.a, w, h, zero_tol, screens)
     state = identity
     out = []
     for _ in range(n_samples):
@@ -295,7 +323,7 @@ def sample_feasible_A(factors: FactorPair, n_samples: int, seed: int,
                 proposal = _fix_row_sums(proposal)
             else:
                 proposal = _fix_row_sums(state.a + rng.normal(0.0, step, (rank, rank)))
-            if _is_feasible(proposal, w, h, zero_tol):
+            if _is_feasible(proposal, w, h, zero_tol, screens):
                 state = MixingMatrix(a=proposal)
         out.append(state)
     return out

@@ -37,6 +37,16 @@ __all__ = [
 DEFAULT_MIN_DOC_FRACTION = 0.005
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
+# On ASCII text \w is exactly [A-Za-z0-9_]: mapping every other ASCII
+# character to a space and splitting on whitespace yields _TOKEN_RE's tokens.
+_ASCII_NONWORD = str.maketrans({chr(c): " " for c in range(128)
+                                if not (chr(c).isalnum() or chr(c) == "_")})
+
+
+def _tokens(lowered: str) -> list:
+    if lowered.isascii():
+        return lowered.translate(_ASCII_NONWORD).split()
+    return _TOKEN_RE.findall(lowered)
 
 
 @dataclass(frozen=True)
@@ -100,7 +110,7 @@ def build_corpus(documents, *, stop_words=(),
     stop = {w.lower() for w in stop_words}
 
     # Occurrences of each lowercased word-character run, per document.
-    runs = [Counter(_TOKEN_RE.findall(d.lower())) for d in docs]
+    runs = [Counter(_tokens(d.lower())) for d in docs]
     tokens = list(set().union(*runs))
     token_id = {t: k for k, t in enumerate(tokens)}
     # The (document, token) cells with their counts, flattened in document

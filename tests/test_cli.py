@@ -97,6 +97,10 @@ def test_factorize_manifest_records_run(tmp_path):
     digest = hashlib.sha256(x_path.read_bytes()).hexdigest()
     assert entry["sha256"] == digest
     assert manifest["duration_seconds"] >= 0.0
+    assert manifest["blas_threads"] == {
+        name: os.environ.get(name)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    } | {"cpu_count": os.cpu_count()}
 
 
 def test_factorize_binary_output(tmp_path):
@@ -520,6 +524,38 @@ def test_rerun_analyze_bitwise(tmp_path):
     out2 = tmp_path / "run2"
     assert run_cli("rerun", out1 / "manifest.json",
                    "--out-dir", out2) == EXIT_OK
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_rerun_warns_when_blas_threading_differs(tmp_path, capsys, monkeypatch):
+    x_path, _ = write_instance(tmp_path, seed=5)
+    out1 = tmp_path / "run1"
+    assert run_cli("factorize", x_path, "--rank", 2, "--restarts", 1,
+                   "--out-dir", out1) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    out2 = tmp_path / "run2"
+    assert run_cli("rerun", out1 / "manifest.json", "--out-dir", out2) == EXIT_OK
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("warning: BLAS threading") and "'7'" in line
+    for name in ("W.csv", "H.csv", "result.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_rerun_of_a_manifest_without_blas_threads_is_silent(tmp_path, capsys,
+                                                            monkeypatch):
+    w_path, h_path = worked_factors(tmp_path)
+    out1 = tmp_path / "run1"
+    assert run_cli("analyze", w_path, h_path, "--samples", 50,
+                   "--out-dir", out1) == EXIT_OK
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    del manifest["blas_threads"]
+    (out1 / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    out2 = tmp_path / "run2"
+    assert run_cli("rerun", out1 / "manifest.json", "--out-dir", out2) == EXIT_OK
+    assert capsys.readouterr().err == ""
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 

@@ -24,7 +24,7 @@ from smf import (
     sample_feasible_A,
     support_sets,
 )
-from smf.identify import DEFAULT_ZERO_TOL_ESTIMATED
+from smf.identify import DEFAULT_ZERO_TOL_ESTIMATED, _is_feasible, _screens
 
 WORKED_W = np.array([[0.7, 0.3], [0.4, 0.6]])
 WORKED_H = np.array([[0.6, 0.4], [0.2, 0.8]])
@@ -407,9 +407,18 @@ def topic_factors(n_docs=200, n_topics=20, terms_per=18):
     return fit_topics(corpus, cfg).factors
 
 
+def shared_maxima_pair():
+    # Row 0 holds the maximum of W's columns 0 and 1, and row 1 that of
+    # columns 2 and 3, so the W screen has 2 rows for R = 4.
+    rng = np.random.default_rng(5)
+    w = np.vstack([[0.45, 0.45, 0.05, 0.05], [0.05, 0.05, 0.45, 0.45],
+                   rng.dirichlet(np.ones(4), size=10) * 0.5 + 0.075])
+    return pair(w, rng.dirichlet(np.ones(9), size=4))
+
+
 @pytest.mark.parametrize("case", [
     "anchored", "non-anchored", "zero-tol", "anchored-zero-tol", "rank-1",
-    "worked", "off-simplex", "rank-20",
+    "worked", "off-simplex", "rank-20", "shared-maxima", "non-anchored-rank-10",
 ])
 def test_sampler_matches_reference_loop_bitwise(case):
     zero_tol = {"zero-tol": 1e-3, "anchored-zero-tol": 1e-3,
@@ -417,6 +426,8 @@ def test_sampler_matches_reference_loop_bitwise(case):
     p, n = {
         "anchored": lambda: (anchored_pair(seed=19), 600),
         "non-anchored": lambda: (non_anchored_pair(seed=101), 600),
+        "shared-maxima": lambda: (shared_maxima_pair(), 600),
+        "non-anchored-rank-10": lambda: (non_anchored_pair(seed=103, rank=10), 600),
         "zero-tol": lambda: (non_anchored_pair(seed=102, rank=4), 600),
         "anchored-zero-tol": lambda: (anchored_pair(seed=20), 600),
         "rank-1": lambda: (pair(np.ones((4, 1)), [[0.2, 0.3, 0.5]]), 50),
@@ -432,15 +443,139 @@ def test_sampler_matches_reference_loop_bitwise(case):
         assert g.a.tobytes() == r.tobytes()
     eye = np.eye(p.rank)
     moved = sum(not np.array_equal(r, eye) for r in want)
-    if case in ("non-anchored", "zero-tol", "worked", "off-simplex"):
+    if case in ("non-anchored", "zero-tol", "worked", "off-simplex",
+                "shared-maxima", "non-anchored-rank-10"):
         # Moves are accepted, so the inputs exercise more than the identity.
         assert moved > 0
+    if case == "shared-maxima":
+        assert _screens(p.w, p.h)[0].shape == (2, 4)
     if case == "off-simplex":
         assert p.w.min() < 0.0
         assert not _reference_is_feasible(eye, p.w, p.h, 0.0)
         # The walk leaves the identity and never returns to it.
         first = next(k for k, r in enumerate(want) if not np.array_equal(r, eye))
         assert not any(np.array_equal(r, eye) for r in want[first:])
+
+
+def test_sampler_screens_are_the_anchors():
+    # Each factor's screen row of W is one of its anchor rows, on exact
+    # anchored factors and on an R=20 topic fit; on the exact factors each
+    # screen column of H is an anchor column as well.
+    for p, zero_tol in ((anchored_pair(seed=19), 0.0),
+                        (topic_factors(), DEFAULT_ZERO_TOL_ESTIMATED)):
+        report = check_uniqueness(p, zero_tol)
+        ws, _, hs, _ = _screens(p.w, p.h)
+        rows = np.argmax(p.w, axis=0)
+        assert all(rows[r] in report.anchor_rows[r] for r in range(p.rank))
+        assert np.array_equal(ws, p.w[np.sort(rows)])
+    p = anchored_pair(seed=19)
+    cols = np.argmax(p.h, axis=1)
+    assert all(cols[r] in check_uniqueness(p).anchor_cols[r] for r in range(p.rank))
+    assert np.array_equal(_screens(p.w, p.h)[2], p.h[:, np.sort(cols)])
+
+
+def axis_move(rank, r1, r2, t):
+    # The mixing matrix that moves t of factor r1 onto factor r2.
+    a = np.eye(rank)
+    a[r1, r2] = t
+    a[r1, r1] = 1.0 - t
+    return a
+
+
+def _unscreened_is_feasible(a, w, h, zero_tol):
+    # The full W A and inv(A) H tests alone.
+    if np.min(w @ a) < -zero_tol:
+        return False
+    try:
+        mixed_h = np.linalg.inv(a) @ h
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.isfinite(mixed_h)) and np.min(mixed_h) >= -zero_tol)
+
+
+@pytest.mark.parametrize("zero_tol", [0.0, 1e-6])
+def test_sampler_screens_keep_near_tie_verdicts(zero_tol):
+    # Moves along an axis (r1, r2) whose binding row of W is a screen row,
+    # scaled so that min(W A) lands within a few ulps of -zero_tol: the
+    # screened verdict is the unscreened one on both sides of the tie.
+    p = non_anchored_pair(seed=101)
+    w, h = p.w, p.h
+    screens = _screens(w, h)
+    screen_rows = set(np.unique(np.argmax(w, axis=0)).tolist())
+    ties = 0
+    verdicts = set()
+    for r1 in range(p.rank):
+        for r2 in range(p.rank):
+            ratio = (w[:, r2] + zero_tol) / w[:, r1]
+            if r1 == r2 or int(np.argmin(ratio)) not in screen_rows:
+                continue
+            t_star = -ratio.min()
+            for k in range(-6, 7):
+                a = axis_move(p.rank, r1, r2, t_star * (1.0 + k * np.finfo(float).eps))
+                assert abs((w @ a).min() + zero_tol) <= 1e-15
+                want = _unscreened_is_feasible(a, w, h, zero_tol)
+                assert _is_feasible(a, w, h, zero_tol, screens) == want
+                verdicts.add(want)
+                ties += 1
+    assert ties > 0 and verdicts == {False, True}
+
+
+@pytest.mark.parametrize("zero_tol", [0.0, 1e-6])
+def test_sampler_screens_keep_near_tie_verdicts_on_h(zero_tol):
+    # Moves along an axis (r1, r2) out to where inv(A) H first dips below
+    # -zero_tol, found by bisection to adjacent floats, on axes whose binding
+    # column of H is a screen column: the screened verdict is the unscreened
+    # one on both sides of the tie.
+    p = non_anchored_pair(seed=101)
+    w, h = p.w, p.h
+    screens = _screens(w, h)
+    screen_cols = set(np.unique(np.argmax(h, axis=1)).tolist())
+    ties = 0
+    verdicts = set()
+    for r1 in range(p.rank):
+        for r2 in range(p.rank):
+            if r1 == r2:
+                continue
+            ok, bad = 0.0, 1.0
+            if _unscreened_is_feasible(axis_move(p.rank, r1, r2, bad), w, h, zero_tol):
+                continue
+            while np.nextafter(ok, bad) < bad:
+                mid = 0.5 * (ok + bad)
+                if _unscreened_is_feasible(axis_move(p.rank, r1, r2, mid), w, h, zero_tol):
+                    ok = mid
+                else:
+                    bad = mid
+            mixed_h = np.linalg.inv(axis_move(p.rank, r1, r2, bad)) @ h
+            if np.argmin(mixed_h) % h.shape[1] not in screen_cols:
+                continue
+            for t in ok * (1.0 + np.arange(-6, 7) * np.finfo(float).eps):
+                a = axis_move(p.rank, r1, r2, t)
+                assert abs((np.linalg.inv(a) @ h).min() + zero_tol) <= 1e-15
+                want = _unscreened_is_feasible(a, w, h, zero_tol)
+                assert _is_feasible(a, w, h, zero_tol, screens) == want
+                verdicts.add(want)
+                ties += 1
+    assert ties > 0 and verdicts == {False, True}
+
+
+@pytest.mark.parametrize("case", ["non-anchored", "rank-20", "off-simplex",
+                                  "shared-maxima"])
+def test_sampler_screened_verdicts_match_unscreened(case):
+    p = {"non-anchored": lambda: non_anchored_pair(seed=104, rank=5),
+         "rank-20": topic_factors, "off-simplex": off_simplex_factors,
+         "shared-maxima": shared_maxima_pair}[case]()
+    screens = _screens(p.w, p.h)
+    rng = np.random.default_rng(3)
+    verdicts = []
+    for step in (0.003, 0.03, 0.3):
+        for _ in range(150):
+            a = _reference_fix_row_sums(
+                np.eye(p.rank) + rng.normal(0.0, step, (p.rank, p.rank)))
+            for zero_tol in (0.0, DEFAULT_ZERO_TOL_ESTIMATED, 1e-3):
+                want = _unscreened_is_feasible(a, p.w, p.h, zero_tol)
+                assert _is_feasible(a, p.w, p.h, zero_tol, screens) == want
+                verdicts.append(want)
+    assert not all(verdicts)
 
 
 def test_sampler_shares_repeated_states():

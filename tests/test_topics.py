@@ -20,6 +20,7 @@ from smf import (
     write_top_terms_csv,
 )
 from smf.solver import SolveResult
+from smf.topics import _tokens
 
 
 def model_from_factors(w, h, vocabulary):
@@ -118,6 +119,68 @@ def test_build_corpus_counts_match_token_loop():
     assert corpus.doc_ids == tuple(str(i) for i in np.flatnonzero(keep))
     assert corpus.doc_term.dtype == np.float64
     assert np.array_equal(corpus.doc_term, counts)
+
+
+def assert_matches_token_loop(docs, stop_words=(), min_docs=1):
+    corpus = build_corpus(docs, stop_words=stop_words, min_doc_fraction=0.0)
+    vocab, counts, keep = reference_doc_term(docs, stop_words, min_docs)
+    assert corpus.vocabulary == vocab
+    assert corpus.doc_ids == tuple(str(i) for i in np.flatnonzero(keep))
+    assert corpus.doc_term.tobytes() == counts.tobytes()
+    return corpus
+
+
+def test_ascii_token_pass_matches_the_regex():
+    import re
+
+    # Random strings over all 128 ASCII code points, then the lowercased
+    # ASCII text of every line below: the translate-and-split pass yields
+    # the regex's word runs element for element.
+    rng = np.random.default_rng(7)
+    strings = ["".join(map(chr, rng.integers(0, 128, int(rng.integers(0, 13)))))
+               for _ in range(20000)]
+    for text in strings + [chr(c) * 3 for c in range(128)] + ["\u212aelvin"]:
+        lowered = text.lower()
+        assert lowered.isascii()
+        assert _tokens(lowered) == re.findall(r"\w+", lowered)
+
+
+def test_build_corpus_ascii_pass_matches_token_loop():
+    # Every ASCII code point between words and inside a word, with tabs
+    # and carriage returns; U+001C-U+001F are whitespace to str.split but
+    # not word characters.
+    docs = [f"alpha{chr(c)}beta\tgamma{chr(c)}\r{chr(c)}delta Epsilon{chr(c)}"
+            for c in range(128)]
+    docs += ["x\x1cy\x1dz\x1ew\x1fv", "Tab\tsep\r\nline\x0bvt\x0cff"]
+    corpus = assert_matches_token_loop(docs)
+    assert {"alpha", "beta", "gamma", "delta", "epsilon"} <= set(corpus.vocabulary)
+    # A letter or underscore between two words joins them into one run.
+    assert "alphaabeta" in corpus.vocabulary
+    assert "alpha_beta" not in corpus.vocabulary
+
+
+def test_build_corpus_non_ascii_lines_match_token_loop():
+    # The Kelvin sign lowercases to ASCII k and takes the ASCII pass; the
+    # other lines keep a non-ASCII character and take the regex.
+    lines = ["\u212aelvin alpha", "\u0130stanbul alpha", "caf\u00e9 alpha",
+             "alpha\uff11 beta\uff11beta", "alpha\u0663 gamma\u0663gamma",
+             "alpha\u00a0beta", "alpha\u2028beta", "alpha\x1cbeta\x1fgamma",
+             "\u212a"]
+    for line in lines:
+        assert_matches_token_loop([line, "alpha beta gamma"])
+    corpus = assert_matches_token_loop(lines + ["alpha beta gamma"])
+    assert "kelvin" in corpus.vocabulary and "café" in corpus.vocabulary
+    # A corpus mixing ASCII and non-ASCII lines, with stop words.
+    rng = np.random.default_rng(11)
+    words = ["alpha", "Beta", "caf\u00e9", "\u212aelvin", "\u0130stanbul",
+             "x9", "na\u00efve", "the", "snake_case", "\uff11", "\u0663"]
+    seps = [" ", "\t", "\u00a0", "\u2028", ", ", "\x1c", "-"]
+    docs = ["".join(str(w) + str(rng.choice(seps))
+                    for w in rng.choice(words, size=int(rng.integers(1, 9))))
+            for _ in range(80)]
+    assert any(d.lower().isascii() for d in docs)
+    assert not all(d.lower().isascii() for d in docs)
+    assert_matches_token_loop(docs, stop_words=("the",))
 
 
 def test_build_corpus_validation():
