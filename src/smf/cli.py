@@ -17,6 +17,7 @@ writing all of its outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -34,8 +35,8 @@ from .faces import (GrayImage, downsample_2x2, read_pgm, reconstruct,
 from .identify import (DEFAULT_ZERO_TOL_ESTIMATED, DegenerateFactorError,
                        analysis_report, sample_feasible_A)
 from .matrixio import read_matrix, write_matrix_binary, write_matrix_csv
-from .solver import (InvalidInputError, Mode, RankDeficientError, SolverConfig,
-                     factorize)
+from .solver import (EXACT_FIT_TOL, InvalidInputError, Mode, RankDeficientError,
+                     SolverConfig, factorize)
 from .topics import (TopicModel, _read_lines, build_corpus, fit_topics,
                      read_corpus, write_corpus, write_histogram_csv,
                      write_top_terms_csv)
@@ -95,10 +96,16 @@ def _load_factors(w_path: str, h_path: str, orientation: Orientation) -> FactorP
 
 
 def _solver_config(args) -> SolverConfig:
+    # A manifest written while --tol existed records "tol"; only a run at the
+    # now fixed exact-fit tolerance can reproduce its bytes.
+    tol = vars(args).get("tol", EXACT_FIT_TOL)
+    if tol != EXACT_FIT_TOL:
+        raise InvalidInputError(f"--tol was removed: the exact-fit tolerance is "
+                                f"fixed at {EXACT_FIT_TOL:g}, so a run recorded "
+                                f"with tol {tol!r} cannot be reproduced")
     return SolverConfig(
         rank=args.rank,
         orientation=Orientation(args.orientation),
-        conv_tol=args.tol,
         restarts=args.restarts,
         seed=args.seed,
         mode=args.mode,
@@ -106,16 +113,8 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _result_payload(result) -> dict:
-    return {
-        "objective": result.objective,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "best_restart": result.best_restart,
-        "max_violation": result.max_violation,
-        "feasible": result.feasible,
-        "restart_objectives": list(result.restart_objectives),
-        "objective_trace": list(result.objective_trace),
-    }
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+            if f.name != "factors"}
 
 
 def _write_fit(result, out_dir: str, binary: bool) -> int:
@@ -300,12 +299,8 @@ def _add_solver_flags(parser) -> None:
     parser.add_argument("--restarts", type=int, default=5,
                         help="up to k starts (default 5); restart 0 runs first "
                              "and ends the fit alone if its objective is within "
-                             "--tol times |X|_F")
+                             "%g times |X|_F" % EXACT_FIT_TOL)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=1e-8,
-                        help="exact-fit factor: restart 0 ends the fit alone "
-                             "if its objective is within --tol times |X|_F "
-                             "(default 1e-8)")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored; restarts run one after "
                              "another")

@@ -9,7 +9,9 @@ in R dimensions instead of pixel space.
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,13 @@ __all__ = [
 ]
 
 _PGM_MAXVAL = 255
+# The PGM token grammar: whitespace separates lexemes, and a lexeme is a
+# '#' comment, which runs to the end of its line, or a token (group 1), a
+# run of bytes that are neither whitespace nor '#'.  Every other byte is
+# whitespace, so a scan for lexemes skips nothing else.  The header ends at
+# the one whitespace byte after maxval, once any comment there has run out.
+_PGM_LEXEME = re.compile(rb"#[^\n]*|([^\s#]+)")
+_PGM_HEADER_END = re.compile(rb"#[^\n]*\n|\s")
 _WEIGHT_SUM_TOL = 1e-6
 _EPS = float(np.finfo(np.float64).eps)
 _ONE = np.ones(1)
@@ -76,54 +85,33 @@ def downsample_2x2(img: GrayImage) -> GrayImage:
     return GrayImage(pixels=core.reshape(9, 2, 9, 2).mean(axis=(1, 3)))
 
 
-def _read_tokens_ascii(body: bytes):
-    # PGM allows '#' comments anywhere between tokens.
-    for line in body.split(b"\n"):
-        line = line.split(b"#", 1)[0]
-        for tok in line.split():
-            yield tok
-
-
 def read_pgm(path) -> GrayImage:
     """Read a PGM file (ASCII P2 or binary P5, maxval up to 255)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] not in (b"P2", b"P5"):
         raise ValueError("not a PGM file (expected P2 or P5 magic)")
-    magic = data[:2].decode("ascii")
-    # Header: magic, width, height, maxval as whitespace/comment separated
-    # tokens; for P5 exactly one whitespace byte follows maxval.
-    header = []
-    pos = 2
-    token = b""
-    while len(header) < 3 and pos < len(data):
-        ch = data[pos:pos + 1]
-        pos += 1
-        if ch == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        if ch.isspace():
-            if token:
-                header.append(token)
-                token = b""
-            continue
-        token += ch
-    if len(header) < 3:
+    # Header: magic, width, height, maxval; for P5 the pixel bytes start
+    # right after the one whitespace byte that ends the header.
+    tokens = (m for m in _PGM_LEXEME.finditer(data, 2) if m.lastindex)
+    header = list(itertools.islice(tokens, 3))
+    end = len(header) == 3 and _PGM_HEADER_END.match(data, header[-1].end())
+    if not end:
         raise ValueError("truncated PGM header")
-    width, height, maxval = (int(t) for t in header)
+    pos = end.end()
+    width, height, maxval = (int(m.group(1)) for m in header)
     if width <= 0 or height <= 0:
         raise ValueError("PGM dimensions must be positive")
     if not (0 < maxval <= _PGM_MAXVAL):
         raise ValueError(f"PGM maxval must be in 1..{_PGM_MAXVAL}, got {maxval}")
     count = width * height
-    if magic == "P5":
+    if data[:2] == b"P5":
         raw = data[pos:pos + count]
         if len(raw) < count:
             raise ValueError("truncated PGM pixel data")
         values = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
     else:
-        toks = list(_read_tokens_ascii(data[pos - 1:]))
+        toks = [t for t in _PGM_LEXEME.findall(data, pos) if t]
         if len(toks) < count:
             raise ValueError("truncated PGM pixel data")
         values = np.array([int(t) for t in toks[:count]], dtype=np.float64)

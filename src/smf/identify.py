@@ -57,9 +57,10 @@ class ViolationKind(Enum):
 class SupportSets:
     """Nonzero patterns of the factor columns of W and factor rows of H.
 
-    ``w_support[r]`` holds the row indices i with ``|W[i, r]| > zero_tol``;
-    ``h_support[r]`` holds the column indices j with ``|H[r, j]| > zero_tol``.
-    The comparison is strict, so entries equal to ``zero_tol`` count as zero.
+    ``w_support[r]`` holds the row indices i with ``W[i, r] > zero_tol``;
+    ``h_support[r]`` holds the column indices j with ``H[r, j] > zero_tol``.
+    The comparison is strict, so entries in ``[-zero_tol, zero_tol]`` count
+    as zero; a factor with an entry below ``-zero_tol`` is refused.
     """
 
     w_support: tuple[frozenset, ...]
@@ -95,26 +96,36 @@ class UniquenessReport:
             raise ValueError("unique flag must match emptiness of violations")
 
 
-def support_sets(factors: FactorPair, zero_tol: float = 0.0) -> SupportSets:
-    """Compute the per-factor support sets of W's columns and H's rows."""
+def _supports(factors: FactorPair, zero_tol: float) -> tuple:
+    # The one support test behind the verdict, the anchors and the bounds:
+    # masks of W > zero_tol (n x R) and H.T > zero_tol (m x R).  An entry
+    # below -zero_tol is neither a zero nor a support, so it is refused.
     if zero_tol < 0:
         raise ValueError("zero_tol must be non-negative")
-    w, h = factors.w, factors.h
-    w_sup = tuple(frozenset(np.flatnonzero(np.abs(w[:, r]) > zero_tol).tolist())
-                  for r in range(factors.rank))
-    h_sup = tuple(frozenset(np.flatnonzero(np.abs(h[r, :]) > zero_tol).tolist())
-                  for r in range(factors.rank))
+    for name, a in (("W", factors.w), ("H", factors.h)):
+        below = np.argwhere(a < -zero_tol)
+        if below.size:
+            i, j = below[0].tolist()
+            raise ValueError(f"{name}[{i}, {j}] = {float(a[i, j])!r} lies below "
+                             f"-zero_tol (zero_tol = {float(zero_tol)!r})")
+    return factors.w > zero_tol, factors.h.T > zero_tol
+
+
+def support_sets(factors: FactorPair, zero_tol: float = 0.0) -> SupportSets:
+    """Compute the per-factor support sets of W's columns and H's rows."""
+    w_nz, h_nz = _supports(factors, zero_tol)
+    w_sup, h_sup = (tuple(frozenset(np.flatnonzero(col).tolist()) for col in nz.T)
+                    for nz in (w_nz, h_nz))
     return SupportSets(w_support=w_sup, h_support=h_sup, zero_tol=float(zero_tol))
 
 
-def _anchors(matrix_abs: np.ndarray, zero_tol: float) -> dict:
-    # A row (of W) or column (of H, passed transposed) anchors factor r when
-    # its support is exactly {r}.
-    nz = matrix_abs > zero_tol
-    out = {r: [] for r in range(matrix_abs.shape[1])}
-    single = nz.sum(axis=1) == 1
-    for i in np.flatnonzero(single):
-        out[int(np.flatnonzero(nz[i])[0])].append(int(i))
+def _anchors(nz: np.ndarray) -> dict:
+    # A row (of W) or column (of H, a row of the transposed mask) anchors
+    # factor r when its support is exactly {r}.
+    out = {r: [] for r in range(nz.shape[1])}
+    single = np.flatnonzero(nz.sum(axis=1) == 1)
+    for i, r in zip(single.tolist(), nz[single].argmax(axis=1).tolist()):
+        out[r].append(i)
     return out
 
 
@@ -124,23 +135,22 @@ def check_uniqueness(factors: FactorPair, zero_tol: float = 0.0) -> UniquenessRe
     The factorization is unique exactly when no ordered pair (r1, r2) with
     r1 != r2 has the support of W's column r1 contained in that of column r2,
     and likewise for the rows of H.  Containment includes equality, and an
-    empty support is contained in every set.
+    empty support is contained in every set.  Violations are listed by r1,
+    then r2, with W's before H's.
     """
-    sets = support_sets(factors, zero_tol)
-    violations = []
-    for r1 in range(factors.rank):
-        for r2 in range(factors.rank):
-            if r1 == r2:
-                continue
-            if sets.w_support[r1] <= sets.w_support[r2]:
-                violations.append(Violation(ViolationKind.W_SUBSET, r1, r2))
-            if sets.h_support[r1] <= sets.h_support[r2]:
-                violations.append(Violation(ViolationKind.H_SUBSET, r1, r2))
+    w_nz, h_nz = _supports(factors, zero_tol)
+    # nested[r1, r2, side]: no entry lies in the support of r1 and outside
+    # that of r2, one boolean product per side (W, then H).
+    nested = np.stack([~(nz.T @ ~nz) for nz in (w_nz, h_nz)], axis=-1)
+    nested[np.eye(factors.rank, dtype=bool)] = False
+    kinds = (ViolationKind.W_SUBSET, ViolationKind.H_SUBSET)
+    violations = tuple(Violation(kinds[k], r1, r2)
+                       for r1, r2, k in np.argwhere(nested).tolist())
     return UniquenessReport(
         unique=not violations,
-        violations=tuple(violations),
-        anchor_rows=_anchors(np.abs(factors.w), zero_tol),
-        anchor_cols=_anchors(np.abs(factors.h).T, zero_tol),
+        violations=violations,
+        anchor_rows=_anchors(w_nz),
+        anchor_cols=_anchors(h_nz),
     )
 
 
@@ -168,15 +178,15 @@ class AxisBound:
             raise ValueError("width must equal upper - lower")
 
 
-def _ratio_mins(a: np.ndarray, zero_tol: float) -> np.ndarray:
-    # M[r1, r2] = min of a[i, r2] / a[i, r1] over rows i with a[i, r1] >
-    # zero_tol, one masked division per column r1.  Numerators at or below
-    # zero_tol count as exact zeros since they impose no constraint beyond
-    # non-negativity.
-    num = np.where(a <= zero_tol, 0.0, a)
+def _ratio_mins(a: np.ndarray, nz: np.ndarray) -> np.ndarray:
+    # M[r1, r2] = min of a[i, r2] / a[i, r1] over the rows i in the support
+    # nz of column r1, one masked division per column r1.  Numerators
+    # outside the support count as exact zeros since they impose no
+    # constraint beyond non-negativity.
+    num = np.where(nz, a, 0.0)
     out = np.empty((a.shape[1], a.shape[1]))
     for r in range(a.shape[1]):
-        keep = a[:, r] > zero_tol
+        keep = nz[:, r]
         out[r] = (num[keep] / a[keep, r, None]).min(axis=0)
     return out
 
@@ -191,21 +201,20 @@ def natural_bounds(factors: FactorPair, zero_tol: float = 0.0) -> list:
 
     Raises
     ------
+    ValueError
+        If ``zero_tol`` is negative or an entry lies below ``-zero_tol``.
     DegenerateFactorError
         If some factor index has no entry above ``zero_tol`` in its W column
         or its H row.
     """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be non-negative")
-    w, h = factors.w, factors.h
+    w_nz, h_nz = _supports(factors, zero_tol)
+    empty = np.argwhere(~np.stack([w_nz.any(axis=0), h_nz.any(axis=0)], axis=1))
+    if empty.size:
+        r, k = empty[0].tolist()
+        raise DegenerateFactorError(f"factor {r} has empty support in {'WH'[k]}")
     rank = factors.rank
-    for r in range(rank):
-        if not np.any(w[:, r] > zero_tol):
-            raise DegenerateFactorError(f"factor {r} has empty support in W")
-        if not np.any(h[r, :] > zero_tol):
-            raise DegenerateFactorError(f"factor {r} has empty support in H")
-    lower = (-_ratio_mins(w, zero_tol)).tolist()
-    upper = _ratio_mins(h.T, zero_tol).T.tolist()
+    lower = (-_ratio_mins(factors.w, w_nz)).tolist()
+    upper = _ratio_mins(factors.h.T, h_nz).T.tolist()
     return [AxisBound(r1=r1, r2=r2, lower=lower[r1][r2], upper=upper[r1][r2],
                       width=upper[r1][r2] - lower[r1][r2])
             for r1 in range(rank) for r2 in range(rank) if r1 != r2]
@@ -346,17 +355,11 @@ _HISTOGRAM_EDGES = (0.0, 0.001, 0.01, 0.02, 1.0)
 
 def _widths_histogram(widths) -> dict:
     # counts[k] tallies widths in [edges[k], edges[k+1]); the final slot
-    # tallies widths >= the last edge.
-    edges = _HISTOGRAM_EDGES
-    counts = [0] * len(edges)
-    for width in widths:
-        slot = len(edges) - 1
-        for k in range(len(edges) - 1):
-            if edges[k] <= width < edges[k + 1]:
-                slot = k
-                break
-        counts[slot] += 1
-    return {"edges": list(edges), "counts": counts}
+    # tallies widths >= the last edge.  Widths are never negative.
+    slots = np.searchsorted(_HISTOGRAM_EDGES, np.asarray(widths, dtype=np.float64),
+                            side="right") - 1
+    counts = np.bincount(slots, minlength=len(_HISTOGRAM_EDGES))
+    return {"edges": list(_HISTOGRAM_EDGES), "counts": counts.tolist()}
 
 
 def analysis_report(factors: FactorPair, zero_tol: float = 0.0) -> dict:

@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 EPS_FEAS_PROJECTED = 1e-9
+# A restart 0 whose objective ends within EXACT_FIT_TOL * |X|_F is an exact
+# fit, and the only restart that runs.
+EXACT_FIT_TOL = 1e-8
 
 _X_ROW_SUM_TOL = 1e-6
 
@@ -75,15 +78,13 @@ class Mode(Enum):
 class SolverConfig:
     """Solver settings.  Of up to ``restarts`` starts, restart 0 is the
     anchor (SPA) start, which does not depend on ``seed``, and restart
-    j >= 1 is the random start seeded ``seed + j``.  ``conv_tol`` sets the
-    exact-fit bound ``conv_tol * |X|_F``: a restart 0 whose objective ends
-    within it is the only restart that runs.  ``max_iter`` is accepted and
-    ignored, so callers written for older versions still construct a
-    config."""
+    j >= 1 is the random start seeded ``seed + j``; a restart 0 whose
+    objective ends within ``EXACT_FIT_TOL * |X|_F`` is the only restart that
+    runs.  ``max_iter`` is accepted and ignored, so callers written for
+    older versions still construct a config."""
 
     rank: int
     orientation: Orientation = Orientation.W_ROWS_SUM_TO_1
-    conv_tol: float = 1e-8
     restarts: int = 5
     seed: int = 0
     mode: Mode = Mode.PROJECTED
@@ -94,8 +95,6 @@ class SolverConfig:
             raise InvalidInputError("rank must be at least 1")
         if self.restarts < 1:
             raise InvalidInputError("restarts must be at least 1")
-        if self.conv_tol <= 0:
-            raise InvalidInputError("conv_tol must be positive")
         self.mode = Mode(self.mode)
 
 
@@ -353,7 +352,7 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     falls back to the random start seeded ``config.seed``.  Restart j >= 1
     starts from the random point seeded ``config.seed + j``, so a 1-restart
     fit does not depend on the seed.  Restart 0 runs first, alone; when its
-    objective is at most ``config.conv_tol * |X|_F`` it is an exact fit and
+    objective is at most ``EXACT_FIT_TOL * |X|_F`` it is an exact fit and
     the fit returns it with no other restart run.  Otherwise restarts
     1..k-1 run after it, one at a time.  A warm
     start forms a residual the size of X only in near-exact rounds, and the
@@ -420,10 +419,10 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
         obj, w = _score(xm, h, config)
         return h, obj, rounds, converged, w
 
-    # The objective is non-negative, so once a restart ends within conv_tol
-    # |X|_F no other restart could improve on it by more than the solver's
-    # own tolerance: restart 0 runs alone, the others only if it ends above.
-    exact = config.conv_tol * frobenius_norm(xm)
+    # The objective is non-negative, so once a restart ends within
+    # EXACT_FIT_TOL |X|_F no other restart could improve on it by more than
+    # that: restart 0 runs alone, the others only if it ends above.
+    exact = EXACT_FIT_TOL * frobenius_norm(xm)
     anchored = _anchor_start(xm, config)
     results = [solve(random_start(0) if anchored is None else anchored)]
     if progress is not None:

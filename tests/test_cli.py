@@ -58,13 +58,14 @@ def test_factorize_writes_artifacts(tmp_path):
     assert set(result) == {"objective", "iterations", "converged",
                            "best_restart", "restart_objectives",
                            "objective_trace", "max_violation", "feasible"}
-    assert result["feasible"] is (result["max_violation"] <= 1e-3)
+    assert result["feasible"] is (result["max_violation"]
+                                  <= solver.EPS_FEAS_PROJECTED)
     assert result["objective"] == result["objective_trace"][-1]
     # On this noiseless input restart 0 is an exact fit (objective at most
-    # --tol times |X|_F), so restart 1 does not run.
+    # EXACT_FIT_TOL times |X|_F), so restart 1 does not run.
     assert len(result["restart_objectives"]) == 1
     x = read_matrix(x_path)
-    assert result["objective"] <= 1e-8 * np.linalg.norm(x)
+    assert result["objective"] <= solver.EXACT_FIT_TOL * np.linalg.norm(x)
 
 
 def test_factorize_lists_every_restart_of_a_noisy_fit(tmp_path):
@@ -302,6 +303,18 @@ def test_analyze_degenerate_factor_is_numerical_error(tmp_path, capsys):
     code = run_cli("analyze", w_path, h_path, "--out-dir", tmp_path / "run")
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_analyze_refuses_an_entry_below_minus_zero_tol(tmp_path, capsys):
+    w_path = tmp_path / "W.csv"
+    h_path = tmp_path / "H.csv"
+    write_matrix_csv(w_path, np.array([[1.0, -0.5], [0.0, 1.0]]))
+    write_matrix_csv(h_path, np.eye(2))
+    out = tmp_path / "run"
+    code = run_cli("analyze", w_path, h_path, "--zero-tol", 0.1, "--out-dir", out)
+    assert code == EXIT_INPUT
+    assert "W[0, 1] = -0.5 lies below -zero_tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- faces
@@ -638,6 +651,50 @@ def test_rerun_of_a_manifest_with_penalty_weights_is_bitwise(tmp_path):
     assert run_cli("rerun", out1 / "manifest.json", "--out-dir", out2) == EXIT_OK
     for name in ("W.csv", "H.csv", "result.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_rerun_of_a_manifest_recording_the_fixed_tol_is_bitwise(tmp_path):
+    # Manifests written while --tol existed record "tol"; at the fixed
+    # exact-fit tolerance they rerun to the same bytes.
+    x_path, _ = write_instance(tmp_path, seed=5)
+    out1 = tmp_path / "run1"
+    assert run_cli("factorize", x_path, "--rank", 2, "--restarts", 2,
+                   "--out-dir", out1) == EXIT_OK
+    assert "tol" not in json.loads((out1 / "manifest.json").read_text())["options"]
+    edit_options(out1 / "manifest.json", tol=1e-8)
+    out2 = tmp_path / "run2"
+    assert run_cli("rerun", out1 / "manifest.json", "--out-dir", out2) == EXIT_OK
+    for name in ("W.csv", "H.csv", "result.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["factorize", "topics-fit"])
+def test_rerun_rejects_a_manifest_with_another_tol(tmp_path, capsys, command):
+    # A fit at another exact-fit tolerance could not reproduce the recorded
+    # bytes, so the rerun is refused and leaves no output directory.
+    doc_term, vocab, x_path = block_corpus_files(tmp_path)
+    if command == "factorize":
+        argv = ["factorize", x_path, "--orientation", "both"]
+    else:
+        argv = ["topics", "fit", doc_term, vocab]
+    out1 = tmp_path / "run1"
+    assert run_cli(*argv, "--rank", 3, "--restarts", 2, "--out-dir", out1) == EXIT_OK
+    edit_options(out1 / "manifest.json", tol=1e-4)
+    capsys.readouterr()
+    code = run_cli("rerun", out1 / "manifest.json", "--out-dir", tmp_path / "run2")
+    assert code == EXIT_INPUT
+    assert "--tol was removed" in capsys.readouterr().err
+    assert not (tmp_path / "run2").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["factorize", "X.csv", "--rank", "2", "--tol", "1e-8"],
+    ["topics", "fit", "dt.csv", "vocab.txt", "--rank", "2", "--tol", "1e-8"],
+])
+def test_tol_flag_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 # ----------------------------------------------------------------- plumbing

@@ -183,6 +183,143 @@ def test_pgm_reader_rejects_corrupt_files(tmp_path):
         read_pgm(path)
 
 
+def reference_read_pgm(data):
+    """The byte-at-a-time header loop and line-split pixel tokenizer that
+    read_pgm replaced, on the file's bytes."""
+    def tokens_ascii(body):
+        for line in body.split(b"\n"):
+            line = line.split(b"#", 1)[0]
+            for tok in line.split():
+                yield tok
+
+    if data[:2] not in (b"P2", b"P5"):
+        raise ValueError("not a PGM file (expected P2 or P5 magic)")
+    magic = data[:2].decode("ascii")
+    header = []
+    pos = 2
+    token = b""
+    while len(header) < 3 and pos < len(data):
+        ch = data[pos:pos + 1]
+        pos += 1
+        if ch == b"#":
+            while pos < len(data) and data[pos:pos + 1] != b"\n":
+                pos += 1
+            continue
+        if ch.isspace():
+            if token:
+                header.append(token)
+                token = b""
+            continue
+        token += ch
+    if len(header) < 3:
+        raise ValueError("truncated PGM header")
+    width, height, maxval = (int(t) for t in header)
+    if width <= 0 or height <= 0:
+        raise ValueError("PGM dimensions must be positive")
+    if not (0 < maxval <= 255):
+        raise ValueError(f"PGM maxval must be in 1..{255}, got {maxval}")
+    count = width * height
+    if magic == "P5":
+        raw = data[pos:pos + count]
+        if len(raw) < count:
+            raise ValueError("truncated PGM pixel data")
+        values = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
+    else:
+        toks = list(tokens_ascii(data[pos - 1:]))
+        if len(toks) < count:
+            raise ValueError("truncated PGM pixel data")
+        values = np.array([int(t) for t in toks[:count]], dtype=np.float64)
+    if values.max(initial=0.0) > maxval:
+        raise ValueError("PGM pixel value exceeds declared maxval")
+    return GrayImage(pixels=(values / maxval).reshape(height, width))
+
+
+def pgm_outcome(read, arg):
+    try:
+        img = read(arg)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return type(exc), str(exc)
+    return img.pixels.shape, img.pixels.tobytes()
+
+
+def assert_reads_like_reference(path, data):
+    path.write_bytes(data)
+    assert pgm_outcome(read_pgm, path) == pgm_outcome(reference_read_pgm, data), data
+
+
+@pytest.mark.parametrize("data, want", [
+    # A comment directly after maxval: the header ends at its newline.
+    (b"P5\n2 1\n255#c 9\n\x07\x09", [[7, 9]]),
+    (b"P2\n2 1\n255#c 9\n7 9\n", [[7, 9]]),
+    # A comment that runs to the end of the file after maxval.
+    (b"P5\n2 1\n255#c", "truncated PGM header"),
+    (b"P2 2 1 255# 7 9", "truncated PGM header"),
+    (b"P2 2 1 255 # 7 9", "truncated PGM pixel data"),
+    # Token-like runs inside comments are not tokens.
+    (b"P2\n# 3 3\n2 1\n255\n# 5 6\n1 2 # 8\n", [[1, 2]]),
+    (b"P2\n2#x\n1 255 3#4\n5", [[3, 5]]),
+    # A P2 file one token short.
+    (b"P2\n2 2\n255\n1 2 3\n", "truncated PGM pixel data"),
+    (b"P2\n2 2\n255\n1 2 3 # 4\n", "truncated PGM pixel data"),
+])
+def test_pgm_token_grammar_cases(tmp_path, data, want):
+    path = tmp_path / "case.pgm"
+    assert_reads_like_reference(path, data)
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
+            read_pgm(path)
+    else:
+        assert np.array_equal(read_pgm(path).pixels * 255.0, want)
+
+
+# Whitespace of every kind (and \x1c, which is not whitespace to bytes),
+# comments with and without token-like runs, numbers and stray bytes.
+_PGM_FRAGMENTS = (b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"#",
+                  b"# 7 x\n", b"#9", b"0", b"1", b"2", b"3", b"7", b"12", b"255",
+                  b"256", b"-1", b"+2", b"1_0", b"x", b"\xff")
+
+
+def fuzzed_pgm(rng):
+    pick = lambda: _PGM_FRAGMENTS[rng.integers(len(_PGM_FRAGMENTS))]  # noqa: E731
+    magic = (b"P2", b"P5", b"P2", b"P5", b"P3")[rng.integers(5)]
+    if rng.random() < 0.3:
+        return magic + b"".join(pick() for _ in range(rng.integers(0, 12)))
+    w, h = (int(v) for v in rng.integers(1, 4, size=2))
+    seps = (b" ", b"\n", b"\t", b"\r\n", b" # c 5\n", b"#\n")
+    sep = lambda: seps[rng.integers(len(seps))]  # noqa: E731
+    data = magic + sep() + b"%d" % w + sep() + b"%d" % h + sep()
+    data += b"255" + (b" ", b"\n", b"#z 4\n", b"\t")[rng.integers(4)]
+    if magic == b"P5":
+        data += rng.integers(0, 256, size=w * h + 1).astype(np.uint8).tobytes()
+    else:
+        data += b"".join(b"%d" % v + sep() for v in rng.integers(0, 256, size=w * h))
+    for _ in range(rng.integers(0, 3)):
+        at = int(rng.integers(len(data) + 1))
+        how = rng.integers(3)
+        if how == 0:
+            data = data[:at] + pick() + data[at:]
+        elif how == 1:
+            data = data[:at] + data[at + 1:]
+        else:
+            data = data[:at]
+    return data
+
+
+def test_pgm_reader_matches_reference_on_fuzzed_files(tmp_path):
+    rng = np.random.default_rng(2020)
+    path = tmp_path / "fuzz.pgm"
+    outcomes = set()
+    for _ in range(3000):
+        data = fuzzed_pgm(rng)
+        assert_reads_like_reference(path, data)
+        outcomes.add(pgm_outcome(reference_read_pgm, data)[1])
+    # Reads that succeed (pixel bytes) and each way of failing all occur.
+    assert {"truncated PGM header", "truncated PGM pixel data",
+            "PGM pixel value exceeds declared maxval",
+            "PGM dimensions must be positive"} <= outcomes
+    assert any(isinstance(k, bytes) for k in outcomes)
+
+
 # ------------------------------------------------------------- reconstruct
 
 

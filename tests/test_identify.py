@@ -24,7 +24,8 @@ from smf import (
     sample_feasible_A,
     support_sets,
 )
-from smf.identify import DEFAULT_ZERO_TOL_ESTIMATED, _is_feasible, _screens
+from smf.identify import (DEFAULT_ZERO_TOL_ESTIMATED, _is_feasible, _screens,
+                          _widths_histogram)
 
 WORKED_W = np.array([[0.7, 0.3], [0.4, 0.6]])
 WORKED_H = np.array([[0.6, 0.4], [0.2, 0.8]])
@@ -125,6 +126,126 @@ def test_anchor_maps_cover_all_factors():
     report = check_uniqueness(anchored_pair(seed=5, rank=4))
     assert set(report.anchor_rows) == {0, 1, 2, 3}
     assert set(report.anchor_cols) == {0, 1, 2, 3}
+
+
+def test_an_entry_below_minus_zero_tol_is_refused():
+    # W = [[1, -0.5], [0, 1]] would read as nested under |x| > 0 and as
+    # pinned under x > 0: a factor the analysis cannot interpret.
+    w = [[1.0, -0.5], [0.0, 1.0]]
+    h = np.eye(2)
+    for call in (support_sets, check_uniqueness, natural_bounds, analysis_report):
+        with pytest.raises(ValueError, match=r"W\[0, 1\] = -0.5 lies below -zero_tol"):
+            call(pair(w, h))
+        with pytest.raises(ValueError, match=r"H\[1, 0\] = -0.2 lies below"):
+            call(pair(np.eye(2), [[1.0, 0.0], [-0.2, 1.0]]), zero_tol=0.1)
+    # The zero_tol check still comes first.
+    with pytest.raises(ValueError, match="zero_tol must be non-negative"):
+        support_sets(pair(w, h), zero_tol=-1.0)
+
+
+def test_an_entry_within_zero_tol_below_zero_counts_as_zero():
+    w = [[1.0, -1e-7], [1e-7, 1.0]]
+    h = [[0.6, 0.4, -1e-7], [0.0, 0.5, 0.5]]
+    p = pair(w, h)
+    sets = support_sets(p, zero_tol=1e-6)
+    assert sets.w_support == (frozenset({0}), frozenset({1}))
+    assert sets.h_support == (frozenset({0, 1}), frozenset({1, 2}))
+    report = check_uniqueness(p, zero_tol=1e-6)
+    assert report.unique
+    assert report.anchor_rows == {0: [0], 1: [1]}
+    assert report.anchor_cols == {0: [0], 1: [2]}
+    bounds = natural_bounds(p, zero_tol=1e-6)
+    assert [(b.lower, b.upper) for b in bounds] == [(0.0, 0.0), (0.0, 0.0)]
+
+
+def reference_analysis(w, h, zero_tol):
+    """support_sets, check_uniqueness and natural_bounds (or its error) of
+    non-negative factors, by frozensets and scalar loops."""
+    rank = w.shape[1]
+    w_sup = tuple(frozenset(i for i in range(w.shape[0]) if w[i, r] > zero_tol)
+                  for r in range(rank))
+    h_sup = tuple(frozenset(j for j in range(h.shape[1]) if h[r, j] > zero_tol)
+                  for r in range(rank))
+    violations = []
+    for r1 in range(rank):
+        for r2 in range(rank):
+            if r1 != r2 and w_sup[r1] <= w_sup[r2]:
+                violations.append(Violation(ViolationKind.W_SUBSET, r1, r2))
+            if r1 != r2 and h_sup[r1] <= h_sup[r2]:
+                violations.append(Violation(ViolationKind.H_SUBSET, r1, r2))
+    rows = {r: [i for i in range(w.shape[0]) if w_sup[r] >= {i}
+                and sum(i in s for s in w_sup) == 1] for r in range(rank)}
+    cols = {r: [j for j in range(h.shape[1]) if h_sup[r] >= {j}
+                and sum(j in s for s in h_sup) == 1] for r in range(rank)}
+    for r in range(rank):
+        for side, sup in (("W", w_sup), ("H", h_sup)):
+            if not sup[r]:
+                empty = f"factor {r} has empty support in {side}"
+                return w_sup, h_sup, violations, rows, cols, empty
+    bounds = []
+    for r1 in range(rank):
+        for r2 in range(rank):
+            if r1 != r2:
+                lower = -min((w[i, r2] if i in w_sup[r2] else 0.0) / w[i, r1]
+                             for i in w_sup[r1])
+                upper = min((h[r1, j] if j in h_sup[r1] else 0.0) / h[r2, j]
+                            for j in h_sup[r2])
+                bounds.append((r1, r2, float(lower), float(upper)))
+    return w_sup, h_sup, violations, rows, cols, bounds
+
+
+def random_supported_pair(rng):
+    # Non-negative factors with 40% zeros, entries near the 0.05 threshold,
+    # and at times a support copied from another factor (equal supports).
+    rank = int(rng.integers(1, 6))
+    n, m = (int(v) for v in rng.integers(1, 9, size=2))
+    w = rng.choice([0.0, 0.03, 0.05, 0.2, 0.7], size=(n, rank),
+                   p=[0.4, 0.1, 0.1, 0.2, 0.2]) * rng.uniform(0.5, 1.5, size=(n, rank))
+    h = rng.choice([0.0, 0.04, 0.05, 0.3, 1.0], size=(rank, m),
+                   p=[0.4, 0.1, 0.1, 0.2, 0.2]) * rng.uniform(0.5, 1.5, size=(rank, m))
+    w[rng.random(w.shape) < 0.1] = 0.05
+    if rank > 1 and rng.random() < 0.3:
+        w[:, 1] = np.where(w[:, 0] > 0.05, 0.5, 0.0)
+        h[1] = np.where(h[0] > 0.05, 0.5, 0.0)
+    return pair(w, h)
+
+
+def test_support_verdict_and_bounds_match_the_loop_reference():
+    rng = np.random.default_rng(20)
+    seen = {"empty": 0, "equal": 0, "rank-1": 0, "bounds": 0}
+    for _ in range(600):
+        p = random_supported_pair(rng)
+        for zero_tol in (0.0, 0.05):
+            w_sup, h_sup, violations, rows, cols, bounds = reference_analysis(
+                p.w, p.h, zero_tol)
+            sets = support_sets(p, zero_tol)
+            assert (sets.w_support, sets.h_support) == (w_sup, h_sup)
+            report = check_uniqueness(p, zero_tol)
+            assert report.violations == tuple(violations)
+            assert (report.anchor_rows, report.anchor_cols) == (rows, cols)
+            if isinstance(bounds, str):
+                with pytest.raises(DegenerateFactorError, match=bounds):
+                    natural_bounds(p, zero_tol)
+                seen["empty"] += 1
+            else:
+                got = natural_bounds(p, zero_tol)
+                assert [(b.r1, b.r2, b.lower, b.upper) for b in got] == bounds
+                seen["bounds"] += 1
+            seen["equal"] += len(set(w_sup)) < len(w_sup)
+            seen["rank-1"] += p.rank == 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_widths_histogram_matches_the_slot_loop():
+    edges = (0.0, 0.001, 0.01, 0.02, 1.0)
+    widths = [0.0, 5e-4, 0.001, 0.005, 0.01, 0.0199, 0.02, 0.5, 1.0, 3.0, np.inf]
+    counts = [0] * len(edges)
+    for width in widths:
+        slot = next((k for k in range(len(edges) - 1)
+                     if edges[k] <= width < edges[k + 1]), len(edges) - 1)
+        counts[slot] += 1
+    assert _widths_histogram(widths) == {"edges": list(edges), "counts": counts}
+    assert _widths_histogram([]) == {"edges": list(edges), "counts": [0] * 5}
 
 
 # ------------------------------------------------------------------- bounds

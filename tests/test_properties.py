@@ -7,6 +7,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from smf import Orientation, SolverConfig, factorize, generate  # noqa: E402
+from smf.solver import EXACT_FIT_TOL  # noqa: E402
 from smf.linalg import frobenius_norm  # noqa: E402
 
 
@@ -32,7 +33,7 @@ def test_restarts_stop_at_an_exact_fit_and_never_lose_to_restart_0(instance):
     k = config["restarts"]
     res = factorize(x, SolverConfig(**config))
     one = factorize(x, SolverConfig(**{**config, "restarts": 1}))
-    exact = SolverConfig(**config).conv_tol * frobenius_norm(x)
+    exact = EXACT_FIT_TOL * frobenius_norm(x)
     objs = res.restart_objectives
     # Restart 0 alone when it is an exact fit, every restart otherwise.
     if objs[0] <= exact:

@@ -45,8 +45,9 @@ def test_config_validation():
         cfg(rank=0)
     with pytest.raises(InvalidInputError):
         cfg(restarts=0)
-    with pytest.raises(InvalidInputError):
-        cfg(conv_tol=0.0)
+    # The exact-fit tolerance is the fixed solver.EXACT_FIT_TOL.
+    with pytest.raises(TypeError):
+        cfg(conv_tol=1e-8)
 
 
 def test_default_penalty_weights():
@@ -55,7 +56,7 @@ def test_default_penalty_weights():
     c = cfg()
     assert c.mode is Mode.PROJECTED
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "rank", "orientation", "conv_tol", "restarts", "seed", "mode"]
+        "rank", "orientation", "restarts", "seed", "mode"]
     with pytest.raises(TypeError):
         cfg(penalty_sum1=100.0)
 
@@ -295,13 +296,13 @@ def check_bookkeeping(res, c):
 
 def test_result_bookkeeping():
     # restart_objectives lists the restarts that ran: on this noiseless
-    # input restart 0 ends as an exact fit (objective at most conv_tol
+    # input restart 0 ends as an exact fit (objective at most EXACT_FIT_TOL
     # |X|_F), so it runs alone.
     x, _ = generate(20, 8, 2, seed=9, orientation=Orientation.W_ROWS_SUM_TO_1)
     c = cfg(rank=2, restarts=4, seed=7)
     res = factorize(x, c)
     assert len(res.restart_objectives) == 1
-    assert res.objective <= c.conv_tol * frobenius_norm(x)
+    assert res.objective <= solver.EXACT_FIT_TOL * frobenius_norm(x)
     check_bookkeeping(res, c)
 
 
@@ -311,7 +312,7 @@ def test_result_bookkeeping_of_a_noisy_fit_lists_every_restart():
     c = cfg(rank=2, restarts=4, seed=7)
     res = factorize(x, c)
     assert len(res.restart_objectives) == 4
-    assert res.objective > c.conv_tol * frobenius_norm(x)
+    assert res.objective > solver.EXACT_FIT_TOL * frobenius_norm(x)
     check_bookkeeping(res, c)
 
 
@@ -435,7 +436,8 @@ def test_instance_without_anchors_fits_through_random_restarts():
 
 
 @pytest.mark.parametrize("orientation", list(Orientation))
-def test_rank_deficient_anchor_start_falls_back_to_seeded_start(orientation):
+def test_rank_deficient_anchor_start_falls_back_to_seeded_start(orientation,
+                                                                 monkeypatch):
     # The rows of X span two directions, so no three rows of X (or anchor
     # columns) make a rank-3 H: restart 0 is then the random start seeded
     # seed, which is restart 1 of a 2-restart run seeded seed - 1.
@@ -450,10 +452,9 @@ def test_rank_deficient_anchor_start_falls_back_to_seeded_start(orientation):
     # The seeded start of restart 0 fits this input exactly under h-rows and
     # both, which would end the 2-restart run before restart 1; a tolerance
     # below every objective lets restart 1 run.
-    one = factorize(x, cfg(rank=3, orientation=orientation,
-                           restarts=1, seed=4, conv_tol=1e-300))
-    two = factorize(x, cfg(rank=3, orientation=orientation,
-                           restarts=2, seed=3, conv_tol=1e-300))
+    monkeypatch.setattr(solver, "EXACT_FIT_TOL", 1e-300)
+    one = factorize(x, cfg(rank=3, orientation=orientation, restarts=1, seed=4))
+    two = factorize(x, cfg(rank=3, orientation=orientation, restarts=2, seed=3))
     assert one.restart_objectives[0] == two.restart_objectives[1]
     assert one.restart_objectives[0] != two.restart_objectives[0]
 
@@ -489,7 +490,7 @@ def counting_warm_start(monkeypatch):
 @pytest.mark.parametrize("orientation", list(Orientation))
 def test_exact_fit_runs_restart_0_alone(mode, orientation, monkeypatch):
     # On noiseless anchored input the anchor start fits X exactly: restart
-    # 0 ends within conv_tol |X|_F and the random restarts never start.
+    # 0 ends within EXACT_FIT_TOL |X|_F and the random restarts never start.
     x, gt = generate(40, 12, 3, anchors=True, orientation=orientation, seed=6)
     c = cfg(rank=3, orientation=orientation, mode=mode, restarts=5)
     starts = counting_warm_start(monkeypatch)
@@ -498,7 +499,7 @@ def test_exact_fit_runs_restart_0_alone(mode, orientation, monkeypatch):
     assert len(starts) == 1
     assert len(res.restart_objectives) == 1
     assert res.best_restart == 0
-    assert res.objective <= c.conv_tol * frobenius_norm(x)
+    assert res.objective <= solver.EXACT_FIT_TOL * frobenius_norm(x)
     assert res.converged
     assert res.iterations >= 1
     assert res.objective_trace == [res.objective]
@@ -520,7 +521,7 @@ def test_noisy_fit_runs_every_restart(mode, orientation, monkeypatch):
     res = factorize(x, c)
     assert len(starts) == 5
     assert len(res.restart_objectives) == 5
-    assert res.restart_objectives[0] > c.conv_tol * frobenius_norm(x)
+    assert res.restart_objectives[0] > solver.EXACT_FIT_TOL * frobenius_norm(x)
 
 
 # ------------------------------------------------ warm-start reference
