@@ -1,10 +1,11 @@
 """Command-line interface: reproducible batch runs with on-disk artifacts.
 
 Every command writes its outputs plus a ``manifest.json`` into ``--out-dir``
-(default ``./smf-out``).  The manifest records the subcommand, every
-resolved option (input paths made absolute, so a run can be repeated from
-any directory), the SHA-256 of each input file, the package version, and
-the BLAS thread settings with the CPU count; ``smf rerun manifest.json``
+(default ``./smf-out``), which is made, parents included, at the run's first
+write.  The manifest records the subcommand, every resolved option (input
+paths made absolute, so a run can be repeated from any directory), the
+SHA-256 of each input file, the package version, and the BLAS thread
+settings with the CPU count; ``smf rerun manifest.json``
 re-executes the run and reproduces all output files byte for byte under
 the same BLAS threading, and warns when that differs (the manifest itself
 carries the wall-clock duration and is excluded from that guarantee).
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import __version__
 from .factors import FactorPair, Orientation
-from .faces import (GrayImage, downsample_2x2, read_pgm, reconstruct,
-                    reconstruction_error, retrieve, write_pgm)
+from .faces import (downsample_2x2, read_pgm, reconstruct, reconstruction_error,
+                    retrieve, write_pgm)
 from .identify import (DEFAULT_ZERO_TOL_ESTIMATED, DegenerateFactorError,
                        analysis_report, sample_feasible_A)
 from .matrixio import read_matrix, write_matrix_binary, write_matrix_csv
@@ -56,6 +57,13 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _out(out_dir: str, name: str) -> str:
+    # The output directory is made at a run's first write, so a run refused
+    # before it leaves no directory behind.
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
 def _dump_json(payload: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -64,7 +72,7 @@ def _dump_json(payload: dict, path: str) -> None:
 
 def _write_matrix(matrix, out_dir: str, stem: str, binary: bool) -> None:
     write = write_matrix_binary if binary else write_matrix_csv
-    write(os.path.join(out_dir, f"{stem}.bin" if binary else f"{stem}.csv"), matrix)
+    write(_out(out_dir, f"{stem}.bin" if binary else f"{stem}.csv"), matrix)
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -87,7 +95,7 @@ def _write_manifest(command: str, options: dict, input_paths, out_dir: str,
         "duration_seconds": duration,
         "blas_threads": _blas_threads(),
     }
-    _dump_json(manifest, os.path.join(out_dir, _MANIFEST_NAME))
+    _dump_json(manifest, _out(out_dir, _MANIFEST_NAME))
 
 
 def _load_factors(w_path: str, h_path: str, orientation: Orientation) -> FactorPair:
@@ -122,7 +130,7 @@ def _write_fit(result, out_dir: str, binary: bool) -> int:
     # tolerance make the run a numerical failure.
     _write_matrix(result.factors.w, out_dir, "W", binary)
     _write_matrix(result.factors.h, out_dir, "H", binary)
-    _dump_json(_result_payload(result), os.path.join(out_dir, "result.json"))
+    _dump_json(_result_payload(result), _out(out_dir, "result.json"))
     if result.feasible:
         return EXIT_OK
     print(f"numerical failure: fitted factors violate feasibility by "
@@ -134,8 +142,7 @@ def _write_fit(result, out_dir: str, binary: bool) -> int:
 # driver can hash them into the manifest, and the exit code.
 
 def _cmd_factorize(args, out_dir: str):
-    result = factorize(read_matrix(args.input), _solver_config(args),
-                       threads=args.threads)
+    result = factorize(read_matrix(args.input), _solver_config(args))
     return [args.input], _write_fit(result, out_dir, args.binary)
 
 
@@ -170,7 +177,7 @@ def _cmd_analyze(args, out_dir: str):
             "single_axis_checked": checked,
             "single_axis_outside_bounds": outside,
         }
-    _dump_json(report, os.path.join(out_dir, "report.json"))
+    _dump_json(report, _out(out_dir, "report.json"))
     return [args.w, args.h], EXIT_OK
 
 
@@ -192,7 +199,7 @@ def _cmd_faces_ingest(args, out_dir: str):
     if len(widths) > 1:
         raise InvalidInputError("all images must share the same dimensions")
     _write_matrix(np.vstack(rows), out_dir, "X", args.binary)
-    with open(os.path.join(out_dir, "files.txt"), "w", encoding="utf-8") as fh:
+    with open(_out(out_dir, "files.txt"), "w", encoding="utf-8") as fh:
         for name in names:
             fh.write(name + "\n")
     return paths, EXIT_OK
@@ -205,8 +212,7 @@ def _cmd_faces_reconstruct(args, out_dir: str):
             f"--row must be in 0..{factors.w.shape[0] - 1}"
         )
     img = reconstruct(factors.w[args.row], factors.h)
-    write_pgm(img, os.path.join(out_dir, "reconstruction.pgm"),
-              binary=args.binary)
+    write_pgm(img, _out(out_dir, "reconstruction.pgm"), binary=args.binary)
     return [args.w, args.h], EXIT_OK
 
 
@@ -215,7 +221,7 @@ def _cmd_faces_retrieve(args, out_dir: str):
     query = read_pgm(args.query)
     index, distance = retrieve(query, factors)
     _dump_json({"index": index, "distance": distance},
-               os.path.join(out_dir, "retrieval.json"))
+               _out(out_dir, "retrieval.json"))
     return [args.query, args.w, args.h], EXIT_OK
 
 
@@ -223,8 +229,7 @@ def _cmd_faces_error(args, out_dir: str):
     factors = _load_factors(args.w, args.h, Orientation.W_ROWS_SUM_TO_1)
     x = read_matrix(args.input)
     err = reconstruction_error(x, factors)
-    _dump_json({"reconstruction_error": err},
-               os.path.join(out_dir, "error.json"))
+    _dump_json({"reconstruction_error": err}, _out(out_dir, "error.json"))
     return [args.input, args.w, args.h], EXIT_OK
 
 
@@ -239,8 +244,7 @@ def _cmd_topics_build(args, out_dir: str):
         inputs.append(args.stop_words)
     corpus = build_corpus(documents, stop_words=stop_words,
                           min_doc_fraction=args.min_doc_fraction)
-    write_corpus(corpus, os.path.join(out_dir, "doc_term.csv"),
-                 os.path.join(out_dir, "vocab.txt"))
+    write_corpus(corpus, _out(out_dir, "doc_term.csv"), _out(out_dir, "vocab.txt"))
     return inputs, EXIT_OK
 
 
@@ -258,13 +262,13 @@ def _load_topic_model(args) -> TopicModel:
 
 def _cmd_topics_top_terms(args, out_dir: str):
     model = _load_topic_model(args)
-    write_top_terms_csv(model, args.k, os.path.join(out_dir, "top_terms.csv"))
+    write_top_terms_csv(model, args.k, _out(out_dir, "top_terms.csv"))
     return [args.w, args.h, args.vocab], EXIT_OK
 
 
 def _cmd_topics_histogram(args, out_dir: str):
     model = _load_topic_model(args)
-    write_histogram_csv(model, os.path.join(out_dir, "histogram.csv"))
+    write_histogram_csv(model, _out(out_dir, "histogram.csv"))
     return [args.w, args.h, args.vocab], EXIT_OK
 
 
@@ -431,26 +435,9 @@ class _Options(argparse.Namespace):
 
 
 def _execute(command: str, options: dict) -> int:
-    handler = _HANDLERS[command]
     args = _Options(**options)
-    # The output directory and its parents that this call creates,
-    # innermost first.
-    created = []
-    path = os.path.abspath(args.out_dir)
-    while not os.path.isdir(path):
-        created.append(path)
-        path = os.path.dirname(path)
-    os.makedirs(args.out_dir, exist_ok=True)
     start = time.monotonic()
-    try:
-        inputs, status = handler(args, args.out_dir)
-    except BaseException:
-        # A refused or failed run leaves no empty directory of its own behind.
-        for path in created:
-            if os.listdir(path):
-                break
-            os.rmdir(path)
-        raise
+    inputs, status = _HANDLERS[command](args, args.out_dir)
     duration = time.monotonic() - start
     _write_manifest(command, options, inputs, args.out_dir, duration)
     return status

@@ -33,8 +33,9 @@ _PGM_MAXVAL = 255
 # The PGM token grammar: whitespace separates lexemes, and a lexeme is a
 # '#' comment, which runs to the end of its line, or a token (group 1), a
 # run of bytes that are neither whitespace nor '#'.  Every other byte is
-# whitespace, so a scan for lexemes skips nothing else.  The header ends at
-# the one whitespace byte after maxval, once any comment there has run out.
+# whitespace, so a scan for lexemes skips nothing else.  A header value or
+# P2 pixel token must be ASCII decimal digits.  The header ends at the one
+# whitespace byte after maxval, once any comment there has run out.
 _PGM_LEXEME = re.compile(rb"#[^\n]*|([^\s#]+)")
 _PGM_HEADER_END = re.compile(rb"#[^\n]*\n|\s")
 _WEIGHT_SUM_TOL = 1e-6
@@ -99,6 +100,8 @@ def read_pgm(path) -> GrayImage:
     if not end:
         raise ValueError("truncated PGM header")
     pos = end.end()
+    if not all(m.group(1).isdigit() for m in header):
+        raise ValueError("PGM header values must be ASCII decimal digits")
     width, height, maxval = (int(m.group(1)) for m in header)
     if width <= 0 or height <= 0:
         raise ValueError("PGM dimensions must be positive")
@@ -114,6 +117,10 @@ def read_pgm(path) -> GrayImage:
         toks = [t for t in _PGM_LEXEME.findall(data, pos) if t]
         if len(toks) < count:
             raise ValueError("truncated PGM pixel data")
+        # Tokens are non-empty, so their concatenation is all digits exactly
+        # when each of them is.
+        if not b"".join(toks[:count]).isdigit():
+            raise ValueError("PGM pixel values must be ASCII decimal digits")
         values = np.array([int(t) for t in toks[:count]], dtype=np.float64)
     if values.max(initial=0.0) > maxval:
         raise ValueError("PGM pixel value exceeds declared maxval")

@@ -110,14 +110,6 @@ class FactorPair:
             worst = max(worst, float(np.max(np.abs(self.h.sum(axis=1) - 1.0))))
         return worst
 
-    def validate(self, eps_feas: float) -> None:
-        """Raise ValueError if any invariant is violated beyond ``eps_feas``."""
-        gap = self.max_violation()
-        if gap > eps_feas:
-            raise ValueError(
-                f"factor pair violates feasibility by {gap:.3e} (> {eps_feas:.1e})"
-            )
-
 
 def _data_matrix(x, factors: FactorPair) -> np.ndarray:
     # X as float64, checked to have the shape (n, m) of W @ H.

@@ -37,7 +37,6 @@ __all__ = [
     "RankDeficientError",
     "SolveResult",
     "SolverConfig",
-    "concentrate_w",
     "factorize",
     "objective",
 ]
@@ -130,26 +129,13 @@ def _check_x(x) -> np.ndarray:
     return m
 
 
-def _full_rank_pinv(h: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL):
+def _full_rank_pinv(h: np.ndarray):
     # pinv(H) from one SVD, or None if H lacks full row rank.  On full-rank
     # input this is pseudoinverse()'s arithmetic, bit for bit.
     u, s, vt = np.linalg.svd(h, full_matrices=False)
-    if not (s[0] > 0.0 and s[-1] > rank_tol * s[0]):
+    if not (s[0] > 0.0 and s[-1] > DEFAULT_RANK_TOL * s[0]):
         return None
     return (vt.T * (1.0 / s)) @ u.T
-
-
-def concentrate_w(x, h, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Least-squares weights for fixed H: W = X @ pinv(H).
-
-    Raises :class:`RankDeficientError` if H lacks full row rank.
-    """
-    xm = _check_x(x)
-    hm = _as_matrix(h, "H")
-    hp = _full_rank_pinv(hm, rank_tol)
-    if hp is None:
-        raise RankDeficientError(f"H of shape {hm.shape} does not have full row rank")
-    return xm @ hp
 
 
 def objective(x, h, config: SolverConfig) -> float:

@@ -142,8 +142,6 @@ def build_corpus(documents, *, stop_words=(),
                          weights=cell_count[in_vocab],
                          minlength=shape[0] * shape[1]).reshape(shape)
     keep = counts.sum(axis=1) > 0
-    if not np.any(keep):
-        raise ValueError("no document retains any term after pruning")
     return Corpus(
         vocabulary=tuple(vocab),
         doc_term=counts[keep],

@@ -68,6 +68,21 @@ def test_factorize_writes_artifacts(tmp_path):
     assert result["objective"] <= solver.EXACT_FIT_TOL * np.linalg.norm(x)
 
 
+def test_an_out_dir_that_is_a_file_is_an_input_error(tmp_path, capsys):
+    # The directory is made at the first write, after the fit: the run then
+    # fails there with exit 2, and the file and its folder are as they were.
+    x_path, _ = write_instance(tmp_path)
+    out = tmp_path / "taken"
+    out.write_bytes(b"keep me\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code = run_cli("factorize", x_path, "--rank", 2, "--restarts", 1,
+                   "--out-dir", out)
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == b"keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_factorize_lists_every_restart_of_a_noisy_fit(tmp_path):
     x, _ = generate(20, 8, 2, seed=0, noise_sigma=0.05,
                     orientation=Orientation.W_ROWS_SUM_TO_1)
@@ -621,8 +636,7 @@ def test_rerun_rejects_a_penalty_mode_manifest(tmp_path, capsys):
     code = run_cli("rerun", out1 / "manifest.json", "--out-dir", tmp_path / "run2")
     assert code == EXIT_INPUT
     assert "penalty mode was removed" in capsys.readouterr().err
-    # The refused run removes the output directory it created, parents
-    # included ...
+    # The refused run creates no output directory, parents included ...
     assert not (tmp_path / "run2").exists()
     manifest = out1 / "manifest.json"
     code = run_cli("rerun", manifest, "--out-dir", tmp_path / "new" / "run3")

@@ -13,7 +13,6 @@ from smf import (
     Mode,
     Orientation,
     SolverConfig,
-    concentrate_w,
     downsample_2x2,
     factorize,
     generate,
@@ -185,7 +184,8 @@ def test_pgm_reader_rejects_corrupt_files(tmp_path):
 
 def reference_read_pgm(data):
     """The byte-at-a-time header loop and line-split pixel tokenizer that
-    read_pgm replaced, on the file's bytes."""
+    read_pgm replaced, on the file's bytes, each header value and P2 pixel
+    token checked to be ASCII decimal digits."""
     def tokens_ascii(body):
         for line in body.split(b"\n"):
             line = line.split(b"#", 1)[0]
@@ -213,6 +213,8 @@ def reference_read_pgm(data):
         token += ch
     if len(header) < 3:
         raise ValueError("truncated PGM header")
+    if not all(t.isdigit() for t in header):
+        raise ValueError("PGM header values must be ASCII decimal digits")
     width, height, maxval = (int(t) for t in header)
     if width <= 0 or height <= 0:
         raise ValueError("PGM dimensions must be positive")
@@ -228,6 +230,8 @@ def reference_read_pgm(data):
         toks = list(tokens_ascii(data[pos - 1:]))
         if len(toks) < count:
             raise ValueError("truncated PGM pixel data")
+        if not all(t.isdigit() for t in toks[:count]):
+            raise ValueError("PGM pixel values must be ASCII decimal digits")
         values = np.array([int(t) for t in toks[:count]], dtype=np.float64)
     if values.max(initial=0.0) > maxval:
         raise ValueError("PGM pixel value exceeds declared maxval")
@@ -261,6 +265,18 @@ def assert_reads_like_reference(path, data):
     # A P2 file one token short.
     (b"P2\n2 2\n255\n1 2 3\n", "truncated PGM pixel data"),
     (b"P2\n2 2\n255\n1 2 3 # 4\n", "truncated PGM pixel data"),
+    # Header values and P2 pixels are ASCII decimal digits, nothing else
+    # that int() would take; leading zeros are digits.
+    (b"P2\n1_0 1\n255\n" + b"1 " * 10, "header values must be ASCII decimal"),
+    (b"P2\n+2 1\n255\n1 2\n", "header values must be ASCII decimal"),
+    (b"P2\n2 -0\n255\n", "header values must be ASCII decimal"),
+    (b"P5\n1 1\n\xd9\xa3\n\x07", "header values must be ASCII decimal"),
+    (b"P2\n2 1\n255\n1_0 2\n", "pixel values must be ASCII decimal"),
+    (b"P2\n2 1\n255\n1 +2\n", "pixel values must be ASCII decimal"),
+    (b"P2\n2 1\n255\n-0 2\n", "pixel values must be ASCII decimal"),
+    (b"P2\n2 1\n255\n-1 2\n", "pixel values must be ASCII decimal"),
+    (b"P2\n2 1\n255\n\xd9\xa3 2\n", "pixel values must be ASCII decimal"),
+    (b"P2\n2 1\n0255\n007 2\n", [[7, 2]]),
 ])
 def test_pgm_token_grammar_cases(tmp_path, data, want):
     path = tmp_path / "case.pgm"
@@ -316,7 +332,9 @@ def test_pgm_reader_matches_reference_on_fuzzed_files(tmp_path):
     # Reads that succeed (pixel bytes) and each way of failing all occur.
     assert {"truncated PGM header", "truncated PGM pixel data",
             "PGM pixel value exceeds declared maxval",
-            "PGM dimensions must be positive"} <= outcomes
+            "PGM dimensions must be positive",
+            "PGM header values must be ASCII decimal digits",
+            "PGM pixel values must be ASCII decimal digits"} <= outcomes
     assert any(isinstance(k, bytes) for k in outcomes)
 
 
@@ -358,6 +376,12 @@ def test_reconstruct_validates_input():
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         reconstruct(np.array([0.5, 0.5]), np.array([[1.2, 0, 0, 0],
                                                     [0, 0, 0, 1.0]]))
+    with pytest.raises(ValueError, match="vector"):
+        reconstruct(np.array([[0.5, 0.5]]), h)
+    with pytest.raises(ValueError, match="finite"):
+        reconstruct(np.array([np.nan, 0.5]), h)
+    with pytest.raises(ValueError, match="finite"):
+        reconstruct(np.array([0.5, 0.5]), np.where(h == 1.0, np.inf, h))
 
 
 # ---------------------------------------------------------------- retrieve
@@ -493,7 +517,7 @@ def test_retrieve_matches_reference_off_the_simplex():
     cfg = SolverConfig(rank=5, orientation=Orientation.W_ROWS_SUM_TO_1,
                        restarts=1, seed=3)
     h = factorize(x, cfg).factors.h
-    model = FactorPair(w=concentrate_w(x, h), h=h,
+    model = FactorPair(w=x @ pseudoinverse(h), h=h,
                        orientation=Orientation.W_ROWS_SUM_TO_1)
     assert model.w.min() < 0.0
     assert np.abs(model.w.sum(axis=1) - 1.0).max() > 1e-3

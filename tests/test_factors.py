@@ -26,7 +26,6 @@ def test_factor_pair_basic():
                       orientation=Orientation.BOTH)
     assert pair.rank == 2
     assert pair.max_violation() == 0.0
-    pair.validate(0.0)
 
 
 def test_factor_pair_shape_checks():
@@ -39,6 +38,9 @@ def test_factor_pair_shape_checks():
     with pytest.raises(ValueError):
         FactorPair(w=np.array([[np.nan, 1.0]]), h=np.ones((2, 2)),
                    orientation=Orientation.BOTH)
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        FactorPair(w=np.ones((3, 0)), h=np.ones((0, 4)),
+                   orientation=Orientation.BOTH)
 
 
 def test_max_violation_reports_worst_gap():
@@ -47,9 +49,6 @@ def test_max_violation_reports_worst_gap():
     h = np.ones((2, 3))
     pair = FactorPair(w=w, h=h, orientation=Orientation.W_ROWS_SUM_TO_1)
     assert pair.max_violation() == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        pair.validate(0.1)
-    pair.validate(0.2)
 
 
 def test_max_violation_respects_orientation():

@@ -11,16 +11,17 @@ from smf import (
     MixingMatrix,
     Orientation,
     SolverConfig,
+    UniquenessReport,
     Violation,
     ViolationKind,
     analysis_report,
     average_consistency_diagnostic,
     check_uniqueness,
-    concentrate_w,
     factorize,
     fit_topics,
     generate,
     natural_bounds,
+    pseudoinverse,
     sample_feasible_A,
     support_sets,
 )
@@ -75,6 +76,14 @@ def test_anchored_instance_is_unique():
     for r in range(3):
         assert r in report.anchor_rows[r]
         assert r in report.anchor_cols[r]
+
+
+def test_uniqueness_report_flag_must_match_its_violations():
+    v = Violation(ViolationKind.W_SUBSET, 0, 1)
+    for unique, violations in ((True, (v,)), (False, ())):
+        with pytest.raises(ValueError, match="unique flag"):
+            UniquenessReport(unique=unique, violations=violations,
+                             anchor_rows={}, anchor_cols={})
 
 
 def test_nested_h_support_is_flagged():
@@ -498,7 +507,7 @@ def off_simplex_factors():
     cfg = SolverConfig(rank=3, orientation=Orientation.W_ROWS_SUM_TO_1,
                        restarts=1, seed=0)
     h = factorize(x, cfg).factors.h
-    return pair(concentrate_w(x, h), h, Orientation.W_ROWS_SUM_TO_1)
+    return pair(x @ pseudoinverse(h), h, Orientation.W_ROWS_SUM_TO_1)
 
 
 def non_anchored_pair(seed, rank=3):
@@ -612,6 +621,15 @@ def _unscreened_is_feasible(a, w, h, zero_tol):
     except np.linalg.LinAlgError:
         return False
     return bool(np.all(np.isfinite(mixed_h)) and np.min(mixed_h) >= -zero_tol)
+
+
+def test_sampler_refuses_a_singular_proposal():
+    # Every row of A is (1/3, 1/3, 1/3): W A stays non-negative, so the W
+    # screen passes, and the inverse that the H side needs does not exist.
+    p = anchored_pair(seed=0)
+    a = np.full((3, 3), 1.0 / 3.0)
+    assert not _is_feasible(a, p.w, p.h, 0.0, _screens(p.w, p.h))
+    assert not _unscreened_is_feasible(a, p.w, p.h, 0.0)
 
 
 @pytest.mark.parametrize("zero_tol", [0.0, 1e-6])

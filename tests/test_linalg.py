@@ -122,6 +122,8 @@ def test_numerical_rank_examples():
     outer = np.outer(rng.random(6), rng.random(4))
     assert numerical_rank(outer) == 1
     assert numerical_rank(random_low_rank(rng, 9, 7, 3)) == 3
+    with pytest.raises(ValueError, match="rank_tol must be positive"):
+        numerical_rank(np.eye(2), rank_tol=0.0)
 
 
 # ------------------------------------------------------------ row normalize

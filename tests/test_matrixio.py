@@ -267,6 +267,9 @@ def test_binary_reader_rejects_corruption(tmp_path):
     bad.write_bytes(raw[:10])
     with pytest.raises(ValueError):
         read_matrix_binary(bad)
+    bad.write_bytes(raw[:24] + np.array([1.0, np.nan, 0.0, 1.0]).astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="non-finite"):
+        read_matrix_binary(bad)
 
 
 def test_read_matrix_sniffs_format(tmp_path):

@@ -10,7 +10,7 @@ PUBLIC = {
     "SolveResult", "SolverConfig", "SupportSets", "TopicModel",
     "UniquenessReport", "Violation", "ViolationKind", "__version__",
     "align_and_score", "analysis_report", "average_consistency_diagnostic",
-    "build_corpus", "check_uniqueness", "concentrate_w", "downsample_2x2",
+    "build_corpus", "check_uniqueness", "downsample_2x2",
     "factorize", "fit_topics", "frobenius_norm", "generate",
     "natural_bounds", "numerical_rank", "objective", "pseudoinverse",
     "read_corpus", "read_matrix", "read_matrix_binary", "read_matrix_csv",
@@ -23,7 +23,7 @@ PUBLIC = {
 
 
 def test_package_exports_each_module_public_name_once():
-    assert len(smf.__all__) == len(set(smf.__all__)) == len(PUBLIC) == 56
+    assert len(smf.__all__) == len(set(smf.__all__)) == len(PUBLIC) == 55
     assert set(smf.__all__) == PUBLIC
     for module in (factors, faces, identify, linalg, matrixio, solver,
                    synthetic, topics):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from smf import (
-    FactorPair,
     InvalidInputError,
     Mode,
     Orientation,
@@ -15,7 +14,6 @@ from smf import (
     SolverConfig,
     align_and_score,
     check_uniqueness,
-    concentrate_w,
     factorize,
     generate,
     objective,
@@ -27,6 +25,7 @@ from smf.solver import (
     _anchor_start,
     _feasible_h,
     _feasible_w,
+    _full_rank_pinv,
     _init_h,
     _spa,
     _warm_start,
@@ -67,6 +66,8 @@ def test_penalty_mode_is_an_alias_that_old_values_cannot_reach():
     assert Mode.PENALTY is Mode.PROJECTED
     assert list(Mode) == [Mode.PROJECTED]
     assert Mode("projected") is Mode.PROJECTED
+    with pytest.raises(ValueError, match="is not a valid Mode"):
+        Mode("bogus")
     for make in (lambda: Mode("penalty"), lambda: cfg(mode="penalty")):
         with pytest.raises(ValueError, match="penalty mode was removed"):
             make()
@@ -76,28 +77,9 @@ def test_penalty_mode_is_an_alias_that_old_values_cannot_reach():
 # ------------------------------------------------------------ concentration
 
 
-def test_concentrate_w_identity_h():
-    x = np.array([[0.6, 0.4], [0.2, 0.8]])
-    assert np.allclose(concentrate_w(x, np.eye(2)), x, atol=1e-14)
-
-
-def test_concentrate_w_exact_inverse():
-    h = np.array([[0.7, 0.3], [0.4, 0.6]])
-    w_true = np.array([[0.9, 0.1], [0.25, 0.75], [0.5, 0.5]])
-    w = concentrate_w(w_true @ h, h)
-    assert np.allclose(w, w_true, atol=1e-12)
-
-
-def test_concentrate_w_rank_deficient_h():
-    with pytest.raises(RankDeficientError):
-        concentrate_w(np.eye(3), np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]))
-
-
-def test_concentrate_w_validates_h():
+def test_objective_validates_h():
     x = np.eye(3)
     for h in (np.ones(3), np.zeros((0, 3)), np.array([[np.nan, 1.0, 0.0]])):
-        with pytest.raises(ValueError):
-            concentrate_w(x, h)
         with pytest.raises(ValueError):
             objective(x, h, cfg(rank=1))
 
@@ -114,12 +96,13 @@ def reference_instances():
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_concentrate_w_and_terms_equal_pseudoinverse_bitwise(mode):
-    # The objective, its residual formed and squared in one buffer, against
-    # frobenius_norm of the residual of the projected W = X pinv(H).
+def test_full_rank_pinv_and_objective_equal_pseudoinverse_bitwise(mode):
+    # The solver's one-SVD pinv against pseudoinverse, and the objective, its
+    # residual formed and squared in one buffer, against frobenius_norm of
+    # the residual of the projected W = X pinv(H).
     for orientation, x, h in reference_instances():
+        assert np.array_equal(_full_rank_pinv(h), pseudoinverse(h))
         w = x @ pseudoinverse(h)
-        assert np.array_equal(concentrate_w(x, h), w)
         c = cfg(rank=h.shape[0], orientation=orientation, mode=mode)
         assert objective(x, h, c) == frobenius_norm(x - _feasible_w(w, orientation) @ h)
 

@@ -118,6 +118,11 @@ def test_align_error_value():
     assert err == pytest.approx(np.sqrt(0.32 / 2.0), rel=1e-12)
 
 
+def test_align_rejects_a_zero_reference():
+    with pytest.raises(ValueError, match="identically zero"):
+        align_and_score(np.eye(2), np.zeros((2, 2)))
+
+
 def exhaustive_align_cost(h_est, h_true):
     rank = h_est.shape[0]
     best = np.inf

@@ -227,6 +227,12 @@ def test_corpus_validation():
     with pytest.raises(ValueError, match="match"):
         Corpus(vocabulary=("a",), doc_term=np.array([[1.0, 2.0]]),
                doc_ids=("0",))
+    with pytest.raises(ValueError, match="2-dimensional"):
+        Corpus(vocabulary=("a", "b"), doc_term=np.array([1.0, 2.0]),
+               doc_ids=("0",))
+    with pytest.raises(ValueError, match="finite"):
+        Corpus(vocabulary=("a", "b"), doc_term=np.array([[1.0, np.inf]]),
+               doc_ids=("0",))
 
 
 # --------------------------------------------------------------------- fit
