@@ -2,10 +2,11 @@
 
 Every command writes its outputs plus a ``manifest.json`` into ``--out-dir``
 (default ``./smf-out``), which is made, parents included, at the run's first
-write.  The manifest records the subcommand, every resolved option (input
-paths made absolute, so a run can be repeated from any directory), the
-SHA-256 of each input file, the package version, and the BLAS thread
-settings with the CPU count; ``smf rerun manifest.json``
+write; an ``--out-dir`` that is, or lies under, an existing file is refused
+before the command runs.  The manifest records the subcommand, every
+resolved option (input paths made absolute, so a run can be repeated from
+any directory), the SHA-256 of each input file, the package version, and
+the BLAS thread settings with the CPU count; ``smf rerun manifest.json``
 re-executes the run and reproduces all output files byte for byte under
 the same BLAS threading, and warns when that differs (the manifest itself
 carries the wall-clock duration and is excluded from that guarantee).
@@ -62,6 +63,18 @@ def _out(out_dir: str, name: str) -> str:
     # before it leaves no directory behind.
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
+
+
+def _check_out_dir(out_dir: str) -> None:
+    # An out-dir that is, or lies under, an existing non-directory is refused
+    # before the run's work, not at its first write.
+    if not isinstance(out_dir, str):
+        raise InvalidInputError(f"--out-dir must be a path, not {out_dir!r}")
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise InvalidInputError(f"--out-dir {out_dir}: {path} is not a directory")
 
 
 def _dump_json(payload: dict, path: str) -> None:
@@ -436,6 +449,7 @@ class _Options(argparse.Namespace):
 
 def _execute(command: str, options: dict) -> int:
     args = _Options(**options)
+    _check_out_dir(args.out_dir)
     start = time.monotonic()
     inputs, status = _HANDLERS[command](args, args.out_dir)
     duration = time.monotonic() - start

@@ -40,7 +40,7 @@ _PGM_LEXEME = re.compile(rb"#[^\n]*|([^\s#]+)")
 _PGM_HEADER_END = re.compile(rb"#[^\n]*\n|\s")
 _WEIGHT_SUM_TOL = 1e-6
 _EPS = float(np.finfo(np.float64).eps)
-_ONE = np.ones(1)
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,10 @@ class GrayImage:
         if p.ndim != 2 or p.size == 0:
             raise ValueError("image must be a non-empty 2-dimensional array")
         # NaN and +-inf fail the range test too; only then is the input
-        # scanned to tell the two errors apart.
-        lo, hi = p.min(), p.max()
-        if not (0.0 <= lo and hi <= 1.0):
+        # scanned to tell the two errors apart.  The reductions are called
+        # directly, skipping ndarray.min/max's Python-level wrappers; both
+        # propagate NaN as those do.
+        if not (0.0 <= _MIN(p, None) and _MAX(p, None) <= 1.0):
             if not np.all(np.isfinite(p)):
                 raise ValueError("image intensities must be finite")
             raise ValueError("image intensities must lie in [0, 1]")
@@ -82,8 +83,15 @@ def downsample_2x2(img: GrayImage) -> GrayImage:
     """
     if img.pixels.shape != (19, 19):
         raise ValueError(f"expected a 19x19 image, got {img.pixels.shape}")
-    core = img.pixels[:18, :18]
-    return GrayImage(pixels=core.reshape(9, 2, 9, 2).mean(axis=(1, 3)))
+    # Pair sums across, then down: (a00 + a01) + (a10 + a11), over 4.0, is
+    # the order in which numpy 2.4's mean(axis=(1, 3)) sums a 2x2 block, so
+    # the bits are that block mean's, without its Python-level wrapper.  The
+    # result is made read-only, so GrayImage keeps it rather than copying.
+    px = img.pixels
+    cols = px[:18, 0:18:2] + px[:18, 1:18:2]
+    out = (cols[0::2] + cols[1::2]) / 4.0
+    out.setflags(write=False)
+    return GrayImage(pixels=out)
 
 
 def read_pgm(path) -> GrayImage:
@@ -181,10 +189,11 @@ def retrieve(query: GrayImage, model: FactorPair) -> tuple:
 
     The query is compressed to its simplex-projected weight vector
     ``p = simplex_project(q @ pinv(H))`` and compared against the rows of
-    the stored W by Euclidean distance.  pinv(H) and ``FactorPair.w_aug``,
-    W with the column -||w_i||^2 / 2 appended, are computed once per model
-    and shared by every query, so a query costs one matrix-vector product
-    over W's rows; the rows within rounding of the best have their distance
+    the stored W by Euclidean distance.  pinv(H) and ``FactorPair.w_search``,
+    W transposed with the halved row norms -||w_i||^2 / 2, are computed once
+    per model and shared by every query, so a query costs one matrix-vector
+    product ``p @ W.T`` streamed over rows of length n plus one add of the
+    norms; the rows within rounding of the best have their distance
     computed exactly.  Returns ``(index, distance)`` with ties resolved
     toward the lowest index.
     """
@@ -194,7 +203,7 @@ def retrieve(query: GrayImage, model: FactorPair) -> tuple:
             f"query has {q.size} pixels but the model stores {model.h.shape[1]}"
         )
     p = simplex_project(q @ model.h_pinv)
-    aug, max_sq = model.w_aug
+    wt, c, max_sq = model.w_search
     # s_i = w_i.p - ||w_i||^2 / 2 = (||p||^2 - d_i) / 2 with d_i = ||w_i - p||^2,
     # so the nearest row has the largest s_i.  The rows whose computed s_i is
     # within tol of the largest get d_i computed as the reference does, by
@@ -203,7 +212,9 @@ def retrieve(query: GrayImage, model: FactorPair) -> tuple:
     # g_k = k u / (1 - k u), M^2 = max_sq, P = ||p|| <= 1 on the simplex):
     # the computed s_i is within E = g_{R+1} (1 + g_R) (M + P)^2 of s_i in
     # any summation order (BLAS blocking, threads, FMA), and the computed
-    # d_i within g_{R+2} (M + P)^2 of d_i.  So the row with the least
+    # d_i within g_{R+2} (M + P)^2 of d_i.  Adding c_i = -||w_i||^2 / 2 last,
+    # after the R-term product p.w_i, is one such order of the (R+1)-term
+    # dot product [p, 1].[w_i, c_i].  So the row with the least
     # computed d_i trails the largest computed s_i by at most
     # g_{R+2} (M + P)^2 + 2 E, about 1.5 (R + 2) eps (M + P)^2.  tol is
     # 4 (R + 2) eps (M + 1)^2, over twice that, which covers the rounding
@@ -212,12 +223,19 @@ def retrieve(query: GrayImage, model: FactorPair) -> tuple:
     # row, nan included.
     m = math.sqrt(max_sq) + 1.0
     tol = 4.0 * (p.size + 2) * _EPS * (m * m)
-    s = aug @ np.concatenate((p, _ONE))
+    s = p @ wt
+    s += c
     rows = (~(s < s.max() - tol)).nonzero()[0]
-    diff = model.w[rows] - p
-    sq = np.einsum("ij,ij->i", diff, diff)
-    k = int(np.argmin(sq))
-    return int(rows[k]), math.sqrt(sq[k])
+    if rows.size > 1:
+        diff = model.w[rows] - p
+        sq = np.einsum("ij,ij->i", diff, diff)
+        k = int(np.argmin(sq))
+        return int(rows[k]), math.sqrt(sq[k])
+    # The usual case: one row within tol, whose distance is computed by the
+    # same einsum on a slice, with no index array and no tie to break.
+    k = int(rows[0])
+    diff = model.w[k:k + 1] - p
+    return k, math.sqrt(np.einsum("ij,ij->i", diff, diff)[0])
 
 
 def reconstruction_error(x, factors: FactorPair) -> float:

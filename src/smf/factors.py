@@ -40,10 +40,10 @@ class FactorPair:
 
     ``w`` and ``h`` are read-only float64 arrays (a writeable input is copied):
     an in-place edit raises ``ValueError``, so build a new pair instead.
-    Two read-only arrays derived from them are computed on first use and
+    Two read-only caches derived from them are computed on first use and
     kept for the pair's lifetime: ``h_pinv`` (m x rank floats) and
-    ``w_aug`` (n x (rank + 1) floats, W with the column -||w_i||^2 / 2
-    appended), which ``faces.retrieve`` shares across queries.
+    ``w_search`` (n x (rank + 1) floats: W transposed and the halved row
+    norms -||w_i||^2 / 2), which ``faces.retrieve`` shares across queries.
 
     Attributes
     ----------
@@ -84,21 +84,23 @@ class FactorPair:
         return pinv
 
     @cached_property
-    def w_aug(self) -> tuple:
-        """``(A, m)`` for nearest-row search, computed once per pair.
+    def w_search(self) -> tuple:
+        """``(wt, c, m)`` for nearest-row search, computed once per pair.
 
-        ``A`` is W with the column -||w_i||^2 / 2 appended: a read-only,
-        C-ordered (n, rank + 1) float64 array, 8 n (rank + 1) bytes beside
-        W, so that ``A @ [p, 1] = -(||w_i - p||^2 - ||p||^2) / 2`` ranks the
-        rows by their distance to p in one matrix-vector product.  ``m`` is
-        the largest ||w_i||^2, which bounds the rounding of that product.
+        ``wt`` is W transposed, a read-only C-ordered (rank, n) float64
+        array, and ``c`` the n-vector -||w_i||^2 / 2; the two share one
+        buffer of 8 n (rank + 1) bytes beside W.  ``p @ wt + c`` is
+        ``-(||w_i - p||^2 - ||p||^2) / 2``, which ranks the rows by their
+        distance to p with one matrix-vector product over rows of length n.
+        ``m`` is the largest ||w_i||^2, which bounds the rounding of that
+        product.
         """
         sq = np.einsum("ij,ij->i", self.w, self.w)
-        aug = np.empty((self.w.shape[0], self.rank + 1))
-        aug[:, :-1] = self.w
-        aug[:, -1] = -0.5 * sq
-        aug.setflags(write=False)
-        return aug, float(sq.max())
+        buf = np.empty((self.rank + 1, self.w.shape[0]))
+        buf[:-1] = self.w.T
+        buf[-1] = -0.5 * sq
+        buf.setflags(write=False)
+        return buf[:-1], buf[-1], float(sq.max())
 
     def max_violation(self) -> float:
         """Largest feasibility violation over non-negativity and row sums."""

@@ -68,19 +68,66 @@ def test_factorize_writes_artifacts(tmp_path):
     assert result["objective"] <= solver.EXACT_FIT_TOL * np.linalg.norm(x)
 
 
-def test_an_out_dir_that_is_a_file_is_an_input_error(tmp_path, capsys):
-    # The directory is made at the first write, after the fit: the run then
-    # fails there with exit 2, and the file and its folder are as they were.
+def fit_must_not_run(*args, **kwargs):
+    raise AssertionError("the fit ran")
+
+
+def assert_out_dir_refused_before_the_fit(tmp_path, capsys, monkeypatch, out):
+    # Exit 2 before the fit runs; the file and its folder are as they were.
+    monkeypatch.setattr(cli, "factorize", fit_must_not_run)
     x_path, _ = write_instance(tmp_path)
-    out = tmp_path / "taken"
-    out.write_bytes(b"keep me\n")
     before = sorted(p.name for p in tmp_path.iterdir())
     code = run_cli("factorize", x_path, "--rank", 2, "--restarts", 1,
                    "--out-dir", out)
     assert code == EXIT_INPUT
-    assert capsys.readouterr().err.startswith("error: ")
-    assert out.read_bytes() == b"keep me\n"
+    assert capsys.readouterr().err.startswith("error: --out-dir ")
+    assert (tmp_path / "taken").read_bytes() == b"keep me\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_an_out_dir_that_is_a_file_is_an_input_error(tmp_path, capsys, monkeypatch):
+    (tmp_path / "taken").write_bytes(b"keep me\n")
+    assert_out_dir_refused_before_the_fit(tmp_path, capsys, monkeypatch,
+                                          tmp_path / "taken")
+
+
+def test_an_out_dir_under_a_file_is_an_input_error(tmp_path, capsys, monkeypatch):
+    (tmp_path / "taken").write_bytes(b"keep me\n")
+    assert_out_dir_refused_before_the_fit(tmp_path, capsys, monkeypatch,
+                                          tmp_path / "taken" / "run")
+
+
+def test_an_out_dir_that_is_a_dangling_symlink_is_an_input_error(tmp_path, capsys,
+                                                                monkeypatch):
+    (tmp_path / "taken").write_bytes(b"keep me\n")
+    (tmp_path / "link").symlink_to(tmp_path / "missing")
+    assert_out_dir_refused_before_the_fit(tmp_path, capsys, monkeypatch,
+                                          tmp_path / "link")
+
+
+def test_rerun_into_an_out_dir_that_is_a_file_is_refused_before_the_fit(
+        tmp_path, capsys, monkeypatch):
+    x_path, _ = write_instance(tmp_path)
+    assert run_cli("factorize", x_path, "--rank", 2, "--restarts", 1,
+                   "--out-dir", tmp_path / "run1") == EXIT_OK
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"keep me\n")
+    monkeypatch.setattr(cli, "factorize", fit_must_not_run)
+    assert run_cli("rerun", tmp_path / "run1" / "manifest.json",
+                   "--out-dir", taken) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: --out-dir ")
+    assert taken.read_bytes() == b"keep me\n"
+
+
+def test_rerun_of_a_manifest_whose_out_dir_is_not_a_path_is_an_input_error(
+        tmp_path, capsys):
+    x_path, _ = write_instance(tmp_path)
+    out1 = tmp_path / "run1"
+    assert run_cli("factorize", x_path, "--rank", 2, "--restarts", 1,
+                   "--out-dir", out1) == EXIT_OK
+    edit_options(out1 / "manifest.json", out_dir=None)
+    assert run_cli("rerun", out1 / "manifest.json") == EXIT_INPUT
+    assert "--out-dir must be a path" in capsys.readouterr().err
 
 
 def test_factorize_lists_every_restart_of_a_noisy_fit(tmp_path):

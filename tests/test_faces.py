@@ -35,6 +35,7 @@ def grid255(seed, shape=(19, 19)):
 
 def test_gray_image_validation():
     GrayImage(pixels=np.zeros((2, 3)))
+    GrayImage(pixels=np.array([[-0.0, 1.0]]))
     with pytest.raises(ValueError):
         GrayImage(pixels=np.zeros(4))
     with pytest.raises(ValueError):
@@ -47,11 +48,18 @@ def test_gray_image_validation():
 
 @pytest.mark.parametrize("value, message", [
     (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
-    (-0.1, "\\[0, 1\\]"), (1.5, "\\[0, 1\\]"),
+    (-0.1, "\\[0, 1\\]"), (1.5, "\\[0, 1\\]"), (-1e-300, "\\[0, 1\\]"),
+    (np.nextafter(1.0, 2.0), "\\[0, 1\\]"),
 ])
 def test_gray_image_names_the_failed_check(value, message):
     with pytest.raises(ValueError, match=message):
         GrayImage(pixels=np.array([[0.5, value], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("pixels", [[[-0.5, np.nan]], [[2.0, -np.inf]]])
+def test_gray_image_names_a_non_finite_entry_beside_an_out_of_range_one(pixels):
+    with pytest.raises(ValueError, match="finite"):
+        GrayImage(pixels=np.array(pixels))
 
 
 def test_gray_image_copies_a_writeable_caller_array():
@@ -102,6 +110,29 @@ def test_downsample_discards_last_row_and_column():
     px[:, 18] = 1.0
     out = downsample_2x2(GrayImage(pixels=px))
     assert np.all(out.pixels == 0.0)
+
+
+def block_mean_reference(px):
+    # The 2x2 block means as first written: numpy's mean over each block.
+    return px[:18, :18].reshape(9, 2, 9, 2).mean(axis=(1, 3))
+
+
+@pytest.mark.parametrize("kind", ["random", "quantized", "zeros", "ones",
+                                  "checkerboard"])
+def test_downsample_is_bitwise_the_block_mean(kind):
+    rng = np.random.default_rng(11)
+    i, j = np.indices((19, 19))
+    images = {
+        "random": rng.uniform(0.0, 1.0, size=(300, 19, 19)),
+        "quantized": rng.integers(0, 256, size=(300, 19, 19)) / 255.0,
+        "zeros": np.zeros((1, 19, 19)),
+        "ones": np.ones((1, 19, 19)),
+        "checkerboard": ((i + j) % 2).astype(np.float64)[None],
+    }[kind]
+    for px in images:
+        out = downsample_2x2(GrayImage(pixels=px)).pixels
+        assert out.shape == (9, 9) and not out.flags.writeable
+        assert out.tobytes() == block_mean_reference(px).tobytes()
 
 
 def test_downsample_requires_19x19():
@@ -489,6 +520,19 @@ def test_retrieve_breaks_ties_between_distant_duplicates_toward_lowest_index():
     assert retrieve(GrayImage(pixels=x[12].reshape(4, 4)), model)[0] in (5, 12)
     queries = np.vstack([x, np.clip(x + rng.normal(scale=0.01, size=x.shape), 0, 1)])
     assert_retrieve_matches_reference(model, queries)
+
+
+def test_retrieve_matches_reference_at_criterion_7_size():
+    # The images workload's shape: 2400 stored rows on the 10-simplex and
+    # 81-pixel base images.  Every stored image and 500 random images are
+    # queried.
+    rng = np.random.default_rng(22)
+    w = rng.dirichlet(np.full(10, 0.3), size=2400)
+    h = rng.uniform(0.0, 1.0, size=(10, 81))
+    model = FactorPair(w=w, h=h, orientation=Orientation.W_ROWS_SUM_TO_1)
+    stored = np.clip(w @ h, 0.0, 1.0)
+    assert_retrieve_matches_reference(
+        model, np.vstack([stored, rng.uniform(0.0, 1.0, size=(500, 81))]))
 
 
 def test_retrieve_matches_reference_among_rounding_ties():

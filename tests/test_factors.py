@@ -95,15 +95,18 @@ def test_h_pinv_is_cached_and_matches_pseudoinverse():
     assert not pair.h_pinv.flags.writeable
 
 
-def test_w_aug_is_cached_and_holds_w_and_halved_row_norms():
+def test_w_search_is_cached_and_holds_w_transposed_and_halved_row_norms():
     w = np.array([[0.5, 0.5], [1.0, 0.0], [-0.25, 1.5]])
     pair = FactorPair(w=w, h=np.eye(2), orientation=Orientation.W_ROWS_SUM_TO_1)
-    aug, max_sq = pair.w_aug
-    assert pair.w_aug is pair.w_aug
-    assert aug.shape == (3, 3) and aug.flags.c_contiguous
-    assert not aug.flags.writeable
-    assert np.array_equal(aug[:, :2], w)
-    assert np.array_equal(aug[:, 2], [-0.25, -0.5, -1.15625])
+    wt, c, max_sq = pair.w_search
+    assert pair.w_search is pair.w_search
+    assert wt.shape == (2, 3) and c.shape == (3,)
+    assert wt.flags.c_contiguous and c.flags.c_contiguous
+    assert not wt.flags.writeable and not c.flags.writeable
+    # One buffer of n (rank + 1) floats holds both.
+    assert wt.base is c.base and wt.base.nbytes == 8 * 3 * (2 + 1)
+    assert np.array_equal(wt, w.T)
+    assert np.array_equal(c, [-0.25, -0.5, -1.15625])
     assert max_sq == 2.3125
 
 
