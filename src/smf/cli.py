@@ -2,14 +2,16 @@
 
 Every command writes its outputs plus a ``manifest.json`` into ``--out-dir``
 (default ``./smf-out``), which is made, parents included, at the run's first
-write; an ``--out-dir`` that is, or lies under, an existing file is refused
-before the command runs.  The manifest records the subcommand, every
-resolved option (input paths made absolute, so a run can be repeated from
-any directory), the SHA-256 of each input file, the package version, and
-the BLAS thread settings with the CPU count; ``smf rerun manifest.json``
-re-executes the run and reproduces all output files byte for byte under
-the same BLAS threading, and warns when that differs (the manifest itself
-carries the wall-clock duration and is excluded from that guarantee).
+write; an empty ``--out-dir``, or one that is, or lies under, an existing
+file, is refused before the command runs.  The manifest records the
+subcommand, every resolved option (input paths made absolute, so a run can
+be repeated from any directory), the SHA-256 of each input file, taken
+before the run, the package version, and the BLAS thread settings with the
+CPU count; ``smf rerun manifest.json`` refuses input files added, missing or
+changed since the recorded run, re-executes the run and reproduces all
+output files byte for byte under the same BLAS threading, and warns when
+that differs (the manifest itself carries the wall-clock duration and is
+excluded from that guarantee).
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure.  A fit
 whose factors are not feasible within ``EPS_FEAS_PROJECTED`` exits 3 after
@@ -66,9 +68,9 @@ def _out(out_dir: str, name: str) -> str:
 
 
 def _check_out_dir(out_dir: str) -> None:
-    # An out-dir that is, or lies under, an existing non-directory is refused
-    # before the run's work, not at its first write.
-    if not isinstance(out_dir, str):
+    # An empty out-dir, or one that is, or lies under, an existing
+    # non-directory, is refused before the run's work, not at its first write.
+    if not (isinstance(out_dir, str) and out_dir):
         raise InvalidInputError(f"--out-dir must be a path, not {out_dir!r}")
     path = os.path.abspath(out_dir)
     while not os.path.lexists(path):
@@ -98,12 +100,12 @@ def _blas_threads() -> dict:
     return threads
 
 
-def _write_manifest(command: str, options: dict, input_paths, out_dir: str,
+def _write_manifest(command: str, options: dict, inputs: list, out_dir: str,
                     duration: float) -> None:
     manifest = {
         "command": command,
         "options": options,
-        "inputs": [{"path": p, "sha256": _sha256(p)} for p in input_paths],
+        "inputs": inputs,
         "version": __version__,
         "duration_seconds": duration,
         "blas_threads": _blas_threads(),
@@ -151,15 +153,18 @@ def _write_fit(result, out_dir: str, binary: bool) -> int:
     return EXIT_NUMERICAL
 
 
-# Each handler returns the list of input paths it consumed, so the shared
-# driver can hash them into the manifest, and the exit code.
+# Each handler is given the input paths that _execute resolved and hashed
+# (only faces ingest reads that list; the others read their named path
+# options) and returns the exit code.
 
-def _cmd_factorize(args, out_dir: str):
+def _cmd_factorize(args, out_dir: str, paths: list) -> int:
     result = factorize(read_matrix(args.input), _solver_config(args))
-    return [args.input], _write_fit(result, out_dir, args.binary)
+    return _write_fit(result, out_dir, args.binary)
 
 
-def _cmd_analyze(args, out_dir: str):
+def _cmd_analyze(args, out_dir: str, paths: list) -> int:
+    if args.samples < 0:
+        raise InvalidInputError(f"--samples must be at least 0, not {args.samples}")
     factors = _load_factors(args.w, args.h, Orientation(args.orientation))
     report = analysis_report(factors, zero_tol=args.zero_tol)
     if args.samples > 0:
@@ -191,34 +196,28 @@ def _cmd_analyze(args, out_dir: str):
             "single_axis_outside_bounds": outside,
         }
     _dump_json(report, _out(out_dir, "report.json"))
-    return [args.w, args.h], EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_faces_ingest(args, out_dir: str):
-    names = sorted(n for n in os.listdir(args.directory)
-                   if n.lower().endswith(".pgm"))
-    if not names:
+def _as_ingested(img):
+    # faces ingest stores a 19x19 picture as its 9x9 block means.
+    return downsample_2x2(img) if img.pixels.shape == (19, 19) else img
+
+
+def _cmd_faces_ingest(args, out_dir: str, paths: list) -> int:
+    if not paths:
         raise InvalidInputError(f"no .pgm files found in {args.directory}")
-    rows = []
-    paths = []
-    for name in names:
-        path = os.path.join(args.directory, name)
-        paths.append(path)
-        img = read_pgm(path)
-        if img.pixels.shape == (19, 19):
-            img = downsample_2x2(img)
-        rows.append(img.flatten())
-    widths = {r.size for r in rows}
-    if len(widths) > 1:
+    rows = [_as_ingested(read_pgm(path)).flatten() for path in paths]
+    if len({r.size for r in rows}) > 1:
         raise InvalidInputError("all images must share the same dimensions")
     _write_matrix(np.vstack(rows), out_dir, "X", args.binary)
     with open(_out(out_dir, "files.txt"), "w", encoding="utf-8") as fh:
-        for name in names:
-            fh.write(name + "\n")
-    return paths, EXIT_OK
+        for path in paths:
+            fh.write(os.path.basename(path) + "\n")
+    return EXIT_OK
 
 
-def _cmd_faces_reconstruct(args, out_dir: str):
+def _cmd_faces_reconstruct(args, out_dir: str, paths: list) -> int:
     factors = _load_factors(args.w, args.h, Orientation.W_ROWS_SUM_TO_1)
     if not (0 <= args.row < factors.w.shape[0]):
         raise InvalidInputError(
@@ -226,46 +225,44 @@ def _cmd_faces_reconstruct(args, out_dir: str):
         )
     img = reconstruct(factors.w[args.row], factors.h)
     write_pgm(img, _out(out_dir, "reconstruction.pgm"), binary=args.binary)
-    return [args.w, args.h], EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_faces_retrieve(args, out_dir: str):
+def _cmd_faces_retrieve(args, out_dir: str, paths: list) -> int:
     factors = _load_factors(args.w, args.h, Orientation.W_ROWS_SUM_TO_1)
     query = read_pgm(args.query)
+    # A model of 81 pixels holds ingested pictures, so a 19x19 query is
+    # taken down to 9x9 as ingest takes its pictures.
+    if factors.h.shape[1] == 81:
+        query = _as_ingested(query)
     index, distance = retrieve(query, factors)
     _dump_json({"index": index, "distance": distance},
                _out(out_dir, "retrieval.json"))
-    return [args.query, args.w, args.h], EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_faces_error(args, out_dir: str):
+def _cmd_faces_error(args, out_dir: str, paths: list) -> int:
     factors = _load_factors(args.w, args.h, Orientation.W_ROWS_SUM_TO_1)
     x = read_matrix(args.input)
     err = reconstruction_error(x, factors)
     _dump_json({"reconstruction_error": err}, _out(out_dir, "error.json"))
-    return [args.input, args.w, args.h], EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_topics_build(args, out_dir: str):
-    with open(args.corpus, encoding="utf-8") as fh:
-        documents = [line.rstrip("\n") for line in fh]
-    documents = [d for d in documents if d.strip()]
-    stop_words = ()
-    inputs = [args.corpus]
-    if args.stop_words:
-        stop_words = _read_lines(args.stop_words)
-        inputs.append(args.stop_words)
-    corpus = build_corpus(documents, stop_words=stop_words,
+def _cmd_topics_build(args, out_dir: str, paths: list) -> int:
+    # A document is a stripped non-blank line; the stripped whitespace is
+    # never part of a token.
+    stop_words = _read_lines(args.stop_words) if args.stop_words else ()
+    corpus = build_corpus(_read_lines(args.corpus), stop_words=stop_words,
                           min_doc_fraction=args.min_doc_fraction)
     write_corpus(corpus, _out(out_dir, "doc_term.csv"), _out(out_dir, "vocab.txt"))
-    return inputs, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_topics_fit(args, out_dir: str):
+def _cmd_topics_fit(args, out_dir: str, paths: list) -> int:
     corpus = read_corpus(args.doc_term, args.vocab)
     model = fit_topics(corpus, _solver_config(args))
-    status = _write_fit(model.solve_result, out_dir, args.binary)
-    return [args.doc_term, args.vocab], status
+    return _write_fit(model.solve_result, out_dir, args.binary)
 
 
 def _load_topic_model(args) -> TopicModel:
@@ -273,16 +270,16 @@ def _load_topic_model(args) -> TopicModel:
                       vocabulary=_read_lines(args.vocab))
 
 
-def _cmd_topics_top_terms(args, out_dir: str):
+def _cmd_topics_top_terms(args, out_dir: str, paths: list) -> int:
     model = _load_topic_model(args)
     write_top_terms_csv(model, args.k, _out(out_dir, "top_terms.csv"))
-    return [args.w, args.h, args.vocab], EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_topics_histogram(args, out_dir: str):
+def _cmd_topics_histogram(args, out_dir: str, paths: list) -> int:
     model = _load_topic_model(args)
     write_histogram_csv(model, _out(out_dir, "histogram.csv"))
-    return [args.w, args.h, args.vocab], EXIT_OK
+    return EXIT_OK
 
 
 _HANDLERS = {
@@ -447,13 +444,48 @@ class _Options(argparse.Namespace):
         raise InvalidInputError(f"manifest options lack {name!r}")
 
 
-def _execute(command: str, options: dict) -> int:
+# The path options that name a run's input files, in the order its manifest
+# lists them; faces ingest reads the sorted .pgm listing of its directory.
+_INPUT_OPTIONS = ("query", "input", "corpus", "stop_words", "doc_term", "w", "h", "vocab")
+
+
+def _input_paths(command: str, args) -> list:
+    if command == "faces-ingest":
+        return [os.path.join(args.directory, n)
+                for n in sorted(os.listdir(args.directory)) if n.lower().endswith(".pgm")]
+    return [path for path in map(vars(args).get, _INPUT_OPTIONS) if path]
+
+
+def _hash_inputs(paths: list, recorded) -> list:
+    # The manifest's input entries, each file hashed once.  A rerun passes the
+    # recorded entries and is refused when a file was added, is missing or
+    # holds other bytes.
+    then = [e["path"] for e in recorded or ()]
+    if recorded is not None and paths != then:
+        what = ([f"{p} was added" for p in paths if p not in then]
+                + [f"{q} is missing" for q in then if q not in paths]
+                + ["their order differs"])
+        raise InvalidInputError(f"inputs changed since the recorded run: {what[0]}")
+    inputs = [{"path": p, "sha256": _sha256(p)} for p in paths]
+    for entry, old in zip(inputs, recorded or ()):
+        if entry["sha256"] != old["sha256"]:
+            raise InvalidInputError(
+                f"input {entry['path']} changed since the recorded run "
+                f"(sha256 {entry['sha256']} != {old['sha256']})"
+            )
+    return inputs
+
+
+def _execute(command: str, options: dict, recorded=None) -> int:
+    # Everything a run reads is decided and hashed before its handler runs,
+    # so the manifest records the inputs as they were read.
     args = _Options(**options)
     _check_out_dir(args.out_dir)
+    paths = _input_paths(command, args)
+    inputs = _hash_inputs(paths, recorded)
     start = time.monotonic()
-    inputs, status = _HANDLERS[command](args, args.out_dir)
-    duration = time.monotonic() - start
-    _write_manifest(command, options, inputs, args.out_dir, duration)
+    status = _HANDLERS[command](args, args.out_dir, paths)
+    _write_manifest(command, options, inputs, args.out_dir, time.monotonic() - start)
     return status
 
 
@@ -470,22 +502,15 @@ def _rerun(args) -> int:
                     and isinstance(e.get("sha256"), str) for e in inputs)):
         raise InvalidInputError("manifest lacks an options object or a list of "
                                 "input path and sha256 entries")
-    options = dict(options)
-    for entry in inputs:
-        digest = _sha256(entry["path"])
-        if digest != entry["sha256"]:
-            raise InvalidInputError(
-                f"input {entry['path']} changed since the recorded run "
-                f"(sha256 {digest} != {entry['sha256']})"
-            )
     recorded, current = manifest.get("blas_threads"), _blas_threads()
     if recorded is not None and recorded != current:
         print(f"warning: BLAS threading {current} differs from the recorded "
               f"{recorded}; a fit may not reproduce byte for byte",
               file=sys.stderr)
+    options = dict(options)
     if args.out_dir is not None:
         options["out_dir"] = args.out_dir
-    return _execute(command, options)
+    return _execute(command, options, inputs)
 
 
 def main(argv=None) -> int:

@@ -12,13 +12,17 @@ import pytest
 
 import smf
 from smf import (
+    FactorPair,
     GrayImage,
     Orientation,
+    analysis_report,
+    downsample_2x2,
     generate,
     natural_bounds,
     read_matrix,
     read_matrix_binary,
     read_pgm,
+    retrieve,
     row_normalize,
     sample_feasible_A,
     write_corpus,
@@ -128,6 +132,53 @@ def test_rerun_of_a_manifest_whose_out_dir_is_not_a_path_is_an_input_error(
     edit_options(out1 / "manifest.json", out_dir=None)
     assert run_cli("rerun", out1 / "manifest.json") == EXIT_INPUT
     assert "--out-dir must be a path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["run", "rerun flag", "manifest"])
+def test_an_empty_out_dir_is_refused_before_the_fit(tmp_path, capsys, monkeypatch,
+                                                    how):
+    # The absolute path of "" is the working directory, so "" would pass the
+    # directory test and fail only at the first write, after the fit.
+    x_path, _ = write_instance(tmp_path)
+    manifest = tmp_path / "run1" / "manifest.json"
+    if how != "run":
+        assert run_cli("factorize", x_path, "--rank", 2, "--restarts", 1,
+                       "--out-dir", tmp_path / "run1") == EXIT_OK
+    monkeypatch.setattr(cli, "factorize", fit_must_not_run)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    if how == "run":
+        argv = ["factorize", x_path, "--rank", 2, "--restarts", 1, "--out-dir", ""]
+    elif how == "rerun flag":
+        argv = ["rerun", manifest, "--out-dir", ""]
+    else:
+        edit_options(manifest, out_dir="")
+        argv = ["rerun", manifest]
+    capsys.readouterr()
+    assert run_cli(*argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: --out-dir ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_factorize_records_its_input_as_read_before_the_run(tmp_path, capsys):
+    # Inputs are hashed before the run, so a run that overwrites its input
+    # (W.csv in its own out-dir) records the bytes it read, and a rerun of
+    # it is refused rather than fitting the run's own output.
+    x_path, _ = write_instance(tmp_path)
+    d = tmp_path / "d"
+    d.mkdir()
+    source = d / "W.csv"
+    source.write_bytes(x_path.read_bytes())
+    digest = hashlib.sha256(source.read_bytes()).hexdigest()
+    assert run_cli("factorize", source, "--rank", 2, "--restarts", 1,
+                   "--out-dir", d) == EXIT_OK
+    manifest = json.loads((d / "manifest.json").read_text())
+    assert manifest["inputs"] == [{"path": str(source), "sha256": digest}]
+    assert hashlib.sha256(source.read_bytes()).hexdigest() != digest
+    again = tmp_path / "again"
+    assert run_cli("rerun", d / "manifest.json", "--out-dir", again) == EXIT_INPUT
+    assert f"input {source} changed since the recorded run" in capsys.readouterr().err
+    assert not again.exists()
 
 
 def test_factorize_lists_every_restart_of_a_noisy_fit(tmp_path):
@@ -357,6 +408,43 @@ def test_analyze_without_sampling(tmp_path):
     assert "oracle" not in report
 
 
+def test_analyze_refuses_negative_samples(tmp_path, capsys, monkeypatch):
+    # 0 disables the oracle; a negative count is an input error, found before
+    # the report is built, and makes no directory.
+    monkeypatch.setattr(cli, "analysis_report",
+                        lambda *a, **k: pytest.fail("the report was built"))
+    w_path, h_path = worked_factors(tmp_path)
+    out = tmp_path / "run"
+    assert run_cli("analyze", w_path, h_path, "--samples", -5,
+                   "--out-dir", out) == EXIT_INPUT
+    assert "--samples must be at least 0, not -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_oracle_counts_samples_outside_narrowed_bounds(tmp_path,
+                                                               monkeypatch):
+    # The worked pair is not unique; with every reported bound narrowed to
+    # [0, 0], the single-axis samples the walk takes beyond +-step count as
+    # outside, and the same samples are checked as with the true bounds.
+    def narrowed(*args, **kwargs):
+        report = analysis_report(*args, **kwargs)
+        for b in report["bounds"]:
+            b["lower"] = b["upper"] = 0.0
+        return report
+
+    w_path, h_path = worked_factors(tmp_path)
+    oracles = []
+    for out in (tmp_path / "true", tmp_path / "narrowed"):
+        assert run_cli("analyze", w_path, h_path, "--orientation", "both",
+                       "--samples", 400, "--out-dir", out) == EXIT_OK
+        oracles.append(json.loads((out / "report.json").read_text())["oracle"])
+        monkeypatch.setattr(cli, "analysis_report", narrowed)
+    true, narrow = oracles
+    assert true["single_axis_outside_bounds"] == 0
+    assert narrow["single_axis_checked"] == true["single_axis_checked"] > 0
+    assert 0 < narrow["single_axis_outside_bounds"] <= narrow["single_axis_checked"]
+
+
 def test_analyze_degenerate_factor_is_numerical_error(tmp_path, capsys):
     w_path = tmp_path / "W.csv"
     h_path = tmp_path / "H.csv"
@@ -483,6 +571,29 @@ def test_faces_retrieve_and_error(tmp_path):
                    "--out-dir", out2) == EXIT_OK
     err = json.loads((out2 / "error.json").read_text())
     assert err["reconstruction_error"] < 1e-12
+
+
+@pytest.mark.parametrize("pixels", [81, 361])
+def test_faces_retrieve_takes_a_19x19_query_as_ingest_stores_it(tmp_path, pixels):
+    # A model of 81 pixels holds pictures that ingest took down to 9x9, so a
+    # 19x19 query is downsampled the same way; a model of 361 pixels takes
+    # the query as it is.  Either answer is the library's.
+    rng = np.random.default_rng(47)
+    w_path, h_path = tmp_path / "W.csv", tmp_path / "H.csv"
+    write_matrix_csv(w_path, row_normalize(rng.uniform(0.1, 1.0, size=(6, 3))))
+    write_matrix_csv(h_path, rng.uniform(0.0, 1.0, size=(3, pixels)))
+    query_path = tmp_path / "query.pgm"
+    write_face(query_path, rng.integers(0, 256, size=(19, 19)) / 255.0)
+    out = tmp_path / "hit"
+    assert run_cli("faces", "retrieve", query_path, w_path, h_path,
+                   "--out-dir", out) == EXIT_OK
+    got = json.loads((out / "retrieval.json").read_text())
+    factors = FactorPair(w=read_matrix(w_path), h=read_matrix(h_path),
+                         orientation=Orientation.W_ROWS_SUM_TO_1)
+    query = read_pgm(query_path)
+    if pixels == 81:
+        query = downsample_2x2(query)
+    assert (got["index"], got["distance"]) == retrieve(query, factors)
 
 
 # ------------------------------------------------------------------ topics
@@ -645,6 +756,48 @@ def test_rerun_detects_input_drift(tmp_path, capsys):
                    "--out-dir", tmp_path / "run2")
     assert code == EXIT_INPUT
     assert "changed since" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", ["added", "removed", "altered"])
+def test_rerun_of_faces_ingest_refuses_a_changed_directory(tmp_path, capsys, change):
+    # The inputs of an ingest are the sorted .pgm files of its directory; a
+    # rerun reproduces them while they are as recorded and refuses a
+    # directory with a picture added, removed or altered.
+    d = face_set(tmp_path)
+    out1 = tmp_path / "run1"
+    assert run_cli("faces", "ingest", d, "--out-dir", out1) == EXIT_OK
+    manifest = out1 / "manifest.json"
+    recorded = [e["path"] for e in json.loads(manifest.read_text())["inputs"]]
+    assert recorded == [str(d / f"face{i}.pgm") for i in range(3)]
+    assert run_cli("rerun", manifest, "--out-dir", tmp_path / "same") == EXIT_OK
+    for name in ("X.csv", "files.txt"):
+        assert (out1 / name).read_bytes() == (tmp_path / "same" / name).read_bytes()
+    named = d / ("face1b.pgm" if change == "added" else "face1.pgm")
+    if change == "removed":
+        named.unlink()
+    else:
+        write_face(named, np.ones((9, 9)))
+    capsys.readouterr()
+    out2 = tmp_path / "run2"
+    assert run_cli("rerun", manifest, "--out-dir", out2) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "changed since the recorded run" in err and str(named) in err
+    assert not out2.exists()
+
+
+def test_rerun_refuses_recorded_inputs_in_another_order(tmp_path, capsys):
+    # A manifest whose options name the recorded files in swapped roles.
+    w_path, h_path = worked_factors(tmp_path)
+    out1 = tmp_path / "run1"
+    assert run_cli("analyze", w_path, h_path, "--samples", 0,
+                   "--out-dir", out1) == EXIT_OK
+    edit_options(out1 / "manifest.json", w=str(h_path), h=str(w_path))
+    capsys.readouterr()
+    out2 = tmp_path / "run2"
+    assert run_cli("rerun", out1 / "manifest.json", "--out-dir", out2) == EXIT_INPUT
+    assert ("inputs changed since the recorded run: their order differs"
+            in capsys.readouterr().err)
+    assert not out2.exists()
 
 
 def test_rerun_rejects_unknown_command(tmp_path, capsys):

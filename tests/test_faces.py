@@ -84,12 +84,14 @@ def test_gray_image_accessors():
 # -------------------------------------------------------------- downsample
 
 
+@pytest.mark.blas_threads
 def test_downsample_constant_image():
     out = downsample_2x2(GrayImage(pixels=np.full((19, 19), 0.37)))
     assert out.pixels.shape == (9, 9)
     assert np.allclose(out.pixels, 0.37, atol=1e-15)
 
 
+@pytest.mark.blas_threads
 def test_downsample_checkerboard_averages_to_half():
     i, j = np.indices((19, 19))
     board = ((i + j) % 2).astype(np.float64)
@@ -97,6 +99,7 @@ def test_downsample_checkerboard_averages_to_half():
     assert np.allclose(out.pixels, 0.5, atol=1e-15)
 
 
+@pytest.mark.blas_threads
 def test_downsample_block_mean_example():
     px = np.zeros((19, 19))
     px[0, 0], px[0, 1], px[1, 0], px[1, 1] = 0.1, 0.2, 0.3, 0.4
@@ -104,6 +107,7 @@ def test_downsample_block_mean_example():
     assert out.pixels[0, 0] == pytest.approx(0.25, abs=1e-15)
 
 
+@pytest.mark.blas_threads
 def test_downsample_discards_last_row_and_column():
     px = np.zeros((19, 19))
     px[18, :] = 1.0
@@ -117,6 +121,7 @@ def block_mean_reference(px):
     return px[:18, :18].reshape(9, 2, 9, 2).mean(axis=(1, 3))
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("kind", ["random", "quantized", "zeros", "ones",
                                   "checkerboard"])
 def test_downsample_is_bitwise_the_block_mean(kind):
@@ -135,6 +140,7 @@ def test_downsample_is_bitwise_the_block_mean(kind):
         assert out.tobytes() == block_mean_reference(px).tobytes()
 
 
+@pytest.mark.blas_threads
 def test_downsample_requires_19x19():
     with pytest.raises(ValueError):
         downsample_2x2(GrayImage(pixels=np.zeros((18, 18))))
@@ -447,6 +453,7 @@ def assert_retrieve_matches_reference(model, queries):
         assert retrieve(query, model) == retrieve_reference(query, model)
 
 
+@pytest.mark.blas_threads
 def test_retrieve_finds_exact_rows():
     model = retrieval_model()
     x = model.w @ model.h
@@ -456,6 +463,7 @@ def test_retrieve_finds_exact_rows():
         assert dist < 1e-10
 
 
+@pytest.mark.blas_threads
 def test_retrieve_breaks_ties_toward_lowest_index():
     w = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]])
     h = retrieval_model().h
@@ -465,6 +473,7 @@ def test_retrieve_breaks_ties_toward_lowest_index():
     assert idx == 0
 
 
+@pytest.mark.blas_threads
 def test_retrieve_computes_pinv_once_per_model(monkeypatch):
     calls = []
 
@@ -480,6 +489,7 @@ def test_retrieve_computes_pinv_once_per_model(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.blas_threads
 def test_retrieve_matches_per_query_pinv_reference():
     # A criterion-7 style instance: 19x19 images downsampled to 9x9, R=10,
     # projected fit.  Reference: the per-query formula that recomputes
@@ -505,6 +515,7 @@ def test_retrieve_matches_per_query_pinv_reference():
         assert dist == pytest.approx(dists[want], rel=1.5e-15, abs=0.0)
 
 
+@pytest.mark.blas_threads
 def test_retrieve_breaks_ties_between_distant_duplicates_toward_lowest_index():
     # Exact duplicate rows at indices 3, 9 and 17, the nearest for a query
     # at their image, and rows 1 ulp apart in one entry at 5 and 12.
@@ -522,6 +533,7 @@ def test_retrieve_breaks_ties_between_distant_duplicates_toward_lowest_index():
     assert_retrieve_matches_reference(model, queries)
 
 
+@pytest.mark.blas_threads
 def test_retrieve_matches_reference_at_criterion_7_size():
     # The images workload's shape: 2400 stored rows on the 10-simplex and
     # 81-pixel base images.  Every stored image and 500 random images are
@@ -535,6 +547,7 @@ def test_retrieve_matches_reference_at_criterion_7_size():
         model, np.vstack([stored, rng.uniform(0.0, 1.0, size=(500, 81))]))
 
 
+@pytest.mark.blas_threads
 def test_retrieve_matches_reference_among_rounding_ties():
     # The rows are p + v for every permutation v of one vector, p being the
     # query's projected weights: 120 rows at the same exact distance, whose
@@ -551,6 +564,7 @@ def test_retrieve_matches_reference_among_rounding_ties():
         assert_retrieve_matches_reference(model, q[None])
 
 
+@pytest.mark.blas_threads
 def test_retrieve_matches_reference_off_the_simplex():
     # The unprojected W = X pinv(H) of a fit of noisy data: W has negative
     # entries and rows that do not sum to 1, so the rows' norms are not those
@@ -570,6 +584,7 @@ def test_retrieve_matches_reference_off_the_simplex():
         model, np.vstack([x, np.clip(x + noisy, 0.0, 1.0)]))
 
 
+@pytest.mark.blas_threads
 def test_retrieve_matches_reference_at_rank_1():
     # Every query's weights project to [1.0].  Rows 1, 2, 4 and 5 all lie
     # 0.25 from it, and the first of them wins.
@@ -581,6 +596,7 @@ def test_retrieve_matches_reference_at_rank_1():
                                                        [0.2, 0.4, 0.6, 0.8]]))
 
 
+@pytest.mark.blas_threads
 def test_retrieve_reads_read_only_pixels_in_place():
     # A read-only view at an 8-byte offset is used without a copy and
     # gives the reference's answer.
@@ -593,6 +609,7 @@ def test_retrieve_reads_read_only_pixels_in_place():
     assert retrieve(query, model) == retrieve_reference(query, model)
 
 
+@pytest.mark.blas_threads
 def test_retrieve_rejects_wrong_pixel_count():
     with pytest.raises(ValueError, match="pixels"):
         retrieve(GrayImage(pixels=np.zeros((3, 3))), retrieval_model())

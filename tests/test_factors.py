@@ -95,6 +95,7 @@ def test_h_pinv_is_cached_and_matches_pseudoinverse():
     assert not pair.h_pinv.flags.writeable
 
 
+@pytest.mark.blas_threads
 def test_w_search_is_cached_and_holds_w_transposed_and_halved_row_norms():
     w = np.array([[0.5, 0.5], [1.0, 0.0], [-0.25, 1.5]])
     pair = FactorPair(w=w, h=np.eye(2), orientation=Orientation.W_ROWS_SUM_TO_1)

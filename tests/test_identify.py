@@ -401,6 +401,7 @@ def test_mixing_matrix_is_read_only_and_copies_the_caller_array():
 # ----------------------------------------------------------------- sampler
 
 
+@pytest.mark.blas_threads
 def test_sampler_returns_exact_count_and_row_sums():
     p = pair(WORKED_W, WORKED_H)
     samples = sample_feasible_A(p, 250, seed=3)
@@ -409,6 +410,7 @@ def test_sampler_returns_exact_count_and_row_sums():
         assert np.max(np.abs(m.a.sum(axis=1) - 1.0)) <= 1e-10
 
 
+@pytest.mark.blas_threads
 def test_sampler_stays_feasible():
     p = pair([[0.7, 0.3], [0.4, 0.6], [0.55, 0.45]], WORKED_H)
     for m in sample_feasible_A(p, 500, seed=5):
@@ -416,6 +418,7 @@ def test_sampler_stays_feasible():
         assert np.linalg.solve(m.a, p.h).min() >= -1e-12
 
 
+@pytest.mark.blas_threads
 def test_sampler_respects_axis_bounds():
     p = pair([[0.7, 0.3], [0.4, 0.6], [0.55, 0.45]], WORKED_H)
     bounds = {(b.r1, b.r2): b for b in natural_bounds(p)}
@@ -434,12 +437,14 @@ def test_sampler_respects_axis_bounds():
     assert moved > 0.05
 
 
+@pytest.mark.blas_threads
 def test_sampler_on_anchored_instance_never_leaves_identity():
     p = anchored_pair(seed=8)
     for m in sample_feasible_A(p, 400, seed=11):
         assert np.array_equal(m.a, np.eye(3))
 
 
+@pytest.mark.blas_threads
 def test_sampler_is_deterministic():
     p = pair(WORKED_W, WORKED_H)
     a = sample_feasible_A(p, 100, seed=13)
@@ -546,6 +551,7 @@ def shared_maxima_pair():
     return pair(w, rng.dirichlet(np.ones(9), size=4))
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("case", [
     "anchored", "non-anchored", "zero-tol", "anchored-zero-tol", "rank-1",
     "worked", "off-simplex", "rank-20", "shared-maxima", "non-anchored-rank-10",
@@ -587,6 +593,7 @@ def test_sampler_matches_reference_loop_bitwise(case):
         assert not any(np.array_equal(r, eye) for r in want[first:])
 
 
+@pytest.mark.blas_threads
 def test_sampler_screens_are_the_anchors():
     # Each factor's screen row of W is one of its anchor rows, on exact
     # anchored factors and on an R=20 topic fit; on the exact factors each
@@ -623,6 +630,7 @@ def _unscreened_is_feasible(a, w, h, zero_tol):
     return bool(np.all(np.isfinite(mixed_h)) and np.min(mixed_h) >= -zero_tol)
 
 
+@pytest.mark.blas_threads
 def test_sampler_refuses_a_singular_proposal():
     # Every row of A is (1/3, 1/3, 1/3): W A stays non-negative, so the W
     # screen passes, and the inverse that the H side needs does not exist.
@@ -632,6 +640,7 @@ def test_sampler_refuses_a_singular_proposal():
     assert not _unscreened_is_feasible(a, p.w, p.h, 0.0)
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("zero_tol", [0.0, 1e-6])
 def test_sampler_screens_keep_near_tie_verdicts(zero_tol):
     # Moves along an axis (r1, r2) whose binding row of W is a screen row,
@@ -659,6 +668,7 @@ def test_sampler_screens_keep_near_tie_verdicts(zero_tol):
     assert ties > 0 and verdicts == {False, True}
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("zero_tol", [0.0, 1e-6])
 def test_sampler_screens_keep_near_tie_verdicts_on_h(zero_tol):
     # Moves along an axis (r1, r2) out to where inv(A) H first dips below
@@ -697,6 +707,7 @@ def test_sampler_screens_keep_near_tie_verdicts_on_h(zero_tol):
     assert ties > 0 and verdicts == {False, True}
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("case", ["non-anchored", "rank-20", "off-simplex",
                                   "shared-maxima"])
 def test_sampler_screened_verdicts_match_unscreened(case):
@@ -717,6 +728,7 @@ def test_sampler_screened_verdicts_match_unscreened(case):
     assert not all(verdicts)
 
 
+@pytest.mark.blas_threads
 def test_sampler_shares_repeated_states():
     p = non_anchored_pair(seed=101)
     samples = sample_feasible_A(p, 600, seed=23)
@@ -730,6 +742,7 @@ def test_sampler_shares_repeated_states():
     assert len({id(s) for s in identities}) == 1
 
 
+@pytest.mark.blas_threads
 def test_sampler_validates_arguments():
     p = pair(WORKED_W, WORKED_H)
     with pytest.raises(ValueError):

@@ -228,6 +228,7 @@ def simplex_project_reference(v):
     return w, 32
 
 
+@pytest.mark.blas_threads
 def test_simplex_project_matches_numpy_reference_bitwise():
     # Random sizes 2-50 at scales 1e-3 to 1e6 (the shift above 2 runs),
     # tied entries, signed zeros, near-simplex vectors that take several
@@ -260,6 +261,7 @@ def test_simplex_project_matches_numpy_reference_bitwise():
     assert max(rounds) >= 2
 
 
+@pytest.mark.blas_threads
 def test_simplex_project_examples():
     assert np.allclose(simplex_project(np.array([0.2, 0.3])), [0.45, 0.55],
                        atol=1e-15)
@@ -272,6 +274,7 @@ def test_simplex_project_examples():
     assert simplex_project(np.array([-3.0])) == pytest.approx([1.0])
 
 
+@pytest.mark.blas_threads
 def test_simplex_project_matches_brute_force():
     rng = np.random.default_rng(7)
     for trial in range(200):
@@ -282,6 +285,7 @@ def test_simplex_project_matches_brute_force():
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.blas_threads
 def test_simplex_project_feasible_and_idempotent():
     rng = np.random.default_rng(11)
     for trial in range(300):
@@ -293,6 +297,7 @@ def test_simplex_project_feasible_and_idempotent():
         assert np.array_equal(simplex_project(w), w)
 
 
+@pytest.mark.blas_threads
 def test_simplex_project_invariant_to_constant_shift():
     rng = np.random.default_rng(13)
     v = rng.normal(size=6)
@@ -300,6 +305,7 @@ def test_simplex_project_invariant_to_constant_shift():
                        atol=1e-9)
 
 
+@pytest.mark.blas_threads
 def test_simplex_project_rejects_bad_input():
     with pytest.raises(ValueError):
         simplex_project(np.zeros((2, 2)))
@@ -309,6 +315,7 @@ def test_simplex_project_rejects_bad_input():
         simplex_project(np.array([]))
 
 
+@pytest.mark.blas_threads
 def test_simplex_project_rows_matches_row_loop_bitwise():
     # The vectorized row projector is simplex_project row by row, bit for
     # bit: random, tied, shifted (an entry above 2 in magnitude), one- and
@@ -339,6 +346,7 @@ def test_simplex_project_rows_matches_row_loop_bitwise():
         assert simplex_project_rows(got).tobytes() == got.tobytes()
 
 
+@pytest.mark.blas_threads
 def test_canonicalize_list_matches_reference_bitwise():
     # The canonicalization on Python floats is canonicalize_reference, bit
     # for bit, on any non-negative row: sums above and below 1, entries the

@@ -15,6 +15,9 @@ from smf import (
 )
 from smf.matrixio import BINARY_MAGIC
 
+# Every test here runs again on two BLAS threads (see pyproject.toml).
+pytestmark = pytest.mark.blas_threads
+
 
 def awkward_matrix():
     # Values chosen to stress shortest-repr round-tripping: numbers with no
