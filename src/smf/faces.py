@@ -39,7 +39,6 @@ _PGM_MAXVAL = 255
 _PGM_LEXEME = re.compile(rb"#[^\n]*|([^\s#]+)")
 _PGM_HEADER_END = re.compile(rb"#[^\n]*\n|\s")
 _WEIGHT_SUM_TOL = 1e-6
-_EPS = float(np.finfo(np.float64).eps)
 _MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 
 
@@ -63,6 +62,15 @@ class GrayImage:
             raise ValueError("image intensities must lie in [0, 1]")
         object.__setattr__(self, "pixels", p)
 
+    @classmethod
+    def _trusted(cls, pixels: np.ndarray) -> "GrayImage":
+        # An image of pixels that are already a non-empty, read-only 2-D
+        # float64 array, finite and in [0, 1], as the module's own readers
+        # and transforms build them: kept as is, with no copy and no scan.
+        img = object.__new__(cls)
+        object.__setattr__(img, "pixels", pixels)
+        return img
+
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
@@ -85,13 +93,14 @@ def downsample_2x2(img: GrayImage) -> GrayImage:
         raise ValueError(f"expected a 19x19 image, got {img.pixels.shape}")
     # Pair sums across, then down: (a00 + a01) + (a10 + a11), over 4.0, is
     # the order in which numpy 2.4's mean(axis=(1, 3)) sums a 2x2 block, so
-    # the bits are that block mean's, without its Python-level wrapper.  The
-    # result is made read-only, so GrayImage keeps it rather than copying.
+    # the bits are that block mean's, without its Python-level wrapper.  Block
+    # means of values in [0, 1] stay in [0, 1], so the read-only result is
+    # kept as the image's pixels with no second scan.
     px = img.pixels
     cols = px[:18, 0:18:2] + px[:18, 1:18:2]
     out = (cols[0::2] + cols[1::2]) / 4.0
     out.setflags(write=False)
-    return GrayImage(pixels=out)
+    return GrayImage._trusted(out)
 
 
 def read_pgm(path) -> GrayImage:
@@ -132,7 +141,10 @@ def read_pgm(path) -> GrayImage:
         values = np.array([int(t) for t in toks[:count]], dtype=np.float64)
     if values.max(initial=0.0) > maxval:
         raise ValueError("PGM pixel value exceeds declared maxval")
-    return GrayImage(pixels=(values / maxval).reshape(height, width))
+    # Integers in 0..maxval over maxval lie in [0, 1].
+    px = values / maxval
+    px.setflags(write=False)
+    return GrayImage._trusted(px.reshape(height, width))
 
 
 def write_pgm(img: GrayImage, path, *, binary: bool = False) -> None:
@@ -181,7 +193,8 @@ def reconstruct(weights, h) -> GrayImage:
         raise ValueError("base image intensities must lie in [0, 1]")
     side = _square_side(hm.shape[1])
     mix = np.clip(wv @ hm, 0.0, 1.0)
-    return GrayImage(pixels=mix.reshape(side, side))
+    mix.setflags(write=False)
+    return GrayImage._trusted(mix.reshape(side, side))
 
 
 def retrieve(query: GrayImage, model: FactorPair) -> tuple:
@@ -189,11 +202,12 @@ def retrieve(query: GrayImage, model: FactorPair) -> tuple:
 
     The query is compressed to its simplex-projected weight vector
     ``p = simplex_project(q @ pinv(H))`` and compared against the rows of
-    the stored W by Euclidean distance.  pinv(H) and ``FactorPair.w_search``,
-    W transposed with the halved row norms -||w_i||^2 / 2, are computed once
-    per model and shared by every query, so a query costs one matrix-vector
-    product ``p @ W.T`` streamed over rows of length n plus one add of the
-    norms; the rows within rounding of the best have their distance
+    the stored W by Euclidean distance.  pinv(H), ``FactorPair.w_search``
+    (W transposed with the halved row norms -||w_i||^2 / 2) and the rounding
+    tolerance of the scores are computed once per model and shared by every
+    query, so a query costs one matrix-vector product ``p @ W.T`` streamed
+    over rows of length n, one add of the norms and one pass over the
+    scores; the rows within rounding of the best have their distance
     computed exactly.  Returns ``(index, distance)`` with ties resolved
     toward the lowest index.
     """
@@ -203,7 +217,7 @@ def retrieve(query: GrayImage, model: FactorPair) -> tuple:
             f"query has {q.size} pixels but the model stores {model.h.shape[1]}"
         )
     p = simplex_project(q @ model.h_pinv)
-    wt, c, max_sq = model.w_search
+    wt, c, _ = model.w_search
     # s_i = w_i.p - ||w_i||^2 / 2 = (||p||^2 - d_i) / 2 with d_i = ||w_i - p||^2,
     # so the nearest row has the largest s_i.  The rows whose computed s_i is
     # within tol of the largest get d_i computed as the reference does, by
@@ -218,22 +232,25 @@ def retrieve(query: GrayImage, model: FactorPair) -> tuple:
     # computed d_i trails the largest computed s_i by at most
     # g_{R+2} (M + P)^2 + 2 E, about 1.5 (R + 2) eps (M + P)^2.  tol is
     # 4 (R + 2) eps (M + 1)^2, over twice that, which covers the rounding
-    # of tol and of s.max() - tol.  No step assumes W non-negative or on the
-    # simplex.  If M^2 overflows, tol is inf, and "not below" keeps every
-    # row, nan included.
-    m = math.sqrt(max_sq) + 1.0
-    tol = 4.0 * (p.size + 2) * _EPS * (m * m)
+    # of tol and of the threshold, the largest s_i less tol.  No step assumes
+    # W non-negative or on the simplex.  tol depends on the model alone, so
+    # FactorPair._search_tol holds it.  If M^2 overflows, tol is inf, and
+    # "not below" keeps every row, nan included.
     s = p @ wt
     s += c
-    rows = (~(s < s.max() - tol)).nonzero()[0]
-    if rows.size > 1:
+    # argmax gives the first largest score, or the first nan, which makes
+    # the threshold nan and keeps every row.  Row k is never below the
+    # threshold, so when every other row is, row k alone is within tol.
+    k = int(s.argmax())
+    below = s < s[k] - model._search_tol
+    if np.count_nonzero(below) < s.size - 1:
+        rows = (~below).nonzero()[0]
         diff = model.w[rows] - p
         sq = np.einsum("ij,ij->i", diff, diff)
         k = int(np.argmin(sq))
         return int(rows[k]), math.sqrt(sq[k])
-    # The usual case: one row within tol, whose distance is computed by the
-    # same einsum on a slice, with no index array and no tie to break.
-    k = int(rows[0])
+    # The usual case: row k alone is within tol, and its distance is
+    # computed by the same einsum on a slice, with no tie to break.
     diff = model.w[k:k + 1] - p
     return k, math.sqrt(np.einsum("ij,ij->i", diff, diff)[0])
 

@@ -139,11 +139,10 @@ def _simplex_rows_raw(m: np.ndarray) -> np.ndarray:
     return np.maximum(m - (theta / (rho + 1.0))[..., None], 0.0)
 
 
-def _project_list(x: list) -> list:
-    # One simplex projection of a list of floats: sort descending, find the
-    # last index rho where u[rho] * (rho + 1) exceeds the cumulative sum minus
-    # 1, and subtract that sum over rho + 1 from every entry.
-    u = sorted(x, reverse=True)
+def _threshold(u: list) -> float:
+    # The shift theta of the simplex projection of the floats u, which are in
+    # descending order: find the last index rho where u[rho] * (rho + 1)
+    # exceeds the cumulative sum minus 1, and divide that sum by rho + 1.
     total = 0.0
     rho, cssv_rho = 0, u[0] - 1.0
     for i, a in enumerate(u):
@@ -151,9 +150,32 @@ def _project_list(x: list) -> list:
         c = total - 1.0
         if a * (i + 1) > c:
             rho, cssv_rho = i, c
-    theta = cssv_rho / (rho + 1.0)
-    # A difference of exactly zero (of either sign) becomes +0.0.
+    return cssv_rho / (rho + 1.0)
+
+
+def _project_list(x: list) -> list:
+    # One simplex projection of a list of floats: subtract theta from every
+    # entry.  A difference of exactly zero (of either sign) becomes +0.0.
+    theta = _threshold(sorted(x, reverse=True))
     return [d if (d := a - theta) > 0.0 else 0.0 for a in x]
+
+
+def _is_fixed(w: list, u: list, theta: float) -> bool:
+    # Whether _project_list(w) == w, for w the list u, in some order, less
+    # theta with non-positive differences set to 0.0, and u in descending
+    # order (a non-negative w is itself with u sorted and theta 0.0).
+    # Subtracting theta keeps the order, so the positive entries of w in
+    # descending order are those of u less theta, up to the first that is
+    # not positive.  If their running sum is exactly 1.0, a projection of w
+    # finds rho at the last of them with cssv 0.0 (a zero after it leaves
+    # the sum at 1.0 and fails a * (i + 1) > 0.0), so its theta is 0.0 and
+    # every entry maps to itself; only otherwise is the projection run.
+    total = 0.0
+    for a in u:
+        if (d := a - theta) <= 0.0:
+            break
+        total += d
+    return total == 1.0 or _project_list(w) == w
 
 
 def _canonicalize_list(w: list) -> list:
@@ -182,7 +204,7 @@ def _fixed_point(w: list) -> list:
     # until it does; the rounds are capped at 32.
     for _ in range(32):
         w = _canonicalize_list(w)
-        if _project_list(w) == w:
+        if _is_fixed(w, sorted(w, reverse=True), 0.0):
             break
     return w
 
@@ -198,8 +220,8 @@ def simplex_project(v) -> np.ndarray:
     # retrieval, per-call overhead outweighs the arithmetic.  The IEEE
     # operations and their order are those of simplex_project_rows, so the
     # bits are too.  Per call (400 vectors, half near the simplex; 1 BLAS
-    # thread, 2-core x86-64 Linux): 10 us at n = 10 against 45 us for a
-    # numpy version, but 7.9 ms at n = 10,000 against 2.7 ms for
+    # thread, 2-core x86-64 Linux, best of 5): 9.7 us at n = 10 against 42 us
+    # for a numpy version, but 4.6 ms at n = 10,000 against 0.33 ms for
     # simplex_project_rows on that one row.
     x = np.asarray(v, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -215,8 +237,10 @@ def simplex_project(v) -> np.ndarray:
     if max(map(abs, xs)) > 2.0:
         shift = max(xs) - 1.0
         xs = [a - shift for a in xs]
-    w = _project_list(xs)
-    return np.array(w if _project_list(w) == w else _fixed_point(w))
+    u = sorted(xs, reverse=True)
+    theta = _threshold(u)
+    w = [d if (d := a - theta) > 0.0 else 0.0 for a in xs]
+    return np.array(w if _is_fixed(w, u, theta) else _fixed_point(w))
 
 
 def simplex_project_rows(a) -> np.ndarray:

@@ -48,6 +48,20 @@ def write_instance(tmp_path, seed=0, shape=(20, 8), rank=2):
 # --------------------------------------------------------------- factorize
 
 
+def test_json_files_are_written_as_json_dump_streams_them(tmp_path):
+    payload = {
+        "z": [0.1, -0.0, 1e-300, 2.5e300, float("inf"), float("nan"), 3, True, None],
+        "a": {"nested": {"b": [1, [2.0, {"c": "\u00e9t\u00e9"}]], "a": []},
+              "\u65e5\u672c": "\U0001f600"},
+        "m": "tab\tquote\"backslash\\",
+    }
+    cli._dump_json(payload, str(tmp_path / "one.json"))
+    with open(tmp_path / "streamed.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "streamed.json").read_bytes()
+
+
 def test_factorize_writes_artifacts(tmp_path):
     x_path, _ = write_instance(tmp_path)
     out = tmp_path / "run"

@@ -140,6 +140,46 @@ def test_downsample_is_bitwise_the_block_mean(kind):
         assert out.tobytes() == block_mean_reference(px).tobytes()
 
 
+def assert_valid_read_only_image(img):
+    # An image the module built itself: read-only, with no writeable array
+    # behind it, and bitwise the image the public constructor, which checks
+    # its pixels, makes of a copy.
+    px = img.pixels
+    assert not px.flags.writeable
+    assert px.base is None or not px.base.flags.writeable
+    checked = GrayImage(pixels=px.copy()).pixels
+    assert px.dtype == checked.dtype and px.shape == checked.shape
+    assert px.tobytes() == checked.tobytes()
+
+
+@pytest.mark.blas_threads
+def test_downsample_reconstruct_and_read_pgm_build_valid_read_only_images(tmp_path):
+    # Random valid 19x19 inputs, among them ones at 0 and 1 exactly and
+    # mixtures whose rounding the clip to [0, 1] absorbs.
+    rng = np.random.default_rng(43)
+    for k in range(60):
+        px = (rng.integers(0, 2, size=(19, 19)).astype(np.float64) if k % 4 == 0
+              else rng.uniform(0.0, 1.0, size=(19, 19)))
+        assert_valid_read_only_image(downsample_2x2(GrayImage(pixels=px)))
+        r = int(rng.integers(1, 6))
+        weights = rng.dirichlet(np.ones(r))
+        h = rng.uniform(0.0, 1.0, size=(r, 361))
+        if k % 3 == 0:
+            h[:, rng.random(361) < 0.5] = 1.0
+            weights[0] += 5e-7
+        assert_valid_read_only_image(reconstruct(weights, h))
+        maxval = int(rng.integers(1, 256))
+        values = rng.integers(0, maxval + 1, size=(19, 19))
+        head = f"19 19\n{maxval}\n".encode("ascii")
+        (tmp_path / "a.pgm").write_bytes(
+            b"P2\n" + head + " ".join(map(str, values.ravel())).encode("ascii"))
+        (tmp_path / "b.pgm").write_bytes(b"P5\n" + head + values.astype(np.uint8).tobytes())
+        for name in ("a.pgm", "b.pgm"):
+            img = read_pgm(tmp_path / name)
+            assert_valid_read_only_image(img)
+            assert img.pixels.tobytes() == (values / maxval).tobytes()
+
+
 @pytest.mark.blas_threads
 def test_downsample_requires_19x19():
     with pytest.raises(ValueError):
@@ -607,6 +647,81 @@ def test_retrieve_reads_read_only_pixels_in_place():
     query = GrayImage(pixels=buf[1:].reshape(2, 2))
     assert np.shares_memory(query.pixels, buf)
     assert retrieve(query, model) == retrieve_reference(query, model)
+
+
+def retrieve_scan_reference(query, model):
+    # retrieve with the candidate scan as first written: the tolerance from
+    # max_sq on every query, then max(), a mask, its negation and nonzero.
+    # Also returns the rows that scan kept.
+    p = simplex_project(query.flatten() @ model.h_pinv)
+    wt, c, max_sq = model.w_search
+    m = math.sqrt(max_sq) + 1.0
+    tol = 4.0 * (p.size + 2) * np.finfo(np.float64).eps * (m * m)
+    s = p @ wt
+    s += c
+    rows = (~(s < s.max() - tol)).nonzero()[0]
+    diff = model.w[rows] - p
+    sq = np.einsum("ij,ij->i", diff, diff)
+    k = int(np.argmin(sq))
+    return (int(rows[k]), math.sqrt(sq[k])), rows.tolist()
+
+
+def crafted_scores(case, tol):
+    # Six scores 1 apart, the largest at index 1, and then one case's change.
+    s = np.array([-3.5, -0.5, -2.5, -5.5, -1.5, -4.5])
+    top = s[1]
+    if case == "two within tol":
+        s[4] = top - tol / 2
+    elif case == "one at the threshold":
+        s[0] = top - tol
+    elif case == "tie at the maximum":
+        s[5] = top
+    elif case == "nan":
+        s[3] = np.nan
+    elif case == "all -inf":
+        s[:] = -np.inf
+    return s
+
+
+@pytest.mark.blas_threads
+@pytest.mark.parametrize("case, kept", [
+    ("one within tol", 1), ("two within tol", 2), ("one at the threshold", 2),
+    ("tie at the maximum", 2), ("nan", 6), ("all -inf", 6)])
+def test_retrieve_scan_matches_first_scan_on_crafted_scores(case, kept):
+    # The scores are planted through w_search, with W transposed replaced by
+    # zeros, so p @ wt + c is c; the distances of the kept rows are W's.
+    rng = np.random.default_rng(len(case))
+    w = rng.dirichlet(np.ones(3), size=6)
+    model = FactorPair(w=w, h=rng.uniform(0.0, 1.0, size=(3, 4)),
+                       orientation=Orientation.W_ROWS_SUM_TO_1)
+    wt, _, max_sq = model.w_search
+    m = math.sqrt(max_sq) + 1.0
+    tol = 4.0 * (3 + 2) * np.finfo(np.float64).eps * (m * m)
+    model.__dict__["w_search"] = (np.zeros_like(wt), crafted_scores(case, tol), max_sq)
+    for q in rng.uniform(0.0, 1.0, size=(20, 4)):
+        query = GrayImage(pixels=q.reshape(2, 2))
+        want, rows = retrieve_scan_reference(query, model)
+        assert len(rows) == kept
+        assert retrieve(query, model) == want
+    assert model._search_tol == tol
+
+
+@pytest.mark.blas_threads
+def test_retrieve_scan_keeps_every_row_when_tol_is_infinite():
+    # A row of W whose squared norm overflows makes max_sq, and so the
+    # rounding tolerance, infinite: every row is rechecked, and the answer
+    # is the nearest finite row.
+    rng = np.random.default_rng(9)
+    w = rng.dirichlet(np.ones(3), size=8)
+    w[2] = [1e200, -1e200, 0.0]
+    model = FactorPair(w=w, h=rng.uniform(0.0, 1.0, size=(3, 4)),
+                       orientation=Orientation.W_ROWS_SUM_TO_1)
+    assert model._search_tol == math.inf
+    for q in rng.uniform(0.0, 1.0, size=(20, 4)):
+        query = GrayImage(pixels=q.reshape(2, 2))
+        want, rows = retrieve_scan_reference(query, model)
+        assert rows == list(range(8)) and want[0] != 2
+        assert retrieve(query, model) == want
 
 
 @pytest.mark.blas_threads

@@ -5,10 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+import smf.linalg
 from smf.linalg import (
     EmptyRowError,
     _canonicalize_list,
+    _is_fixed,
     _simplex_rows_raw,
+    _threshold,
     frobenius_norm,
     numerical_rank,
     pseudoinverse,
@@ -362,6 +365,116 @@ def test_canonicalize_list_matches_reference_bitwise():
     for r in w:
         got = np.array(_canonicalize_list(r.tolist()))
         assert got.tobytes() == canonicalize_reference(r).tobytes()
+
+
+# simplex_project before it proved its fixed points, kept as the reference
+# for its bits: one projection on Python floats, a check projection of the
+# result, and canonicalization rounds each followed by a check projection.
+def project_list_reference(x):
+    u = sorted(x, reverse=True)
+    total = 0.0
+    rho, cssv_rho = 0, u[0] - 1.0
+    for i, a in enumerate(u):
+        total += a
+        c = total - 1.0
+        if a * (i + 1) > c:
+            rho, cssv_rho = i, c
+    theta = cssv_rho / (rho + 1.0)
+    return [d if (d := a - theta) > 0.0 else 0.0 for a in x]
+
+
+def shifted_list(v):
+    xs = np.asarray(v, dtype=np.float64).tolist()
+    if max(map(abs, xs)) > 2.0:
+        shift = max(xs) - 1.0
+        xs = [a - shift for a in xs]
+    return xs
+
+
+def simplex_project_checked(v):
+    w = project_list_reference(shifted_list(v))
+    if project_list_reference(w) != w:
+        for _ in range(32):
+            w = _canonicalize_list(w)
+            if project_list_reference(w) == w:
+                break
+    return np.array(w)
+
+
+def fuzz_vectors(rng, count):
+    # Lengths 2 to 20: Gaussian and uniform vectors at magnitudes 1e-8 to
+    # 1e3, vectors of tied entries, Dirichlet points plus 1e-12 noise, and
+    # Dirichlet points with zeroed entries.
+    out = []
+    for i in range(count):
+        n = int(rng.integers(2, 21))
+        scale = 10.0 ** rng.uniform(-8.0, 3.0)
+        kind = i % 5
+        if kind == 0:
+            v = rng.normal(scale=scale, size=n)
+        elif kind == 1:
+            v = rng.uniform(-scale, scale, size=n)
+        elif kind == 2:
+            v = rng.integers(-2, 3, size=n) / float(rng.integers(1, 8))
+        elif kind == 3:
+            alpha = rng.choice([0.3, 1.0, 3.0])
+            v = rng.dirichlet(np.full(n, alpha)) + rng.normal(scale=1e-12, size=n)
+        else:
+            v = rng.dirichlet(np.full(n, 0.5))
+            v[rng.random(n) < 0.3] = 0.0
+        out.append(v)
+    return out
+
+
+@pytest.mark.blas_threads
+def test_simplex_project_matches_checked_projection_bitwise():
+    rng = np.random.default_rng(29)
+    vectors = fuzz_vectors(rng, 20000)
+    wants = [simplex_project_checked(v) for v in vectors]
+    for v, want in zip(vectors, wants):
+        assert simplex_project(v).tobytes() == want.tobytes()
+    for n in range(2, 21):
+        pick = [i for i, v in enumerate(vectors) if v.size == n]
+        got = simplex_project_rows(np.array([vectors[i] for i in pick]))
+        assert got.tobytes() == np.array([wants[i] for i in pick]).tobytes()
+
+
+@pytest.mark.blas_threads
+def test_fixed_point_proof_holds_wherever_it_skips_the_check(monkeypatch):
+    # _is_fixed answers from its running sum when that sum is exactly 1.0,
+    # with no projection; each such answer must be one the check projection
+    # gives.  Checked on first projections and on every canonicalization
+    # round the checked reference takes.
+    checks = []
+
+    def counted(x):
+        checks.append(1)
+        return project_list_reference(x)
+
+    monkeypatch.setattr(smf.linalg, "_project_list", counted)
+    rng = np.random.default_rng(31)
+    proved = [0, 0]
+    for v in fuzz_vectors(rng, 20000):
+        xs = shifted_list(v)
+        u = sorted(xs, reverse=True)
+        w = project_list_reference(xs)
+        candidates = [(w, u, _threshold(u))]
+        for _ in range(32):
+            if project_list_reference(w) == w:
+                break
+            w = _canonicalize_list(w)
+            candidates.append((w, sorted(w, reverse=True), 0.0))
+        for rounds, (w, u, theta) in enumerate(candidates):
+            before = len(checks)
+            fixed = _is_fixed(w, u, theta)
+            assert fixed == (project_list_reference(w) == w)
+            if len(checks) == before:
+                assert fixed
+                assert np.array(project_list_reference(w)).tobytes() == np.array(w).tobytes()
+                proved[rounds > 0] += 1
+    # Proofs of first projections (12,536 here) and of canonicalized ones
+    # (7,464) both occur.
+    assert min(proved) > 1000
 
 
 def simplex_rows_by_cumsum(m):
