@@ -80,10 +80,8 @@ def _check_out_dir(out_dir: str) -> None:
 
 
 def _dump_json(payload: dict, path: str) -> None:
-    # One write: json.dump would stream the same text in many small pieces.
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_matrix(matrix, out_dir: str, stem: str, binary: bool) -> None:

@@ -39,6 +39,7 @@ _PGM_MAXVAL = 255
 _PGM_LEXEME = re.compile(rb"#[^\n]*|([^\s#]+)")
 _PGM_HEADER_END = re.compile(rb"#[^\n]*\n|\s")
 _WEIGHT_SUM_TOL = 1e-6
+_EPS = float(np.finfo(np.float64).eps)
 _MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 
 
@@ -65,8 +66,8 @@ class GrayImage:
     @classmethod
     def _trusted(cls, pixels: np.ndarray) -> "GrayImage":
         # An image of pixels that are already a non-empty, read-only 2-D
-        # float64 array, finite and in [0, 1], as the module's own readers
-        # and transforms build them: kept as is, with no copy and no scan.
+        # float64 array, finite and in [0, 1], as downsample_2x2 builds them
+        # from a checked image: kept as is, with no copy and no scan.
         img = object.__new__(cls)
         object.__setattr__(img, "pixels", pixels)
         return img
@@ -141,10 +142,7 @@ def read_pgm(path) -> GrayImage:
         values = np.array([int(t) for t in toks[:count]], dtype=np.float64)
     if values.max(initial=0.0) > maxval:
         raise ValueError("PGM pixel value exceeds declared maxval")
-    # Integers in 0..maxval over maxval lie in [0, 1].
-    px = values / maxval
-    px.setflags(write=False)
-    return GrayImage._trusted(px.reshape(height, width))
+    return GrayImage(pixels=(values / maxval).reshape(height, width))
 
 
 def write_pgm(img: GrayImage, path, *, binary: bool = False) -> None:
@@ -193,8 +191,7 @@ def reconstruct(weights, h) -> GrayImage:
         raise ValueError("base image intensities must lie in [0, 1]")
     side = _square_side(hm.shape[1])
     mix = np.clip(wv @ hm, 0.0, 1.0)
-    mix.setflags(write=False)
-    return GrayImage._trusted(mix.reshape(side, side))
+    return GrayImage(pixels=mix.reshape(side, side))
 
 
 def retrieve(query: GrayImage, model: FactorPair) -> tuple:
@@ -202,12 +199,11 @@ def retrieve(query: GrayImage, model: FactorPair) -> tuple:
 
     The query is compressed to its simplex-projected weight vector
     ``p = simplex_project(q @ pinv(H))`` and compared against the rows of
-    the stored W by Euclidean distance.  pinv(H), ``FactorPair.w_search``
-    (W transposed with the halved row norms -||w_i||^2 / 2) and the rounding
-    tolerance of the scores are computed once per model and shared by every
-    query, so a query costs one matrix-vector product ``p @ W.T`` streamed
-    over rows of length n, one add of the norms and one pass over the
-    scores; the rows within rounding of the best have their distance
+    the stored W by Euclidean distance.  pinv(H) and ``FactorPair.w_search``,
+    W transposed with the halved row norms -||w_i||^2 / 2, are computed once
+    per model and shared by every query, so a query costs one matrix-vector
+    product ``p @ W.T`` streamed over rows of length n plus one add of the
+    norms; the rows within rounding of the best have their distance
     computed exactly.  Returns ``(index, distance)`` with ties resolved
     toward the lowest index.
     """
@@ -217,7 +213,7 @@ def retrieve(query: GrayImage, model: FactorPair) -> tuple:
             f"query has {q.size} pixels but the model stores {model.h.shape[1]}"
         )
     p = simplex_project(q @ model.h_pinv)
-    wt, c, _ = model.w_search
+    wt, c, max_sq = model.w_search
     # s_i = w_i.p - ||w_i||^2 / 2 = (||p||^2 - d_i) / 2 with d_i = ||w_i - p||^2,
     # so the nearest row has the largest s_i.  The rows whose computed s_i is
     # within tol of the largest get d_i computed as the reference does, by
@@ -233,16 +229,17 @@ def retrieve(query: GrayImage, model: FactorPair) -> tuple:
     # g_{R+2} (M + P)^2 + 2 E, about 1.5 (R + 2) eps (M + P)^2.  tol is
     # 4 (R + 2) eps (M + 1)^2, over twice that, which covers the rounding
     # of tol and of the threshold, the largest s_i less tol.  No step assumes
-    # W non-negative or on the simplex.  tol depends on the model alone, so
-    # FactorPair._search_tol holds it.  If M^2 overflows, tol is inf, and
+    # W non-negative or on the simplex.  If M^2 overflows, tol is inf, and
     # "not below" keeps every row, nan included.
+    m = math.sqrt(max_sq) + 1.0
+    tol = 4.0 * (p.size + 2) * _EPS * (m * m)
     s = p @ wt
     s += c
     # argmax gives the first largest score, or the first nan, which makes
     # the threshold nan and keeps every row.  Row k is never below the
     # threshold, so when every other row is, row k alone is within tol.
     k = int(s.argmax())
-    below = s < s[k] - model._search_tol
+    below = s < s[k] - tol
     if np.count_nonzero(below) < s.size - 1:
         rows = (~below).nonzero()[0]
         diff = model.w[rows] - p

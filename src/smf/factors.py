@@ -7,7 +7,6 @@ rows of W, rows of H, or both.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -17,8 +16,6 @@ import numpy as np
 from .linalg import _frozen, pseudoinverse
 
 __all__ = ["Orientation", "FactorPair"]
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 class Orientation(Enum):
@@ -41,13 +38,13 @@ class Orientation(Enum):
 class FactorPair:
     """Pair of non-negative factors with a declared stochastic dimension.
 
-    ``w`` and ``h`` are read-only float64 arrays (a writeable input is copied):
-    an in-place edit raises ``ValueError``, so build a new pair instead.
+    ``w`` and ``h`` are read-only float64 arrays (an input with writeable
+    memory behind it is copied): an in-place edit raises ``ValueError``, so
+    build a new pair instead.
     Two read-only caches derived from them are computed on first use and
     kept for the pair's lifetime: ``h_pinv`` (m x rank floats) and
     ``w_search`` (n x (rank + 1) floats: W transposed and the halved row
-    norms -||w_i||^2 / 2), which ``faces.retrieve`` shares across queries
-    together with the rounding tolerance of its scores.
+    norms -||w_i||^2 / 2), which ``faces.retrieve`` shares across queries.
 
     Attributes
     ----------
@@ -105,15 +102,6 @@ class FactorPair:
         buf[-1] = -0.5 * sq
         buf.setflags(write=False)
         return buf[:-1], buf[-1], float(sq.max())
-
-    @cached_property
-    def _search_tol(self) -> float:
-        # How far below the largest computed score p @ wt + c the nearest
-        # row's can fall through rounding, for any p on the simplex: 4 (rank
-        # + 2) eps (sqrt(m) + 1)^2, with m from w_search; faces.retrieve
-        # derives the bound.  inf when m overflows.
-        m = math.sqrt(self.w_search[2]) + 1.0
-        return 4.0 * (self.rank + 2) * _EPS * (m * m)
 
     def max_violation(self) -> float:
         """Largest feasibility violation over non-negativity and row sums."""

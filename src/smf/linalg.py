@@ -45,9 +45,16 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _frozen(a) -> np.ndarray:
-    # Read-only float64 ``a``; a writeable input is copied, not frozen in place.
+    # Read-only float64 ``a``.  An input is kept as is only when it and every
+    # array it views are read-only, down to an owner or an immutable bytes
+    # object; anything else is copied, not frozen in place, so a caller's
+    # later write to a buffer behind it cannot change the result.
     m = np.asarray(a, dtype=np.float64)
-    m = m.copy() if m.flags.writeable else m
+    base = m
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None and not isinstance(base, bytes):
+        m = m.copy()
     m.setflags(write=False)
     return m
 

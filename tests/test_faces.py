@@ -649,10 +649,36 @@ def test_retrieve_reads_read_only_pixels_in_place():
     assert retrieve(query, model) == retrieve_reference(query, model)
 
 
+@pytest.mark.parametrize("source", ["view", "bytearray"])
+def test_image_does_not_change_when_its_source_buffer_is_written(source):
+    # A read-only array over memory the caller can still write is copied,
+    # so neither the image nor an image derived from it sees the write.
+    buf = np.full((19, 19), 0.5)
+    if source == "view":
+        px = buf.view()
+    else:
+        raw = bytearray(buf.tobytes())
+        px = np.frombuffer(raw, dtype=np.float64).reshape(19, 19)
+    px.setflags(write=False)
+    img = GrayImage(pixels=px)
+    assert not np.shares_memory(img.pixels, px)
+    if source == "view":
+        buf[:] = 5.0
+    else:
+        raw[:] = np.full(361, 5.0).tobytes()
+    assert px.max() == 5.0
+    assert np.all(img.pixels == 0.5)
+    assert np.all(downsample_2x2(img).pixels == 0.5)
+
+
+def test_image_keeps_read_only_pixels_over_immutable_bytes():
+    px = np.frombuffer(np.full(4, 0.25).tobytes(), dtype=np.float64).reshape(2, 2)
+    assert GrayImage(pixels=px).pixels is px
+
+
 def retrieve_scan_reference(query, model):
-    # retrieve with the candidate scan as first written: the tolerance from
-    # max_sq on every query, then max(), a mask, its negation and nonzero.
-    # Also returns the rows that scan kept.
+    # retrieve with the candidate scan as first written: max(), a mask, its
+    # negation and nonzero.  Also returns the rows that scan kept.
     p = simplex_project(query.flatten() @ model.h_pinv)
     wt, c, max_sq = model.w_search
     m = math.sqrt(max_sq) + 1.0
@@ -703,7 +729,6 @@ def test_retrieve_scan_matches_first_scan_on_crafted_scores(case, kept):
         want, rows = retrieve_scan_reference(query, model)
         assert len(rows) == kept
         assert retrieve(query, model) == want
-    assert model._search_tol == tol
 
 
 @pytest.mark.blas_threads
@@ -716,7 +741,7 @@ def test_retrieve_scan_keeps_every_row_when_tol_is_infinite():
     w[2] = [1e200, -1e200, 0.0]
     model = FactorPair(w=w, h=rng.uniform(0.0, 1.0, size=(3, 4)),
                        orientation=Orientation.W_ROWS_SUM_TO_1)
-    assert model._search_tol == math.inf
+    assert model.w_search[2] == math.inf
     for q in rng.uniform(0.0, 1.0, size=(20, 4)):
         query = GrayImage(pixels=q.reshape(2, 2))
         want, rows = retrieve_scan_reference(query, model)

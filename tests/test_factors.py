@@ -87,6 +87,20 @@ def test_factor_pair_arrays_are_read_only():
     assert FactorPair(w=w, h=pair.h, orientation=Orientation.BOTH).h is pair.h
 
 
+def test_factor_pair_copies_a_read_only_view_of_a_writeable_array():
+    # The view is read-only, but its buffer is not: a later write to the
+    # buffer must not reach the pair or the search cache built from it.
+    buf = np.eye(2)
+    view = buf[:]
+    view.setflags(write=False)
+    pair = FactorPair(w=view, h=np.eye(2), orientation=Orientation.BOTH)
+    assert not np.shares_memory(pair.w, buf)
+    wt, c, max_sq = pair.w_search
+    buf[:] = 7.0
+    assert np.array_equal(pair.w, np.eye(2)) and np.array_equal(wt, np.eye(2))
+    assert np.array_equal(c, [-0.5, -0.5]) and max_sq == 1.0
+
+
 def test_h_pinv_is_cached_and_matches_pseudoinverse():
     h = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
     pair = FactorPair(w=np.eye(2), h=h, orientation=Orientation.BOTH)
