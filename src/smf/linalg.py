@@ -1,8 +1,9 @@
 """Dense linear algebra primitives shared by the solver and the analyzers.
 
 All functions operate on float64 numpy arrays and are pure: no global state,
-no in-place mutation of caller data, and bitwise-deterministic results for
-identical inputs.
+no in-place mutation of caller data (but for the row orders that
+``_simplex_rows_ordered`` returns and takes back on its next call), and
+bitwise-deterministic results for identical inputs.
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ def row_normalize(a) -> np.ndarray:
 def _simplex_rows_raw(m: np.ndarray) -> np.ndarray:
     # Vectorized simplex projection along the last axis (of a matrix or a
     # stack of them) without the exact-sum canonicalization pass; sums land
-    # within ~1e-15 of 1.  The solver's projection, in its iterations and
-    # for the factors it returns; other callers get simplex_project_rows.
+    # within ~1e-15 of 1.  The solver's projection, in its iterations (where
+    # a tall W takes _simplex_rows_ordered, with the same bits) and for the
+    # factors it returns; other callers get simplex_project_rows.
     u = -np.sort(-m, axis=-1)
     cssv = np.cumsum(u, axis=-1) - 1.0
     n = m.shape[-1]
@@ -144,6 +146,46 @@ def _simplex_rows_raw(m: np.ndarray) -> np.ndarray:
     # cssv at index rho of each row, read through the flat array.
     theta = cssv.reshape(-1)[np.arange(0, cssv.size, n).reshape(rho.shape) + rho]
     return np.maximum(m - (theta / (rho + 1.0))[..., None], 0.0)
+
+
+def _simplex_rows_ordered(m: np.ndarray, order):
+    # _simplex_rows_raw of a tall N×n matrix, given the row orders of the
+    # previous call; returns the projection and the row orders of this one.
+    # ``order`` is None or an n×N intp array whose column i lists the flat
+    # positions in m of row i's entries in descending order; it is updated
+    # in place.  One flat take gathers every row in its old order, and only
+    # the rows that this leaves out of descending order are sorted again.
+    # Equal floats have equal bits but for the sign of a zero, which the
+    # sums below erase (cssv subtracts 1 from every one), so each row's
+    # descending values, and with them every IEEE operation and its order,
+    # are _simplex_rows_raw's: so are the bits.  The layout is n×N, so the
+    # cumulative sum runs as n sweeps over length-N vectors.
+    n_rows, n = m.shape
+    flat = m.reshape(-1)
+    if order is None:
+        order = np.empty((n, n_rows), dtype=np.intp)
+        u = np.empty((n, n_rows))
+        broke = np.arange(n_rows)
+    else:
+        u = flat.take(order)
+        broke = np.flatnonzero((u[:-1] < u[1:]).any(axis=0))
+    if broke.size:
+        order[:, broke] = (np.argsort(-m[broke], axis=1) + (broke * n)[:, None]).T
+        u[:, broke] = flat.take(order[:, broke])
+    cssv = np.empty_like(u)
+    cssv[0] = u[0]
+    for k in range(1, n):
+        np.add(cssv[k - 1], u[k], out=cssv[k])
+        # u[k] is not read again, so it holds its product with k + 1.
+        np.multiply(u[k], k + 1.0, out=u[k])
+    cssv -= 1.0
+    # The last index where u (k + 1) > cssv, as 1 + index (0 where the
+    # condition never holds, which _simplex_rows_raw reads as n - 1).
+    ks = np.arange(1, n + 1, dtype=np.min_scalar_type(n))[:, None]
+    rho = ((np.greater(u, cssv) * ks).max(axis=0).astype(np.intp) - 1) % n
+    theta = cssv.reshape(-1).take(rho * n_rows + np.arange(n_rows))
+    w = np.subtract(flat, np.repeat(np.divide(theta, rho + 1.0, out=theta), n))
+    return np.maximum(w, 0.0, out=w).reshape(m.shape), order
 
 
 def _threshold(u: list) -> float:

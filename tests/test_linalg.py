@@ -10,6 +10,7 @@ from smf.linalg import (
     EmptyRowError,
     _canonicalize_list,
     _is_fixed,
+    _simplex_rows_ordered,
     _simplex_rows_raw,
     _threshold,
     frobenius_norm,
@@ -516,3 +517,62 @@ def test_simplex_rows_raw_tracks_exact_projection():
         assert np.max(np.abs(fast - exact)) < 5e-15
         assert np.max(np.abs(fast.sum(axis=1) - 1.0)) < 1e-13
         assert fast.min() >= 0.0
+
+
+def perturbed_sequences(rng):
+    # Sequences of N×n matrices, each a small change of the one before, as a
+    # warm start's W = X pinv(Y) is from round to round.
+    def walk(m, scale, calls=6):
+        seq = [m]
+        for _ in range(calls - 1):
+            seq.append(seq[-1] + rng.normal(scale=scale, size=m.shape))
+        return seq
+
+    yield walk(rng.dirichlet(np.ones(10), size=300), 1e-4)      # a few reorders
+    yield walk(rng.normal(size=(200, 6)), 0.3)                  # most rows reorder
+    yield walk(rng.uniform(0.0, 0.05, size=(150, 8)), 1e-3)     # rows summing below 1
+    yield walk(rng.uniform(-0.02, 0.03, size=(150, 8)), 1e-3)   # negatives in the support
+    yield walk(rng.normal(size=(80, 1)), 0.1)
+    yield walk(rng.normal(size=(80, 2)), 0.1)
+    yield walk(rng.normal(size=(20, 300)), 0.01)                # n above 255
+    # Entries of 1e17, where u (k + 1) > cssv may hold at no index.
+    yield walk(rng.choice([0.0, 1.0, 1e16, 1e17, -1e17], size=(60, 4)), 1.0)
+    # Ties, exact zeros and -0.0, and rows that swap two entries between calls.
+    ties = [rng.integers(-2, 3, size=(120, 5)) / 4.0 for _ in range(5)]
+    for m in ties[1:]:
+        m[rng.random(m.shape) < 0.2] = -0.0
+    yield ties
+    base = rng.dirichlet(np.full(7, 0.5), size=100)
+    base[rng.random(base.shape) < 0.3] = 0.0
+    seq = [base]
+    for _ in range(5):
+        m = seq[-1].copy()
+        rows = rng.random(100) < 0.3
+        m[rows, 0], m[rows, 1] = m[rows, 1], m[rows, 0].copy()
+        m[rng.random(m.shape) < 0.1] *= -1.0
+        seq.append(m)
+    yield seq
+
+
+@pytest.mark.blas_threads
+def test_simplex_rows_ordered_matches_rows_raw_bitwise():
+    # The tall-matrix kernel, given the orders of its previous call (none on
+    # the first), returns _simplex_rows_raw's bits, and the orders it
+    # returns list each row in descending order.
+    rng = np.random.default_rng(53)
+    resorted = 0
+    for seq in perturbed_sequences(rng):
+        order = None
+        for m in seq:
+            before = None if order is None else order.copy()
+            w, order = _simplex_rows_ordered(m, order)
+            assert w.tobytes() == _simplex_rows_raw(m).tobytes()
+            assert order.shape == m.shape[::-1]
+            # Each column a permutation of its row's flat positions.
+            assert np.array_equal(np.sort(order, axis=0),
+                                  np.arange(m.size).reshape(m.shape).T)
+            u = m.reshape(-1)[order]
+            assert np.array_equal(u, -np.sort(-m, axis=1).T)
+            if before is not None:
+                resorted += (order != before).any(axis=0).sum()
+    assert resorted > 100

@@ -260,7 +260,7 @@ def test_fit_raises_when_every_restart_ends_rank_deficient(monkeypatch):
     x, _ = generate(30, 9, 3, seed=37, noise_sigma=0.03,
                     orientation=Orientation.W_ROWS_SUM_TO_1)
 
-    def degenerate(x, h, config, rounds):
+    def degenerate(x, h, config, rounds, *_):
         h = h.copy()
         h[1] = h[0]
         return h, 1, False
@@ -399,7 +399,7 @@ def test_spa_picks_the_anchors(orientation):
             picks = _spa(x, 3, 1e-10)
             anchors = report.anchor_rows
         assert sorted(picks) == sorted(i for rows in anchors.values() for i in rows)
-        h0 = _anchor_start(x, cfg(rank=3, orientation=orientation))
+        h0, _ = _anchor_start(x, cfg(rank=3, orientation=orientation))
         _, err = align_and_score(h0, gt.h)
         assert err < 1e-12
 
@@ -461,9 +461,9 @@ def counting_warm_start(monkeypatch):
     # The start of every _warm_start call a fit makes.
     starts = []
 
-    def counting(x, h, config, rounds):
+    def counting(x, h, config, rounds, *args):
         starts.append(h)
-        return _warm_start(x, h, config, rounds)
+        return _warm_start(x, h, config, rounds, *args)
 
     monkeypatch.setattr(solver, "_warm_start", counting)
     return starts
@@ -520,7 +520,7 @@ def reference_warm_start(x, h, config, rounds):
     # accepted losses, the number of discarded rounds, the number of
     # accepted rounds whose new beta is the ceiling and the number of plain
     # rounds whose loss rose without ending the run.
-    floor = 1e-13 * max(1.0, frobenius_norm(x))
+    floor = 1e-13 * frobenius_norm(x)
     prev = np.inf
     beta, ceil = 0.5, 1.0
     acc = y = h
@@ -552,7 +552,7 @@ def reference_warm_start(x, h, config, rounds):
             rises += 1
             continue
         rose = False
-        if prev - loss < 1e-13 * max(1.0, prev):
+        if prev - loss < 1e-13 * prev:
             # A plateau converges; a second rise in a row is a stall.
             if loss <= prev:
                 return new, t + 1, True, accepted, discarded, capped, rises
@@ -592,7 +592,8 @@ def test_warm_start_matches_reference_bitwise(mode, orientation):
         for rounds in (1, 7, 200, 2000):
             runs = [reference_warm_start(x, h, c, rounds) for h in h0]
             for h, run in zip(h0, runs):
-                got, got_rounds, got_converged = _warm_start(x, h, c, rounds)
+                got, got_rounds, got_converged = _warm_start(x, h, c, rounds,
+                                                             frobenius_norm(x))
                 assert np.array_equal(got, run[0])
                 assert got_rounds == (rounds if run[1] is None else run[1])
                 assert got_converged == run[2]
@@ -626,7 +627,7 @@ def test_warm_start_goes_on_after_one_rising_round(mode):
                      c.orientation)
     _, _, _, first, _, _, first_rises = reference_warm_start(x, h0, c, 7)
     h, stop, converged, accepted, _, _, _ = reference_warm_start(x, h0, c, 2000)
-    got, got_stop, got_converged = _warm_start(x, h0, c, 2000)
+    got, got_stop, got_converged = _warm_start(x, h0, c, 2000, frobenius_norm(x))
     assert np.array_equal(got, h)
     assert (got_stop, got_converged) == (stop, converged)
     assert first_rises == 1
@@ -649,10 +650,76 @@ def test_warm_start_matches_reference_where_gram_rounding_is_largest(mode, seed,
     h0 = _feasible_h(_init_h(np.random.default_rng(seed), 5, x.shape[1], c.orientation),
                      c.orientation)
     h, stop, converged, accepted, _, _, _ = reference_warm_start(x, h0, c, 2000)
-    got, got_stop, got_converged = _warm_start(x, h0, c, 2000)
+    got, got_stop, got_converged = _warm_start(x, h0, c, 2000, frobenius_norm(x))
     assert np.array_equal(got, h)
     assert (got_stop, got_converged) == (stop, converged)
     assert 1e3 < frobenius_norm(x) ** 2 / accepted[-1] ** 2 < 1e6
+
+
+# ------------------------------------------------------- tall W projection
+
+
+@pytest.mark.blas_threads
+@pytest.mark.parametrize("n, m, rank, restarts, sigma, seed, orientation, tall", [
+    (2400, 81, 10, 1, 0.02, 7, Orientation.W_ROWS_SUM_TO_1, True),
+    (4000, 30, 4, 3, 0.01, 700, Orientation.W_ROWS_SUM_TO_1, True),
+    (1000, 30, 4, 2, 0.01, 3, Orientation.BOTH, True),
+    (800, 60, 20, 1, 0.02, 8, Orientation.W_ROWS_SUM_TO_1, False),
+], ids=["criterion-7", "criterion-6", "both", "topics-w"])
+def test_tall_w_projection_keeps_the_row_wise_bits(n, m, rank, restarts, sigma, seed,
+                                                    orientation, tall, monkeypatch):
+    # A row-stochastic W with at least 64 rows per factor is projected by the
+    # kernel that reuses the last round's row orders; the fit's bytes must be
+    # those of the row-wise projection.  On two BLAS threads X pinv(Y) may
+    # round differently and reorder other rows, and the two must still match.
+    x, _ = generate(n, m, rank, anchors=True, noise_sigma=sigma,
+                    orientation=orientation, seed=seed)
+    c = cfg(rank=rank, orientation=orientation, restarts=restarts)
+    calls = []
+
+    def counted(w, order):
+        calls.append(order is None)
+        return kernel(w, order)
+
+    kernel = solver._simplex_rows_ordered
+    monkeypatch.setattr(solver, "_simplex_rows_ordered", counted)
+    fast = factorize(x, c)
+    assert (len(calls) > 0) == tall
+    assert calls.count(True) == (len(fast.restart_objectives) if tall else 0)
+
+    def row_wise(w, order):
+        return solver._simplex_rows_raw(w), order
+
+    monkeypatch.setattr(solver, "_simplex_rows_ordered", row_wise)
+    slow = factorize(x, c)
+    assert fast.factors.w.tobytes() == slow.factors.w.tobytes()
+    assert fast.factors.h.tobytes() == slow.factors.h.tobytes()
+    assert fast.restart_objectives == slow.restart_objectives
+    assert (fast.iterations, fast.converged) == (slow.iterations, slow.converged)
+
+
+@pytest.mark.parametrize("orientation", [Orientation.H_ROWS_SUM_TO_1,
+                                         Orientation.W_ROWS_SUM_TO_1])
+def test_fit_of_a_scaled_input_is_the_scaled_fit(orientation):
+    # The loss floor and the plateau test are relative to |X|_F and to the
+    # loss, so a fit of 2^-40 X takes the rounds of the fit of X: with H
+    # row-stochastic its H is the same and its W 2^-40 times, with W
+    # row-stochastic its W is the same and its H 2^-40 times.  With floors
+    # of at least 1e-13 the small fit stopped after 2 rounds, converged.
+    scale = 2.0 ** -40
+    for seed in range(3):
+        x, _ = generate(50, 12, 3, noise_sigma=0.02, orientation=orientation, seed=seed)
+        c = cfg(rank=3, orientation=orientation, restarts=1)
+        one, small = factorize(x, c), factorize(scale * x, c)
+        assert (small.iterations, small.converged) == (one.iterations, one.converged)
+        assert small.iterations > 10
+        if orientation is Orientation.H_ROWS_SUM_TO_1:
+            assert np.array_equal(small.factors.h, one.factors.h)
+            assert np.array_equal(small.factors.w, scale * one.factors.w)
+        else:
+            assert np.array_equal(small.factors.w, one.factors.w)
+            assert np.array_equal(small.factors.h, scale * one.factors.h)
+        assert small.objective == scale * one.objective
 
 
 # ------------------------------------------------------------- peak memory
