@@ -38,9 +38,9 @@ class Orientation(Enum):
 class FactorPair:
     """Pair of non-negative factors with a declared stochastic dimension.
 
-    ``w`` and ``h`` are read-only float64 arrays (an input with writeable
-    memory behind it is copied): an in-place edit raises ``ValueError``, so
-    build a new pair instead.
+    ``w`` and ``h`` are read-only float64 copies of the inputs (a read-only
+    input is copied too): an in-place edit raises ``ValueError``, so build a
+    new pair instead.
     Two read-only caches derived from them are computed on first use and
     kept for the pair's lifetime: ``h_pinv`` (m x rank floats) and
     ``w_search`` (n x (rank + 1) floats: W transposed and the halved row

@@ -46,16 +46,10 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _frozen(a) -> np.ndarray:
-    # Read-only float64 ``a``.  An input is kept as is only when it and every
-    # array it views are read-only, down to an owner or an immutable bytes
-    # object; anything else is copied, not frozen in place, so a caller's
-    # later write to a buffer behind it cannot change the result.
-    m = np.asarray(a, dtype=np.float64)
-    base = m
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    if base is not None and not isinstance(base, bytes):
-        m = m.copy()
+    # A read-only C-ordered float64 copy of ``a``, made even of a read-only
+    # input: no later write to a buffer behind the input, nor an owner that
+    # turns writing back on, can change the result.
+    m = np.array(a, dtype=np.float64, order="C")
     m.setflags(write=False)
     return m
 
@@ -202,36 +196,70 @@ def _threshold(u: list) -> float:
     return cssv_rho / (rho + 1.0)
 
 
-def _project_list(x: list) -> list:
-    # One simplex projection of a list of floats: subtract theta from every
-    # entry.  A difference of exactly zero (of either sign) becomes +0.0.
-    theta = _threshold(sorted(x, reverse=True))
-    return [d if (d := a - theta) > 0.0 else 0.0 for a in x]
-
-
-def _is_fixed(w: list, u: list, theta: float) -> bool:
-    # Whether _project_list(w) == w, for w the list u, in some order, less
-    # theta with non-positive differences set to 0.0, and u in descending
-    # order (a non-negative w is itself with u sorted and theta 0.0).
-    # Subtracting theta keeps the order, so the positive entries of w in
-    # descending order are those of u less theta, up to the first that is
-    # not positive.  If their running sum is exactly 1.0, a projection of w
-    # finds rho at the last of them with cssv 0.0 (a zero after it leaves
-    # the sum at 1.0 and fails a * (i + 1) > 0.0), so its theta is 0.0 and
-    # every entry maps to itself; only otherwise is the projection run.
+def _is_fixed(u: list, theta: float = 0.0) -> bool:
+    # Whether a projection w is a bitwise fixed point, for u in descending
+    # order and w the list u, in some order, less theta with non-positive
+    # differences set to 0.0 (with theta 0.0, a non-negative w is u in some
+    # order).  Subtracting theta keeps the order, so the loop sums the
+    # positive entries of w in descending order.  The rule: projecting w
+    # again (_threshold of w sorted, then a - theta with non-positive
+    # differences set to 0.0) gives a list equal to w exactly when that sum,
+    # S, is exactly 1.0.  It holds for n < 2**53 non-negative floats below
+    # 2**52 (a projection's entries are about 1 at most), zeros of either
+    # sign (the projection's own zeros are +0.0, so it keeps their bits).
+    # simplex_project_rows tests it on rows: _simplex_rows_raw runs
+    # _threshold's operations in the same order, and np.cumsum adds in
+    # order.
+    #
+    # Let v_0 >= ... >= v_{n-1} be w sorted, P_i the running float sum of
+    # v_0..v_i and c_i = P_i - 1.0, rho the last index where v_i * (i + 1) >
+    # c_i (it holds at i = 0, as v_0 < 2**52) and q = rho + 1; the shift is
+    # c_rho / q, rounded.  Float rounding is monotone, running sums of
+    # non-negative terms never fall, and q copies of 2**e add up exactly to
+    # q * 2**e.
+    #
+    # If S == 1.0, the test holds at the last positive entry, where c is
+    # 0.0, and fails at each zero after it, where c stays 0.0: the shift is
+    # 0.0 and every entry maps to itself.
+    #
+    # If S != 1.0, v_rho moves.  When v_rho > 0, let 2**e <= v_rho <
+    # 2**(e+1); all of v_0..v_rho are at least 2**e, so P_rho >= q * 2**e.
+    # (a) P_rho == 1.0 cannot be: then S > 1.0, and at the first j > rho
+    #     with P_j > 1.0, P_j = 1.0 + v_j rounded, so v_j > 2**-53 (1.0 +
+    #     2**-53 rounds to 1.0).  If v_j < 1, c_j = P_j - 1 exactly and the
+    #     addition rounded by at most 2**-53, so c_j < 2 * v_j; if v_j >= 1,
+    #     P_j <= 2 * v_j and c_j <= 2 * v_j - 1, exact as gaps there are at
+    #     most 1.  As j >= 1, v_j * (j + 1) >= 2 * v_j > c_j: the test holds
+    #     at j, after rho.
+    # (b) P_rho > 1.0: c_rho is P_rho - 1 >= 2**-52 exactly, or at least
+    #     P_rho / 2 when P_rho >= 2; either way c_rho >= (1 + 2**-52) *
+    #     2**-53 * P_rho.  A zero fails the test against c_rho > 0, so v_rho
+    #     > 0, and c_rho / q >= (1 + 2**-52) * 2**(e-53), the float after
+    #     2**(e-53).  So the shift rounds to above 2**(e-53), at least half
+    #     the gap below v_rho, and v_rho less it rounds below v_rho or to
+    #     0.0.  (Should 2**(e-53) be subnormal, the shift, at least about
+    #     2**-52 / q, exceeds v_rho, which maps to 0.0.)
+    # (c) P_rho < 1.0: c_rho <= -2**-53, so the shift is negative and a zero
+    #     v_rho turns positive.  Else q * 2**e <= P_rho < 1.  Let 2**f be the
+    #     largest power of two below 1 / q, so e <= f; 1 / q - 2**f =
+    #     (2**-f - q) * 2**f / q >= 2**f / q, so 2**-53 / q exceeds 2**(f-53)
+    #     by more than 2**(f-106), half the gap above it, as q < 2**53.  So
+    #     the shift's magnitude rounds to above 2**(e-53), half the gap above
+    #     v_rho, and v_rho rises.  (A subnormal v_rho, whose gaps are
+    #     2**-1074, moves in (b) and (c) alike: the shift is far larger.)
     total = 0.0
     for a in u:
         if (d := a - theta) <= 0.0:
             break
         total += d
-    return total == 1.0 or _project_list(w) == w
+    return total == 1.0
 
 
 def _canonicalize_list(w: list) -> list:
     # Rewrite the smallest positive entry so that the cumulative sum of the
     # descending-sorted support is exactly 1.0, which makes the projection a
-    # bitwise fixed point of _project_list.  Ties keep index order (sorted
-    # is stable under reverse=True).
+    # bitwise fixed point (_is_fixed).  Ties keep index order (sorted is
+    # stable under reverse=True).
     w = list(w)
     order = sorted((i for i, a in enumerate(w) if a > 0.0),
                    key=w.__getitem__, reverse=True)
@@ -249,11 +277,11 @@ def _canonicalize_list(w: list) -> list:
 
 
 def _fixed_point(w: list) -> list:
-    # Canonicalize a projection that _project_list does not map to itself
-    # until it does; the rounds are capped at 32.
+    # Canonicalize a projection that is not a fixed point until it is; the
+    # rounds are capped at 32.
     for _ in range(32):
         w = _canonicalize_list(w)
-        if _is_fixed(w, sorted(w, reverse=True), 0.0):
+        if _is_fixed(sorted(w, reverse=True)):
             break
     return w
 
@@ -289,7 +317,7 @@ def simplex_project(v) -> np.ndarray:
     u = sorted(xs, reverse=True)
     theta = _threshold(u)
     w = [d if (d := a - theta) > 0.0 else 0.0 for a in xs]
-    return np.array(w if _is_fixed(w, u, theta) else _fixed_point(w))
+    return np.array(w if _is_fixed(u, theta) else _fixed_point(w))
 
 
 def simplex_project_rows(a) -> np.ndarray:
@@ -297,8 +325,9 @@ def simplex_project_rows(a) -> np.ndarray:
 
     Bitwise equal to :func:`simplex_project` applied to each row: one
     vectorized projection (after the same shift of rows with an entry above
-    2 in magnitude) and one vectorized fixed-point check; each row that
-    fails the check then takes simplex_project's canonicalization rounds.
+    2 in magnitude) and one vectorized fixed-point test, whether the row's
+    descending cumulative sum ends at exactly 1.0; each row that fails it
+    then takes simplex_project's canonicalization rounds.
     """
     m = _as_matrix(a)
     if m.shape[1] == 1:
@@ -308,6 +337,9 @@ def simplex_project_rows(a) -> np.ndarray:
         m = m.copy()
         m[big] -= (m[big].max(axis=1) - 1.0)[:, None]
     w = _simplex_rows_raw(m)
-    for i in np.flatnonzero((_simplex_rows_raw(w) != w).any(axis=1)):
+    # The sorted row summed in order, as _is_fixed adds it; the trailing
+    # zeros leave the sum unchanged.
+    total = np.cumsum(-np.sort(-w, axis=1), axis=1)[:, -1]
+    for i in np.flatnonzero(total != 1.0):
         w[i] = _fixed_point(w[i].tolist())
     return w

@@ -637,43 +637,51 @@ def test_retrieve_matches_reference_at_rank_1():
 
 
 @pytest.mark.blas_threads
-def test_retrieve_reads_read_only_pixels_in_place():
-    # A read-only view at an 8-byte offset is used without a copy and
-    # gives the reference's answer.
+def test_retrieve_copies_read_only_pixels_at_an_offset():
+    # A read-only view at an 8-byte offset is copied, like every input,
+    # and gives the reference's answer.
     model = retrieval_model()
     buf = np.zeros(5)
     buf[1:] = (model.w[2] @ model.h) * 0.9
     buf.setflags(write=False)
     query = GrayImage(pixels=buf[1:].reshape(2, 2))
-    assert np.shares_memory(query.pixels, buf)
+    assert not np.shares_memory(query.pixels, buf)
+    assert query.pixels.tobytes() == buf[1:].tobytes()
     assert retrieve(query, model) == retrieve_reference(query, model)
 
 
-@pytest.mark.parametrize("source", ["view", "bytearray"])
+@pytest.mark.parametrize("source", ["view", "bytearray", "owner"])
 def test_image_does_not_change_when_its_source_buffer_is_written(source):
     # A read-only array over memory the caller can still write is copied,
-    # so neither the image nor an image derived from it sees the write.
+    # so neither the image nor an image derived from it sees the write.  An
+    # owner can switch writing back on, so a read-only owner is copied too.
     buf = np.full((19, 19), 0.5)
     if source == "view":
         px = buf.view()
-    else:
+    elif source == "bytearray":
         raw = bytearray(buf.tobytes())
         px = np.frombuffer(raw, dtype=np.float64).reshape(19, 19)
+    else:
+        px = buf
     px.setflags(write=False)
     img = GrayImage(pixels=px)
     assert not np.shares_memory(img.pixels, px)
-    if source == "view":
-        buf[:] = 5.0
-    else:
+    if source == "bytearray":
         raw[:] = np.full(361, 5.0).tobytes()
+    else:
+        buf.setflags(write=True)
+        buf[:] = 5.0
     assert px.max() == 5.0
     assert np.all(img.pixels == 0.5)
     assert np.all(downsample_2x2(img).pixels == 0.5)
 
 
-def test_image_keeps_read_only_pixels_over_immutable_bytes():
+def test_image_copies_read_only_pixels_over_immutable_bytes():
     px = np.frombuffer(np.full(4, 0.25).tobytes(), dtype=np.float64).reshape(2, 2)
-    assert GrayImage(pixels=px).pixels is px
+    img = GrayImage(pixels=px)
+    assert not np.shares_memory(img.pixels, px)
+    assert not img.pixels.flags.writeable
+    assert img.pixels.tobytes() == px.tobytes()
 
 
 def retrieve_scan_reference(query, model):

@@ -83,8 +83,11 @@ def test_factor_pair_arrays_are_read_only():
     w[0, 0] = 0.5
     h[0, 0] = 0.25
     assert pair.w[0, 0] == 1.0 and pair.h[0, 0] == 0.5
-    # A read-only float64 array is reused as is.
-    assert FactorPair(w=w, h=pair.h, orientation=Orientation.BOTH).h is pair.h
+    # A read-only float64 array is copied too: the new pair shares no
+    # memory with the one it came from.
+    again = FactorPair(w=w, h=pair.h, orientation=Orientation.BOTH)
+    assert not np.shares_memory(again.h, pair.h)
+    assert again.h.tobytes() == pair.h.tobytes()
 
 
 def test_factor_pair_copies_a_read_only_view_of_a_writeable_array():
@@ -99,6 +102,25 @@ def test_factor_pair_copies_a_read_only_view_of_a_writeable_array():
     buf[:] = 7.0
     assert np.array_equal(pair.w, np.eye(2)) and np.array_equal(wt, np.eye(2))
     assert np.array_equal(c, [-0.5, -0.5]) and max_sq == 1.0
+
+
+def test_factor_pair_copies_a_read_only_owner():
+    # An array that owns its memory can have writing switched back on; a
+    # later write must not reach the pair or the caches built from it.
+    w = np.eye(2)
+    h = np.array([[0.5, 0.5], [1.0, 0.0]])
+    w.setflags(write=False)
+    h.setflags(write=False)
+    pair = FactorPair(w=w, h=h, orientation=Orientation.BOTH)
+    assert not np.shares_memory(pair.w, w) and not np.shares_memory(pair.h, h)
+    wt, c, max_sq = pair.w_search
+    h_pinv = pair.h_pinv.copy()
+    for a in (w, h):
+        a.setflags(write=True)
+        a[:] = 7.0
+    assert np.array_equal(pair.w, np.eye(2)) and np.array_equal(wt, np.eye(2))
+    assert np.array_equal(pair.h, [[0.5, 0.5], [1.0, 0.0]])
+    assert np.array_equal(pair.h_pinv, h_pinv)
 
 
 def test_h_pinv_is_cached_and_matches_pseudoinverse():

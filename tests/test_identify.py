@@ -393,9 +393,11 @@ def test_mixing_matrix_is_read_only_and_copies_the_caller_array():
     assert a.flags.writeable
     a[0, 0] = 0.5
     assert m.a[0, 0] == 0.75
-    # Integer input is converted; a read-only float64 array is reused as is.
+    # Integer input is converted; a read-only float64 array is copied too.
     assert MixingMatrix(a=np.eye(2, dtype=np.int64)).a.dtype == np.float64
-    assert MixingMatrix(a=m.a).a is m.a
+    again = MixingMatrix(a=m.a)
+    assert not np.shares_memory(again.a, m.a)
+    assert again.a.tobytes() == m.a.tobytes()
 
 
 # ----------------------------------------------------------------- sampler

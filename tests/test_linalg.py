@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-import smf.linalg
 from smf.linalg import (
     EmptyRowError,
     _canonicalize_list,
@@ -319,13 +318,11 @@ def test_simplex_project_rejects_bad_input():
         simplex_project(np.array([]))
 
 
-@pytest.mark.blas_threads
-def test_simplex_project_rows_matches_row_loop_bitwise():
-    # The vectorized row projector is simplex_project row by row, bit for
-    # bit: random, tied, shifted (an entry above 2 in magnitude), one- and
-    # two-column input, and rows whose first projection is not a fixed
-    # point and goes through the canonicalization rounds.
-    rng = np.random.default_rng(17)
+def row_cases(rng):
+    # Random, tied, shifted (an entry above 2 in magnitude), one- and
+    # two-column input, and near-simplex rows with tiny or perturbed
+    # entries, whose canonicalization drops entries or takes more than one
+    # round.
     cases = [
         rng.normal(size=(25, 6)),
         rng.normal(size=(200, 10)),
@@ -337,13 +334,19 @@ def test_simplex_project_rows_matches_row_loop_bitwise():
         rng.normal(size=(30, 1)),
         rng.normal(size=(30, 2)),
     ]
-    raw = _simplex_rows_raw(cases[1])
-    assert (_simplex_rows_raw(raw) != raw).any(axis=1).sum() > 10
-    # Near-simplex rows with tiny or perturbed entries, whose
-    # canonicalization drops entries or takes more than one round.
     near = rng.dirichlet(np.full(8, 0.3), size=300)
     near[rng.random(near.shape) < 0.3] = 1e-17
-    cases += [near, near * (1.0 + rng.normal(scale=1e-15, size=(300, 1)))]
+    return cases + [near, near * (1.0 + rng.normal(scale=1e-15, size=(300, 1)))]
+
+
+@pytest.mark.blas_threads
+def test_simplex_project_rows_matches_row_loop_bitwise():
+    # The vectorized row projector is simplex_project row by row, bit for
+    # bit, on rows whose first projection is a fixed point and on rows that
+    # go through the canonicalization rounds.
+    cases = row_cases(np.random.default_rng(17))
+    raw = _simplex_rows_raw(cases[1])
+    assert (_simplex_rows_raw(raw) != raw).any(axis=1).sum() > 10
     for m in cases:
         got = simplex_project_rows(m)
         assert got.tobytes() == np.vstack([simplex_project(r) for r in m]).tobytes()
@@ -440,42 +443,85 @@ def test_simplex_project_matches_checked_projection_bitwise():
         assert got.tobytes() == np.array([wants[i] for i in pick]).tobytes()
 
 
+def adversarial_vectors(rng):
+    # Lists on or near the simplex where a float rule is easiest to break:
+    # entries down to 1e-320 (subnormal), powers of two and entries 1 to 3
+    # ulps from one, Dirichlet points scaled by 1 +- k * 2**-53, and
+    # near-simplex lists that no projection returns.  Each goes in as a
+    # vector to project and, being non-negative, as a list to test as is.
+    out = []
+    for _ in range(300):
+        n = int(rng.integers(2, 13))
+        v = rng.dirichlet(np.full(n, 0.5))
+        tiny = rng.random(n) < 0.4
+        v[tiny] = 10.0 ** rng.uniform(-320.0, -300.0, size=tiny.sum())
+        out.append(v)
+    for _ in range(300):
+        n = int(rng.integers(2, 13))
+        v = 2.0 ** -rng.integers(1, 60, size=n).astype(float)
+        if rng.random() < 0.5:
+            v = np.append(v, 1.0 - v.sum())
+        out.append(v)
+    for k in range(1, 4):
+        for one in (1.0 + k * 2.0 ** -52, 1.0 - k * 2.0 ** -53):
+            out += [np.array([one, 0.0]), np.array([one, 2.0 ** -60, 0.0]),
+                    np.array([one, k * 2.0 ** -53, 2.0 ** -54])]
+    for _ in range(400):
+        n = int(rng.integers(2, 21))
+        k = float(rng.integers(1, 5)) * rng.choice([-1.0, 1.0])
+        out.append(rng.dirichlet(np.full(n, rng.choice([0.3, 1.0]))) * (1.0 + k * 2.0 ** -53))
+    for _ in range(400):
+        n = int(rng.integers(2, 21))
+        v = rng.dirichlet(np.full(n, 0.5))
+        v[rng.random(n) < 0.2] = 0.0
+        i = int(rng.integers(n))
+        v[i] = np.nextafter(v[i], rng.choice([0.0, 2.0]))
+        if rng.random() < 0.5:
+            v = v + rng.uniform(0.0, 4e-16, size=n)
+        out.append(v)
+    return out
+
+
 @pytest.mark.blas_threads
-def test_fixed_point_proof_holds_wherever_it_skips_the_check(monkeypatch):
-    # _is_fixed answers from its running sum when that sum is exactly 1.0,
-    # with no projection; each such answer must be one the check projection
-    # gives.  Checked on first projections and on every canonicalization
-    # round the checked reference takes.
-    checks = []
-
-    def counted(x):
-        checks.append(1)
-        return project_list_reference(x)
-
-    monkeypatch.setattr(smf.linalg, "_project_list", counted)
+def test_fixed_point_proof_holds_wherever_it_skips_the_check():
+    # _is_fixed answers from its running sum alone, and a second projection
+    # must agree: on first projections, on every canonicalization round the
+    # checked reference takes, and on non-negative lists that are not
+    # projections.  simplex_project keeps the checked reference's bits.
     rng = np.random.default_rng(31)
-    proved = [0, 0]
-    for v in fuzz_vectors(rng, 20000):
+    fuzz = fuzz_vectors(rng, 20000)
+    adversarial = adversarial_vectors(rng)
+    tested = [0, 0]
+    for v in fuzz + adversarial:
         xs = shifted_list(v)
         u = sorted(xs, reverse=True)
         w = project_list_reference(xs)
-        candidates = [(w, u, _threshold(u))]
+        assert _is_fixed(u, _threshold(u)) == (project_list_reference(w) == w)
         for _ in range(32):
-            if project_list_reference(w) == w:
+            again = project_list_reference(w)
+            fixed = again == w
+            assert _is_fixed(sorted(w, reverse=True)) == fixed
+            tested[fixed] += 1
+            if fixed:
+                assert np.array(again).tobytes() == np.array(w).tobytes()
                 break
             w = _canonicalize_list(w)
-            candidates.append((w, sorted(w, reverse=True), 0.0))
-        for rounds, (w, u, theta) in enumerate(candidates):
-            before = len(checks)
-            fixed = _is_fixed(w, u, theta)
-            assert fixed == (project_list_reference(w) == w)
-            if len(checks) == before:
-                assert fixed
-                assert np.array(project_list_reference(w)).tobytes() == np.array(w).tobytes()
-                proved[rounds > 0] += 1
-    # Proofs of first projections (12,536 here) and of canonicalized ones
-    # (7,464) both occur.
-    assert min(proved) > 1000
+    for v in adversarial:
+        w = v.tolist()
+        fixed = project_list_reference(w) == w
+        assert _is_fixed(sorted(w, reverse=True)) == fixed
+        tested[fixed] += 1
+        assert simplex_project(v).tobytes() == simplex_project_checked(v).tobytes()
+    # Both answers occur often.
+    assert min(tested) > 2000
+    # simplex_project_rows's test selects the rows the check projection did.
+    for m in row_cases(np.random.default_rng(17)):
+        if m.shape[1] > 1:
+            big = np.abs(m).max(axis=1) > 2.0
+            m = m - np.where(big, m.max(axis=1) - 1.0, 0.0)[:, None]
+            w = _simplex_rows_raw(m)
+            rule = np.cumsum(-np.sort(-w, axis=1), axis=1)[:, -1] != 1.0
+            assert np.array_equal(rule, (_simplex_rows_raw(w) != w).any(axis=1))
 
 
 def simplex_rows_by_cumsum(m):
