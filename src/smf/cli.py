@@ -11,7 +11,10 @@ CPU count; ``smf rerun manifest.json`` refuses input files added, missing or
 changed since the recorded run, re-executes the run and reproduces all
 output files byte for byte under the same BLAS threading, and warns when
 that differs (the manifest itself carries the wall-clock duration and is
-excluded from that guarantee).
+excluded from that guarantee).  A fit's own bits do not depend on the BLAS
+threading where its ``result.json`` records ``blas_pinned``; the warning is
+for the work that runs outside the pin, such as analyze's sampler and
+faces retrieve.
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure.  A fit
 whose factors are not feasible within ``EPS_FEAS_PROJECTED`` exits 3 after
@@ -315,8 +318,8 @@ def _add_solver_flags(parser) -> None:
                              "%g times |X|_F" % EXACT_FIT_TOL)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored; restarts run one after "
-                             "another")
+                        help="accepted and ignored; with two usable CPUs a "
+                             "large fit runs restarts 1..k-1 beside restart 0")
     parser.add_argument("--binary", action="store_true",
                         help="write matrices in the binary container")
 

@@ -4,13 +4,19 @@ The estimator concentrates W out of the problem: for a candidate H, the
 weight matrix is W = X @ pinv(H) projected onto its feasible set, and the
 loss is the Frobenius norm of the residual X - W @ H.  Restart 0 starts
 from the separable anchors of X found by successive projection (Gillis &
-Vavasis, 2014), the others, which run only when restart 0 does not fit X
+Vavasis, 2014), the others, which count only when restart 0 does not fit X
 exactly, from seeded random points.
-The restarts run one after another, each on its own 2-D arrays: projected
-alternating least squares whose rounds are extrapolated with an adaptive
-step (Ang & Gillis, 2019).  The H a restart ends at is scored once on the
-concentrated objective, and the lowest score wins: its H and the W its
-score used are the returned factors.
+Each restart runs on its own 2-D arrays: projected alternating least
+squares whose rounds are extrapolated with an adaptive step (Ang & Gillis,
+2019).  The H a restart ends at is scored once on the concentrated
+objective, and the lowest score wins: its H and the W its score used are
+the returned factors.
+
+A fit runs with numpy's bundled OpenBLAS pinned to one thread, so its bits
+do not depend on the BLAS thread setting, and a large fit on two CPUs runs
+restarts 1..k-1 on a worker thread beside restart 0 (see :func:`factorize`).
+On the benchmark's topics fit (800x356, R=20, 2 restarts; 2-core x86-64) a
+fit took 151-209 ms serial and 117-150 ms shared, over 10 alternating runs.
 
 A warm start projects each round's W = X pinv(Y) onto its feasible set.  A
 row-stochastic W of N rows and R columns with N >= 64 R goes through
@@ -28,6 +34,12 @@ per restart, 192 KB at 2400x10.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
+import os
+import threading
+from collections import deque
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -93,8 +105,10 @@ class SolverConfig:
     anchor (SPA) start, which does not depend on ``seed``, and restart
     j >= 1 is the random start seeded ``seed + j``; a restart 0 whose
     objective ends within ``EXACT_FIT_TOL * |X|_F`` is the only restart that
-    runs.  ``max_iter`` is accepted and ignored, so callers written for
-    older versions still construct a config."""
+    counts.  Restarts 1..k-1 may run on a second thread beside restart 0
+    (see :func:`factorize`) with the bits of a serial run.  ``max_iter`` is
+    accepted and ignored, so callers written for older versions still
+    construct a config."""
 
     rank: int
     orientation: Orientation = Orientation.W_ROWS_SUM_TO_1
@@ -130,6 +144,9 @@ class SolveResult:
     # Final objective of each restart that ran, by index: restart 0 alone
     # when it is an exact fit, all ``config.restarts`` otherwise.
     restart_objectives: list[float] = field(default_factory=list)
+    # Whether the fit ran with numpy's OpenBLAS pinned to one thread, which
+    # makes its bits those of a one-thread run on any BLAS thread setting.
+    blas_pinned: bool = False
 
 
 def _check_x(x) -> np.ndarray:
@@ -269,12 +286,24 @@ _GRAM_EXACT = 1e-6
 # A row-stochastic W with at least this many rows per factor is projected
 # by _simplex_rows_ordered, which reuses the previous round's row orders.
 _ORDERED_ROWS_PER_FACTOR = 64
+# Restarts 1..k-1 go to a second thread only when n m R, the size of a
+# round's X pinv(Y) and W'X products, is at least this.  Smaller rounds
+# spend most of their time holding the interpreter lock, and two restarts
+# then wait on each other: with two CPUs and one BLAS thread, 2-restart fits
+# of 1.0e6 to 1.5e6 ran 0.7x to 1.12x their serial time, and of 1.6e6 to
+# 5.8e6 0.59x to 0.84x; 3-restart fits of 1.1e3 to 2.4e5 ran 1.35x to 2.2x.
+_SHARED_RESTART_WORK = 1_600_000
 
 
-def _warm_start(x, h, config: SolverConfig, rounds: int, norm: float, hp=None):
+def _warm_start(x, h, config: SolverConfig, rounds: int, norm: float, hp=None,
+                after_first_round: Optional[Callable[[], None]] = None,
+                cancel: Optional[threading.Event] = None):
     """Extrapolated projected alternating least squares on the bilinear loss;
     returns ``(h, rounds_run, converged)``.  ``norm`` is |X|_F, and ``hp``,
     when given, is pinv(h), which the first round then does not compute.
+    ``after_first_round``, when given, is called once the first round has
+    run without ending the warm start; a set ``cancel`` stops it unconverged
+    before its next round.
 
     Each round refreshes W = X pinv(Y), projects it feasible, then takes
     three Lipschitz-step projected gradient updates on H from Y for that
@@ -308,6 +337,10 @@ def _warm_start(x, h, config: SolverConfig, rounds: int, norm: float, hp=None):
     beta, ceil = _BETA_START, _BETA_CEIL_START
     extrapolated = rose = False
     for t in range(rounds):
+        if t == 1 and after_first_round is not None:
+            after_first_round()
+        if cancel is not None and cancel.is_set():
+            return acc, t, False
         if t or hp is None:
             hp = _full_rank_pinv(y)
         if hp is None:
@@ -352,6 +385,61 @@ def _warm_start(x, h, config: SolverConfig, rounds: int, norm: float, hp=None):
     return acc, rounds, False
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS
+    (``numpy.libs/libscipy_openblas64_-*.so``), or None where numpy was
+    built against another BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        name = min(n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_"))
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (OSError, ValueError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+# The BLAS thread count is one per process: the first of overlapping fits
+# saves the caller's count and pins it to one, and the last restores it.
+_pin_lock = threading.Lock()
+_pin_users = 0
+_pin_saved = 1
+
+
+def _pin_blas() -> bool:
+    """Pins numpy's OpenBLAS to one thread until :func:`_unpin_blas`;
+    returns False, pinning nothing, where numpy bundles no OpenBLAS."""
+    global _pin_users, _pin_saved
+    calls = _openblas_threads()
+    if calls is None:
+        return False
+    with _pin_lock:
+        if _pin_users == 0:
+            _pin_saved = calls[0]()
+            calls[1](1)
+        _pin_users += 1
+    return True
+
+
+def _unpin_blas() -> None:
+    global _pin_users
+    with _pin_lock:
+        _pin_users -= 1
+        if _pin_users == 0:
+            _openblas_threads()[1](_pin_saved)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def factorize(x, config: SolverConfig, *, threads: int = 1,
               progress: Optional[Callable[[int, float], None]] = None) -> SolveResult:
     """Estimate a non-negative factorization of X under the configured
@@ -365,16 +453,28 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     in the paper's uniqueness condition; if that start is rank-deficient it
     falls back to the random start seeded ``config.seed``.  Restart j >= 1
     starts from the random point seeded ``config.seed + j``, so a 1-restart
-    fit does not depend on the seed.  Restart 0 runs first, alone; when its
-    objective is at most ``EXACT_FIT_TOL * |X|_F`` it is an exact fit and
-    the fit returns it with no other restart run.  Otherwise restarts
-    1..k-1 run after it, one at a time.  A warm
-    start forms a residual the size of X only in near-exact rounds, and the
-    score forms one, so a fit's traced peak memory is about one array the
-    size of X (1.04 X on a noisy 600x200 fit) whatever k is.  The returned
-    factors are the winning restart's H and the W its score used, the
-    concentrated least-squares weights projected feasible, so ``objective``
-    is the residual |X - W H|_F of the returned pair.
+    fit does not depend on the seed.  When restart 0's objective is at most
+    ``EXACT_FIT_TOL * |X|_F`` it is an exact fit, and the fit returns it
+    alone.  Otherwise restarts 1..k-1 count too.
+
+    The fit runs with numpy's bundled OpenBLAS pinned to one thread, and
+    the caller's thread count is restored on return.  Under the pin, with
+    at least two usable CPUs and n m R of at least ``_SHARED_RESTART_WORK``,
+    restarts 1..k-1 go to one worker thread once restart 0 has run a round
+    without ending, and the caller takes those still pending when restart 0
+    ends; an exact restart 0 cancels them and drops their results and
+    errors.  Otherwise they run after restart 0, one at a time.  Either way
+    each restart gives the bits of a serial run, and an error a restart
+    raises reaches the caller only if the serial path would have raised
+    it: restart 0 not exact, and the first failing restart by index.
+
+    A warm start forms a residual the size of X only in near-exact rounds,
+    and the score forms one, so a fit's traced peak memory is about one
+    array the size of X per restart in flight, at most two: on a noisy
+    600x200 fit, 1.04 X at one restart and 1.18 X at five on two threads.
+    The returned factors are the winning restart's H and the W its score
+    used, the concentrated least-squares weights projected feasible, so
+    ``objective`` is the residual |X - W H|_F of the returned pair.
 
     Parameters
     ----------
@@ -384,7 +484,8 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
         and no entry may exceed 1.
     config : SolverConfig
     threads : int
-        Accepted and ignored; the restarts run one after another.
+        Accepted and ignored; the fit decides from its size and the CPUs
+        it may use whether restarts 1..k-1 run beside restart 0.
     progress : callable, optional
         Called once as ``progress(rounds, objective)`` when restart 0's warm
         start ends: its round count and its objective.
@@ -393,7 +494,8 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     -------
     SolveResult
         ``iterations`` and ``converged`` describe the winning restart's warm
-        start, and ``objective_trace`` is ``[objective]``.
+        start, ``objective_trace`` is ``[objective]``, and ``blas_pinned``
+        says whether the pin held.
 
     Raises
     ------
@@ -423,31 +525,87 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
         raise InvalidInputError(f"X has entries above 1 (max {xm.max():.3e}), "
                                 "which a row-stochastic W with H <= 1 cannot fit")
 
-    def random_start(k):
-        h0 = _init_h(np.random.default_rng(config.seed + k), config.rank, n_cols,
+    def random_start(j):
+        h0 = _init_h(np.random.default_rng(config.seed + j), config.rank, n_cols,
                      config.orientation)
         return _feasible_h(h0, config.orientation)
 
-    norm = frobenius_norm(xm)
+    pinned = _pin_blas()
+    k = config.restarts
+    results = [None] * k
+    errors = {}
+    # (index, start) of the random restarts no thread has taken yet, in
+    # index order.  Their starts are built in the caller's thread.
+    pending = deque()
+    worker = cancel = None
 
-    def solve(h, hp=None):
-        h, rounds, converged = _warm_start(xm, h, config, _WARM_START_ROUNDS, norm, hp)
+    def solve(h, hp=None, after_first_round=None):
+        h, rounds, converged = _warm_start(xm, h, config, _WARM_START_ROUNDS, norm,
+                                           hp, after_first_round, cancel)
         obj, w = _score(xm, h, config)
         return h, obj, rounds, converged, w
 
-    # The objective is non-negative, so once a restart ends within
-    # EXACT_FIT_TOL |X|_F no other restart could improve on it by more than
-    # that: restart 0 runs alone, the others only if it ends above.
-    exact = EXACT_FIT_TOL * norm
-    anchored = _anchor_start(xm, config)
-    results = [solve(random_start(0)) if anchored is None else solve(*anchored)]
-    if progress is not None:
-        progress(results[0][2], results[0][1])
-    if results[0][1] > exact:
-        results += [solve(random_start(k)) for k in range(1, config.restarts)]
+    def run_pending():
+        # After a failure every pending index is above the failed one, so
+        # none of them can change which error is raised.
+        while not (errors or cancel and cancel.is_set()):
+            try:
+                j, h0 = pending.popleft()
+            except IndexError:
+                return
+            try:
+                results[j] = solve(h0)
+            except Exception as exc:  # raised in the caller, by index
+                errors[j] = exc
 
+    def share_restarts():
+        # Restart 0 has run a round without ending: a second CPU takes
+        # restarts 1..k-1 beside it.  One BLAS thread per fit keeps the bits
+        # those of a serial run.
+        nonlocal worker, cancel
+        if _usable_cpus() < 2:
+            return
+        pending.extend((j, random_start(j)) for j in range(1, k))
+        cancel = threading.Event()
+        worker = threading.Thread(target=contextvars.copy_context().run,
+                                  args=(run_pending,), name="smf-restarts")
+        worker.start()
+
+    try:
+        norm = frobenius_norm(xm)
+        # The objective is non-negative, so once a restart ends within
+        # EXACT_FIT_TOL |X|_F no other restart could improve on it by more
+        # than that: restarts 1..k-1 count only if restart 0 ends above.
+        exact = EXACT_FIT_TOL * norm
+        anchored = _anchor_start(xm, config)
+        h0, hp0 = (random_start(0), None) if anchored is None else anchored
+        shared = (pinned and k > 1
+                  and n_rows * n_cols * config.rank >= _SHARED_RESTART_WORK)
+        results[0] = solve(h0, hp0, share_restarts if shared else None)
+        if progress is not None:
+            progress(results[0][2], results[0][1])
+        if results[0][1] > exact:
+            if worker is None:
+                pending.extend((j, random_start(j)) for j in range(1, k))
+            run_pending()
+            if worker is not None:
+                worker.join()
+    finally:
+        # An exact restart 0, or an error in this thread, cancels the
+        # restarts still running; none outlives the call.
+        if worker is not None:
+            cancel.set()
+            worker.join()
+        if pinned:
+            _unpin_blas()
+
+    if results[0][1] > exact:
+        if errors:
+            raise errors[min(errors)]
+    else:
+        del results[1:]
     finals = [obj for _, obj, _, _, _ in results]
-    best = min(range(len(finals)), key=lambda k: (finals[k], k))
+    best = min(range(len(finals)), key=lambda j: (finals[j], j))
     h, obj, rounds, converged, w = results[best]
     if w is None:
         raise RankDeficientError("every restart ended at an H without full row rank")
@@ -463,4 +621,5 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
         max_violation=violation,
         feasible=violation <= EPS_FEAS_PROJECTED,
         restart_objectives=finals,
+        blas_pinned=pinned,
     )

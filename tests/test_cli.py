@@ -75,7 +75,8 @@ def test_factorize_writes_artifacts(tmp_path):
     result = json.loads((out / "result.json").read_text())
     assert set(result) == {"objective", "iterations", "converged",
                            "best_restart", "restart_objectives",
-                           "objective_trace", "max_violation", "feasible"}
+                           "objective_trace", "max_violation", "feasible",
+                           "blas_pinned"}
     assert result["feasible"] is (result["max_violation"]
                                   <= solver.EPS_FEAS_PROJECTED)
     assert result["objective"] == result["objective_trace"][-1]

@@ -1,7 +1,13 @@
 """Unit tests for the constrained factorization solver."""
 
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -309,14 +315,263 @@ def test_factorize_is_deterministic():
     assert a.objective_trace == b.objective_trace
 
 
-def test_threaded_restarts_match_sequential():
-    x, _ = generate(20, 8, 2, seed=17, orientation=Orientation.W_ROWS_SUM_TO_1)
-    c = cfg(rank=2, restarts=4, seed=3)
-    seq = factorize(x, c, threads=1)
-    par = factorize(x, c, threads=4)
-    assert np.array_equal(seq.factors.h, par.factors.h)
-    assert seq.restart_objectives == par.restart_objectives
-    assert seq.best_restart == par.best_restart
+# ------------------------------------------- restarts beside restart 0
+
+
+@pytest.fixture
+def shared(monkeypatch):
+    """Lets a fit of any size hand its random restarts to a worker thread,
+    with a private CPU count that ``shared.cpus`` sets (2 to start with),
+    and records in ``shared.started`` each worker thread started."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def cpus(n):
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: n)
+
+    monkeypatch.setattr(solver, "_SHARED_RESTART_WORK", 0)
+    monkeypatch.setattr(solver.threading, "Thread", Recorded)
+    cpus(2)
+    return SimpleNamespace(cpus=cpus, started=started)
+
+
+def failing_random_restarts(monkeypatch, fail):
+    # Wraps _warm_start so that a random restart (one given no pinv) calls
+    # fail(start) first; restart 0 starts from the anchors with their pinv.
+    def wrapped(x, h, config, rounds, norm, hp=None, *hooks):
+        if hp is None:
+            fail(h)
+        return _warm_start(x, h, config, rounds, norm, hp, *hooks)
+
+    monkeypatch.setattr(solver, "_warm_start", wrapped)
+
+
+@pytest.mark.blas_threads
+def test_threaded_restarts_match_sequential(shared):
+    # With two usable CPUs the random restarts of a noisy fit run on a
+    # worker thread beside restart 0, with one after it; each restart's
+    # bits are its own, so the fit's are the same byte for byte.
+    for orientation in Orientation:
+        x, _ = generate(60, 14, 3, anchors=True, noise_sigma=0.03,
+                        orientation=orientation, seed=17)
+        for restarts in (2, 5):
+            c = cfg(rank=3, orientation=orientation, restarts=restarts, seed=3)
+            shared.cpus(1)
+            seq = factorize(x, c)
+            assert shared.started == []
+            shared.cpus(2)
+            par = factorize(x, c)
+            assert len(shared.started) == int(par.blas_pinned)
+            shared.started.clear()
+            assert seq.factors.w.tobytes() == par.factors.w.tobytes()
+            assert seq.factors.h.tobytes() == par.factors.h.tobytes()
+            assert len(seq.restart_objectives) == restarts
+            assert (np.array(seq.restart_objectives).tobytes()
+                    == np.array(par.restart_objectives).tobytes())
+            assert (seq.best_restart, seq.iterations, seq.converged) == (
+                par.best_restart, par.iterations, par.converged)
+
+
+@pytest.mark.blas_threads
+def test_exact_fit_starts_no_thread(shared):
+    # A one-round exact restart 0 ends before a worker could start.
+    x, _ = generate(40, 12, 3, anchors=True, orientation=Orientation.BOTH, seed=6)
+    res = factorize(x, cfg(rank=3, orientation=Orientation.BOTH, restarts=5))
+    assert (res.iterations, res.restart_objectives) == (1, [res.objective])
+    assert shared.started == []
+
+
+@pytest.mark.blas_threads
+def test_small_fits_keep_their_restarts_in_the_callers_thread(shared, monkeypatch):
+    # Below _SHARED_RESTART_WORK (n m R) two restarts would mostly wait on
+    # each other for the interpreter lock.
+    monkeypatch.setattr(solver, "_SHARED_RESTART_WORK", 60 * 14 * 3 + 1)
+    x, _ = generate(60, 14, 3, anchors=True, noise_sigma=0.03, seed=17)
+    res = factorize(x, cfg(rank=3, restarts=3))
+    assert len(res.restart_objectives) == 3
+    assert shared.started == []
+
+
+@pytest.mark.blas_threads
+def test_no_thread_outlives_factorize(shared, monkeypatch):
+    noisy, _ = generate(60, 14, 3, anchors=True, noise_sigma=0.03, seed=17)
+    # Noiseless but not anchored: restart 0 takes many rounds to fit exactly,
+    # so the worker starts, and its restart runs until the exact fit cancels
+    # it; what it raises then is dropped, as the serial path would not have
+    # run it.
+    exact, _ = generate(40, 12, 3, anchors=False, seed=0)
+    c = cfg(rank=3, restarts=5)
+    pinned = factorize(noisy, c).blas_pinned
+    uncancelled = []
+
+    def until_cancelled(x, h, config, rounds, norm, hp=None, after=None, cancel=None):
+        if hp is not None:
+            return _warm_start(x, h, config, rounds, norm, hp, after, cancel)
+        if not cancel.wait(timeout=10):
+            uncancelled.append(h)
+        raise ValueError("random restart")
+
+    monkeypatch.setattr(solver, "_warm_start", until_cancelled)
+    res = factorize(exact, c)
+    assert not any(t.is_alive() for t in shared.started)
+    assert uncancelled == []
+    assert res.iterations > 1 and res.restart_objectives == [res.objective]
+
+    def fail(h):
+        raise ValueError("random restart")
+
+    failing_random_restarts(monkeypatch, fail)
+    with pytest.raises(ValueError, match="random restart"):
+        factorize(noisy, c)
+    # One worker for each of the three fits, where the pin holds.
+    assert len(shared.started) == 3 * int(pinned)
+    assert not any(t.is_alive() for t in shared.started)
+
+
+@pytest.mark.blas_threads
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_first_failing_restart_in_index_order_is_raised(shared, monkeypatch, cpus):
+    # Restart 1 fails after a full warm start and restarts 2..4 at once, so
+    # on two CPUs the caller's restart 2 fails first; the serial path raises
+    # restart 1's error, and so does the shared one.
+    x, _ = generate(60, 14, 3, anchors=True, noise_sigma=0.03, seed=17)
+    c = cfg(rank=3, restarts=5)
+    starts = [_feasible_h(_init_h(np.random.default_rng(c.seed + j), c.rank, x.shape[1],
+                                  c.orientation), c.orientation)
+              for j in range(c.restarts)]
+
+    def wrapped(x, h, config, rounds, norm, hp=None, *hooks):
+        j = next((j for j in range(1, c.restarts) if np.array_equal(h, starts[j])), 0)
+        if j > 1:
+            raise ValueError(f"restart {j}")
+        out = _warm_start(x, h, config, rounds, norm, hp, *hooks)
+        if j == 1:
+            raise ValueError("restart 1")
+        return out
+
+    shared.cpus(cpus)
+    monkeypatch.setattr(solver, "_warm_start", wrapped)
+    with pytest.raises(ValueError, match="restart 1"):
+        factorize(x, c)
+
+
+@pytest.mark.blas_threads
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_failing_random_restart_raises_under_the_callers_errstate(shared, monkeypatch,
+                                                                  cpus):
+    # The worker runs in a copy of the caller's context, so np.errstate
+    # turns a division by zero into FloatingPointError there too.
+    x, _ = generate(60, 14, 3, anchors=True, noise_sigma=0.03, seed=17)
+    shared.cpus(cpus)
+    failing_random_restarts(monkeypatch, lambda h: np.divide(1.0, np.zeros(1)))
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        factorize(x, cfg(rank=3, restarts=2))
+    for thread in shared.started:
+        assert not thread.is_alive()
+
+
+@pytest.mark.blas_threads
+def test_fit_restores_the_callers_blas_thread_count(shared, monkeypatch):
+    calls = solver._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get, set_ = calls
+    before = get()
+    x, _ = generate(60, 14, 3, anchors=True, noise_sigma=0.03, seed=17)
+    c = cfg(rank=3, restarts=3)
+    seen = []
+    try:
+        set_(2)
+        res = factorize(x, c, progress=lambda *_: seen.append(get()))
+        assert (res.blas_pinned, seen, get()) == (True, [1], 2)
+        failing_random_restarts(monkeypatch, lambda h: np.divide(1.0, np.zeros(1)))
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            factorize(x, c)
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+@pytest.mark.blas_threads
+def test_concurrent_fits_keep_their_bits_and_the_blas_thread_count(shared):
+    # Six fits at once, each with its own worker, from a caller on two BLAS
+    # threads: the pin's count of fits in flight must not lose an update, or
+    # a fit would run on two threads or the count would not read 2 after;
+    # a shortened switch interval makes that likelier.
+    calls = solver._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get, set_ = calls
+    x, _ = generate(60, 14, 3, anchors=True, noise_sigma=0.03, seed=17)
+    c = cfg(rank=3, restarts=3)
+    ref = factorize(x, c)
+    out = [None] * 6
+
+    def fit(i):
+        out[i] = factorize(x, c)
+
+    before, interval = get(), sys.getswitchinterval()
+    try:
+        set_(2)
+        sys.setswitchinterval(1e-5)
+        fits = [threading.Thread(target=fit, args=(i,)) for i in range(len(out))]
+        for t in fits:
+            t.start()
+        for t in fits:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_(before)
+    for res in out:
+        assert res.factors.w.tobytes() == ref.factors.w.tobytes()
+        assert res.factors.h.tobytes() == ref.factors.h.tobytes()
+    assert not any(t.is_alive() for t in shared.started)
+
+
+@pytest.mark.blas_threads
+def test_topics_shaped_fit_bits_do_not_depend_on_blas_threads(tmp_path):
+    # An 800-document, 360-term fit at R=20 (the benchmark's topics fit),
+    # whose restart 1 runs beside restart 0 on two CPUs: its W and H bytes
+    # are the same in processes started with one and with two OpenBLAS
+    # threads, and in this one.
+    if solver._openblas_threads() is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    rng = np.random.default_rng(8)
+    h = np.zeros((20, 360))
+    for r in range(20):
+        h[r, 18 * r:18 * (r + 1)] = rng.dirichlet(np.ones(18))
+    w = rng.dirichlet(np.ones(20), size=800)
+    w[:20] = np.eye(20)
+    counts = np.array([rng.multinomial(int(rng.integers(80, 200)), p) for p in w @ h],
+                      dtype=np.float64)
+    x_path = tmp_path / "x.npy"
+    np.save(x_path, counts / counts.sum(axis=1, keepdims=True))
+    code = """if True:
+        import hashlib, sys
+        import numpy as np
+        from smf import Orientation, SolverConfig, factorize
+        r = factorize(np.load(sys.argv[1]),
+                      SolverConfig(rank=20, orientation=Orientation.BOTH, restarts=2))
+        print(hashlib.sha256(r.factors.w.tobytes() + r.factors.h.tobytes()).hexdigest())
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code, str(x_path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    r = factorize(np.load(x_path), cfg(rank=20, orientation=Orientation.BOTH, restarts=2))
+    digests.add(hashlib.sha256(r.factors.w.tobytes() + r.factors.h.tobytes()).hexdigest())
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -736,17 +991,20 @@ def traced_peak(run):
 
 
 @pytest.mark.parametrize("restarts", [1, 2, 5])
-def test_factorize_peak_memory_is_one_residual_per_restart(restarts):
-    # Restarts run one after another: a noisy warm start reads each round's
-    # loss off its R×m Gram products and forms no residual, the score of its
-    # H forms one array the size of X after it, and no restart keeps a
-    # residual after it ends.  The traced peak of a whole noisy fit (which
-    # runs every restart) is about 1.04 arrays of X's size whatever the
-    # number of restarts; the bound allows 3.
+def test_factorize_peak_memory_is_one_residual_per_restart(restarts, shared):
+    # A noisy warm start reads each round's loss off its R×m Gram products
+    # and forms no residual, the score of its H forms one array the size of
+    # X after it, and no restart keeps a residual after it ends.  At most two
+    # restarts are in flight, restart 0 in the caller's thread and one on
+    # the worker thread, which this fit starts whatever its size.  The
+    # traced peak of a whole noisy fit (which runs every restart) is then at
+    # most about one array of X's size per restart in flight: 1.04, 1.14 and
+    # 1.18 X at 1, 2 and 5 restarts.  The bound allows 3.
     noisy, _ = generate(600, 200, 2, seed=0, noise_sigma=0.02,
                         orientation=Orientation.BOTH)
     c = cfg(rank=2, orientation=Orientation.BOTH, mode=Mode.PROJECTED,
             restarts=restarts)
     res, peak = traced_peak(lambda: factorize(noisy, c))
     assert len(res.restart_objectives) == restarts
+    assert len(shared.started) == int(restarts > 1 and res.blas_pinned)
     assert peak <= 3 * noisy.nbytes
