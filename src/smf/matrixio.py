@@ -38,14 +38,19 @@ def write_matrix_csv(path, a) -> None:
     m = _as_matrix(a)
     if np.array_equal(m, np.rint(m)) and not np.any(np.signbit(m[m == 0.0])):
         # Integer counts repeat few values, so each distinct value is
-        # formatted once.  A -0.0 would be looked up as 0.0, so it takes the
-        # per-element path below.
+        # formatted once, as repr(v) + "," and, for the last column,
+        # repr(v) + "\n"; the file is then one join of table cells.  A -0.0
+        # would be looked up as 0.0, so it takes the per-element path below.
         values = np.unique(m)
-        table = np.array([repr(v) for v in values.tolist()], dtype=object)
-        rows = table[np.searchsorted(values, m)].tolist()
+        reprs = [repr(v) for v in values.tolist()]
+        table = np.array([r + "," for r in reprs] + [r + "\n" for r in reprs],
+                         dtype=object)
+        index = np.searchsorted(values, m)
+        index[:, -1] += len(reprs)
+        text = "".join(table[index].ravel().tolist())
     else:
-        rows = [map(repr, row) for row in m.tolist()]
-    Path(path).write_text("\n".join(map(",".join, rows)) + "\n", encoding="utf-8")
+        text = "\n".join(",".join(map(repr, row)) for row in m.tolist()) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 # Python's float() refuses the ASCII information separators U+001C..U+001F

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smf import (
     read_matrix,
@@ -217,6 +219,45 @@ def test_csv_writer_matches_reference_bytes(tmp_path, make):
     write_matrix_csv(path, m)
     assert path.read_bytes() == _reference_text(m).encode("utf-8")
     assert read_matrix_csv(path).tobytes() == m.tobytes()
+
+
+@st.composite
+def whole_number_matrices(draw):
+    # Whole numbers small and large: repr(1e16) and above has an exponent.
+    value = st.one_of(st.integers(-1000, 1000),
+                      st.integers(-2**80, 2**80),
+                      st.sampled_from([1e16, -1e16, 1e16 + 2.0, 2.0**53 + 2.0,
+                                       1e22, -1e300, 1.7e308]))
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    cells = draw(st.lists(value, min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=np.float64).reshape(rows, cols)
+
+
+def _written(m, tmp_path):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, m)
+    data = path.read_bytes()
+    assert read_matrix_csv(path).tobytes() == m.tobytes()
+    return data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(whole_number_matrices())
+def test_csv_whole_number_path_matches_per_element_repr(tmp_path_factory, m):
+    tmp_path = tmp_path_factory.mktemp("csv")
+    assert _written(m, tmp_path) == _reference_text(m).encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(whole_number_matrices(), st.integers(0, 35))
+def test_csv_negative_zero_takes_the_element_path(tmp_path_factory, m, cell):
+    # The table path would look -0.0 up as 0.0 and write "0.0".
+    m.flat[cell % m.size] = -0.0
+    tmp_path = tmp_path_factory.mktemp("csv")
+    data = _written(m, tmp_path)
+    assert data == _reference_text(m).encode("utf-8")
+    assert b"-0.0" in data
 
 
 def test_csv_reader_rejects_non_finite(tmp_path):

@@ -1,7 +1,14 @@
 """Unit tests for the bag-of-words topic pipeline."""
 
+import math
+import re
+from collections import Counter
+from itertools import chain
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smf import (
     Corpus,
@@ -20,7 +27,7 @@ from smf import (
     write_top_terms_csv,
 )
 from smf.solver import SolveResult
-from smf.topics import _tokens
+from smf.topics import _CHUNK_DOCS, _token_text
 
 
 def model_from_factors(w, h, vocabulary):
@@ -134,15 +141,15 @@ def test_ascii_token_pass_matches_the_regex():
     import re
 
     # Random strings over all 128 ASCII code points, then the lowercased
-    # ASCII text of every line below: the translate-and-split pass yields
-    # the regex's word runs element for element.
+    # ASCII text of every line below: the translate pass, split on
+    # whitespace, yields the regex's word runs element for element.
     rng = np.random.default_rng(7)
     strings = ["".join(map(chr, rng.integers(0, 128, int(rng.integers(0, 13)))))
                for _ in range(20000)]
     for text in strings + [chr(c) * 3 for c in range(128)] + ["\u212aelvin"]:
         lowered = text.lower()
         assert lowered.isascii()
-        assert _tokens(lowered) == re.findall(r"\w+", lowered)
+        assert _token_text(lowered).split() == re.findall(r"\w+", lowered)
 
 
 def test_build_corpus_ascii_pass_matches_token_loop():
@@ -181,6 +188,127 @@ def test_build_corpus_non_ascii_lines_match_token_loop():
     assert any(d.lower().isascii() for d in docs)
     assert not all(d.lower().isascii() for d in docs)
     assert_matches_token_loop(docs, stop_words=("the",))
+
+
+_REF_TOKEN_RE = re.compile(r"\w+", re.UNICODE)
+_REF_ASCII_NONWORD = str.maketrans({chr(c): " " for c in range(128)
+                                    if not (chr(c).isalnum() or chr(c) == "_")})
+
+
+def _ref_tokens(lowered):
+    if lowered.isascii():
+        return lowered.translate(_REF_ASCII_NONWORD).split()
+    return _REF_TOKEN_RE.findall(lowered)
+
+
+def reference_build_corpus(documents, *, stop_words=(), min_doc_fraction=0.005,
+                           doc_ids=None):
+    """build_corpus as it was before chunked counting: a Counter per
+    document, then the set union, chain flattening and token-id lookups."""
+    docs = list(documents)
+    if doc_ids is None:
+        doc_ids = [str(i) for i in range(len(docs))]
+    else:
+        doc_ids = [str(d) for d in doc_ids]
+    stop = {w.lower() for w in stop_words}
+    runs = [Counter(_ref_tokens(d.lower())) for d in docs]
+    tokens = list(set().union(*runs))
+    token_id = {t: k for k, t in enumerate(tokens)}
+    lengths = np.fromiter(map(len, runs), dtype=np.intp, count=len(runs))
+    n_cells = int(lengths.sum())
+    cell_token = np.fromiter(map(token_id.__getitem__, chain.from_iterable(runs)),
+                             dtype=np.intp, count=n_cells)
+    cell_count = np.fromiter(chain.from_iterable(r.values() for r in runs),
+                             dtype=np.float64, count=n_cells)
+    cell_doc = np.repeat(np.arange(len(docs)), lengths)
+    doc_freq = np.bincount(cell_token, minlength=len(tokens)).tolist()
+    min_docs = max(1, math.ceil(min_doc_fraction * len(docs)))
+    vocab = sorted(t for t, df in zip(tokens, doc_freq)
+                   if df >= min_docs and t.isalpha() and t not in stop)
+    if not vocab:
+        raise ValueError("no terms survive pruning; lower min_doc_fraction")
+    column = np.full(len(tokens), -1, dtype=np.intp)
+    column[[token_id[t] for t in vocab]] = np.arange(len(vocab))
+    shape = (len(docs), len(vocab))
+    cell_column = column[cell_token]
+    in_vocab = cell_column >= 0
+    counts = np.bincount(cell_doc[in_vocab] * shape[1] + cell_column[in_vocab],
+                         weights=cell_count[in_vocab],
+                         minlength=shape[0] * shape[1]).reshape(shape)
+    keep = counts.sum(axis=1) > 0
+    return Corpus(vocabulary=tuple(vocab), doc_term=counts[keep],
+                  doc_ids=tuple(d for d, k in zip(doc_ids, keep) if k))
+
+
+# Words and separators that stress both tokenizers and the chunk marker:
+# the Kelvin sign (lowercases to ASCII k), a Greek word ending in a capital
+# sigma (lowercases to a final sigma), accented letters, digit and
+# underscore runs, capitalized stop words, the marker \x01 itself, and
+# other control characters and Unicode spaces.
+_WORDS = ["alpha", "Beta", "gamma", "The", "AND", "of", "\u212aelvin",
+          "\u212a", "\u039f\u0394\u039f\u03a3", "\u03bb\u03cc\u03b3\u03bf\u03a3",
+          "caf\u00e9", "\u00c4rger", "na\u00efve", "stra\u00dfe", "x9", "2016",
+          "_", "snake_case", "a_1", "\uff11", "\u0663"]
+_SEPS = [" ", "  ", "\t", "\n", "\r\n", "\x01", " \x01 ", "\x00", "\x1c",
+         "\x1f", "\x7f", "\x0b", "\u00a0", "\u2028", "-", ", ", ""]
+
+
+@st.composite
+def corpora(draw):
+    words = st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_SEPS)),
+                     max_size=8)
+    doc = st.one_of(words.map(lambda ws: "".join(w + s for w, s in ws)),
+                    st.sampled_from(["", " ", "\t\n", "\x01", "2016 x9 _",
+                                     "THE and Of"]))
+    pool = draw(st.lists(doc, min_size=1, max_size=12))
+    size = draw(st.sampled_from([1, _CHUNK_DOCS - 1, _CHUNK_DOCS,
+                                 _CHUNK_DOCS + 1, 3 * _CHUNK_DOCS + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    docs = [pool[i] for i in rng.integers(0, len(pool), size)]
+    fraction = draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                              st.floats(0.0, 1.0)))
+    stop_words = draw(st.lists(st.sampled_from(["the", "AND", "Of", "gamma"]),
+                               max_size=3))
+    doc_ids = draw(st.sampled_from([None, [f"d{i}" for i in range(size)],
+                                    list(range(size, 0, -1))]))
+    return docs, dict(stop_words=stop_words, min_doc_fraction=fraction,
+                      doc_ids=doc_ids)
+
+
+def _outcome(build, docs, kwargs):
+    try:
+        return build(docs, **kwargs)
+    except ValueError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(corpora())
+def test_build_corpus_matches_the_counter_reference(corpus_args):
+    docs, kwargs = corpus_args
+    got = _outcome(build_corpus, docs, kwargs)
+    want = _outcome(reference_build_corpus, docs, kwargs)
+    if isinstance(want, ValueError):
+        assert isinstance(got, ValueError) and str(got) == str(want)
+        assert str(got) == "no terms survive pruning; lower min_doc_fraction"
+        return
+    assert got.vocabulary == want.vocabulary
+    assert got.doc_ids == want.doc_ids
+    assert got.doc_term.dtype == np.float64 and got.doc_term.shape == want.doc_term.shape
+    assert got.doc_term.tobytes() == want.doc_term.tobytes()
+    # The counts build_corpus hands over without a copy are read-only,
+    # down to the array they view.
+    assert not got.doc_term.flags.writeable
+    assert got.doc_term.base is None or not got.doc_term.base.flags.writeable
+
+
+def test_corpus_of_built_fields_still_copies():
+    # Corpus(...) itself still copies what build_corpus hands over as is.
+    built = build_corpus(["apple banana", "banana"], min_doc_fraction=0.0)
+    again = Corpus(vocabulary=built.vocabulary, doc_term=built.doc_term,
+                   doc_ids=built.doc_ids)
+    assert again.doc_term is not built.doc_term
+    assert again.doc_term.tobytes() == built.doc_term.tobytes()
 
 
 def test_build_corpus_validation():
