@@ -42,7 +42,15 @@ def _parse(argv):
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=12.0)
     p.add_argument("--pairs", type=int, default=10)
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    # Refused before any run starts: with no pair there is no table to
+    # print, a run of no time measures nothing and one of unbounded time
+    # never ends.
+    if args.pairs < 1:
+        p.error(f"--pairs must be at least 1, got {args.pairs}")
+    if not 0.0 < args.seconds < math.inf:
+        p.error(f"--seconds must be positive and finite, got {args.seconds:g}")
+    return args
 
 
 def _run(tree: Path, args) -> dict:

@@ -131,7 +131,8 @@ def _simplex_rows_raw(m: np.ndarray) -> np.ndarray:
     # stack of them) without the exact-sum canonicalization pass; sums land
     # within ~1e-15 of 1.  The solver's projection, in its iterations (where
     # a tall W takes _simplex_rows_ordered, with the same bits) and for the
-    # factors it returns; other callers get simplex_project_rows.
+    # factors it returns; other callers get simplex_project, which runs the
+    # same IEEE operations on Python floats and then canonicalizes.
     u = -np.sort(-m, axis=-1)
     cssv = np.cumsum(u, axis=-1) - 1.0
     n = m.shape[-1]
@@ -207,9 +208,6 @@ def _is_fixed(u: list, theta: float = 0.0) -> bool:
     # S, is exactly 1.0.  It holds for n < 2**53 non-negative floats below
     # 2**52 (a projection's entries are about 1 at most), zeros of either
     # sign (the projection's own zeros are +0.0, so it keeps their bits).
-    # simplex_project_rows tests it on rows: _simplex_rows_raw runs
-    # _threshold's operations in the same order, and np.cumsum adds in
-    # order.
     #
     # Let v_0 >= ... >= v_{n-1} be w sorted, P_i the running float sum of
     # v_0..v_i and c_i = P_i - 1.0, rho the last index where v_i * (i + 1) >
@@ -294,12 +292,13 @@ def simplex_project(v) -> np.ndarray:
     idempotent: projecting an already-projected vector returns it unchanged.
     """
     # Python floats, not numpy calls: on vectors of R entries, as in
-    # retrieval, per-call overhead outweighs the arithmetic.  The IEEE
-    # operations and their order are those of simplex_project_rows, so the
-    # bits are too.  Per call (400 vectors, half near the simplex; 1 BLAS
-    # thread, 2-core x86-64 Linux, best of 5): 9.7 us at n = 10 against 42 us
-    # for a numpy version, but 4.6 ms at n = 10,000 against 0.33 ms for
-    # simplex_project_rows on that one row.
+    # retrieval, per-call overhead outweighs the arithmetic.  After the shift
+    # below, the IEEE operations and their order are those of
+    # _simplex_rows_raw, and so are the bits before canonicalization.  Per
+    # call (400 vectors, half near the simplex; 1 BLAS thread, 2-core x86-64
+    # Linux, best of 5): 9.7 us at n = 10 against 42 us for a numpy version,
+    # but 4.6 ms at n = 10,000 against 0.33 ms for a numpy version on that
+    # one vector.
     x = np.asarray(v, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("simplex_project expects a non-empty vector")
@@ -323,23 +322,7 @@ def simplex_project(v) -> np.ndarray:
 def simplex_project_rows(a) -> np.ndarray:
     """Project each row of a matrix onto the probability simplex.
 
-    Bitwise equal to :func:`simplex_project` applied to each row: one
-    vectorized projection (after the same shift of rows with an entry above
-    2 in magnitude) and one vectorized fixed-point test, whether the row's
-    descending cumulative sum ends at exactly 1.0; each row that fails it
-    then takes simplex_project's canonicalization rounds.
+    Row i of the result is ``simplex_project(a[i])``, bit for bit.
     """
     m = _as_matrix(a)
-    if m.shape[1] == 1:
-        return np.ones_like(m)
-    big = np.abs(m).max(axis=1) > 2.0
-    if big.any():
-        m = m.copy()
-        m[big] -= (m[big].max(axis=1) - 1.0)[:, None]
-    w = _simplex_rows_raw(m)
-    # The sorted row summed in order, as _is_fixed adds it; the trailing
-    # zeros leave the sum unchanged.
-    total = np.cumsum(-np.sort(-w, axis=1), axis=1)[:, -1]
-    for i in np.flatnonzero(total != 1.0):
-        w[i] = _fixed_point(w[i].tolist())
-    return w
+    return np.vstack([simplex_project(r) for r in m])

@@ -19,6 +19,7 @@ import numpy as np
 
 from .factors import FactorPair, Orientation
 from .linalg import _frozen, row_normalize
+from .matrixio import read_matrix, write_matrix_csv
 from .solver import SolveResult, SolverConfig, factorize
 
 __all__ = [
@@ -188,8 +189,6 @@ def build_corpus(documents, *, stop_words=(),
 
 def write_corpus(corpus: Corpus, matrix_path, vocab_path) -> None:
     """Write the doc-term counts as CSV plus a one-term-per-line sidecar."""
-    from .matrixio import write_matrix_csv
-
     write_matrix_csv(matrix_path, corpus.doc_term)
     with open(vocab_path, "w", encoding="utf-8") as fh:
         for term in corpus.vocabulary:
@@ -201,8 +200,6 @@ def read_corpus(matrix_path, vocab_path) -> Corpus:
 
     Document labels are regenerated as 0-based row indices.
     """
-    from .matrixio import read_matrix
-
     counts = read_matrix(matrix_path)
     vocab = _read_lines(vocab_path)
     if counts.shape[1] != len(vocab):
