@@ -17,9 +17,9 @@ A gain "holds" when at least 10 pairs ran, CHANGE wins at least 9 of every
 10 of them, and its median is better than BASE's by more than BASE's
 interquartile range; with fewer pairs the column reads "few pairs".
 Passing the same directory twice is an A/A run, whose spread is the noise
-floor.  The
-script only reports: it exits 0 once every run has given a result, and 1
-when a run fails.
+floor.  The script only reports: it exits 0 once every run has given a
+result, and 1 when a run fails, prints no JSON result as its last line, or
+reports ``"correct"`` other than true.
 """
 
 from __future__ import annotations
@@ -61,7 +61,16 @@ def _run(tree: Path, args) -> dict:
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"paired_bench: {' '.join(cmd)} exited {proc.returncode}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    # A run that gives no result, or a wrong one, would skew the medians and
+    # the win counts, so it ends the comparison.
+    try:
+        result = json.loads((proc.stdout.strip().splitlines() or [""])[-1])
+    except json.JSONDecodeError:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        raise SystemExit(f"paired_bench: {' '.join(cmd)} printed no JSON result line")
+    if not (isinstance(result, dict) and result.get("correct") is True):
+        raise SystemExit(f"paired_bench: {' '.join(cmd)} gave an incorrect result")
+    return result
 
 
 def _quartiles(values):

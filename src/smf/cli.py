@@ -6,15 +6,17 @@ write; an empty ``--out-dir``, or one that is, or lies under, an existing
 file, is refused before the command runs.  The manifest records the
 subcommand, every resolved option (input paths made absolute, so a run can
 be repeated from any directory), the SHA-256 of each input file, taken
-before the run, the package version, and the BLAS thread settings with the
-CPU count; ``smf rerun manifest.json`` refuses input files added, missing or
-changed since the recorded run, re-executes the run and reproduces all
-output files byte for byte under the same BLAS threading, and warns when
-that differs (the manifest itself carries the wall-clock duration and is
-excluded from that guarantee).  A fit's own bits do not depend on the BLAS
-threading where its ``result.json`` records ``blas_pinned``; the warning is
-for the work that runs outside the pin, such as analyze's sampler and
-faces retrieve.
+before the run, the package version, the wall-clock duration and
+``blas_pinned``: whether the command ran with numpy's bundled OpenBLAS
+pinned to one thread, as every command does where numpy bundles it (the
+fit's pin, see ``solver._blas_pinned``).  ``smf rerun manifest.json``
+refuses input files added, missing or changed since the recorded run,
+re-executes the run and reproduces all output files byte for byte (the
+manifest itself carries the duration and is excluded from that guarantee);
+where the pin holds, that does not depend on the BLAS thread setting, and
+an unpinned run reproduces only under the same BLAS threading.  A key the
+manifest holds beyond the command, options and inputs is not read, so an
+older manifest's ``blas_threads`` record reruns as any other.
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure.  A fit
 whose factors are not feasible within ``EPS_FEAS_PROJECTED`` exits 3 after
@@ -43,7 +45,7 @@ from .identify import (DEFAULT_ZERO_TOL_ESTIMATED, DegenerateFactorError,
                        analysis_report, sample_feasible_A)
 from .matrixio import read_matrix, write_matrix_binary, write_matrix_csv
 from .solver import (EXACT_FIT_TOL, InvalidInputError, Mode, RankDeficientError,
-                     SolverConfig, factorize)
+                     SolverConfig, _blas_pinned, factorize)
 from .topics import (TopicModel, _read_lines, build_corpus, fit_topics,
                      read_corpus, write_corpus, write_histogram_csv,
                      write_top_terms_csv)
@@ -92,25 +94,15 @@ def _write_matrix(matrix, out_dir: str, stem: str, binary: bool) -> None:
     write(_out(out_dir, f"{stem}.bin" if binary else f"{stem}.csv"), matrix)
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _blas_threads() -> dict:
-    # What sets the BLAS thread count, on which a fit's bits depend.
-    threads = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    threads["cpu_count"] = os.cpu_count()
-    return threads
-
-
 def _write_manifest(command: str, options: dict, inputs: list, out_dir: str,
-                    duration: float) -> None:
+                    duration: float, pinned: bool) -> None:
     manifest = {
         "command": command,
         "options": options,
         "inputs": inputs,
         "version": __version__,
         "duration_seconds": duration,
-        "blas_threads": _blas_threads(),
+        "blas_pinned": pinned,
     }
     _dump_json(manifest, _out(out_dir, _MANIFEST_NAME))
 
@@ -486,8 +478,10 @@ def _execute(command: str, options: dict, recorded=None) -> int:
     paths = _input_paths(command, args)
     inputs = _hash_inputs(paths, recorded)
     start = time.monotonic()
-    status = _HANDLERS[command](args, args.out_dir, paths)
-    _write_manifest(command, options, inputs, args.out_dir, time.monotonic() - start)
+    with _blas_pinned() as pinned:
+        status = _HANDLERS[command](args, args.out_dir, paths)
+    _write_manifest(command, options, inputs, args.out_dir, time.monotonic() - start,
+                    pinned)
     return status
 
 
@@ -504,11 +498,6 @@ def _rerun(args) -> int:
                     and isinstance(e.get("sha256"), str) for e in inputs)):
         raise InvalidInputError("manifest lacks an options object or a list of "
                                 "input path and sha256 entries")
-    recorded, current = manifest.get("blas_threads"), _blas_threads()
-    if recorded is not None and recorded != current:
-        print(f"warning: BLAS threading {current} differs from the recorded "
-              f"{recorded}; a fit may not reproduce byte for byte",
-              file=sys.stderr)
     options = dict(options)
     if args.out_dir is not None:
         options["out_dir"] = args.out_dir

@@ -96,12 +96,17 @@ class UniquenessReport:
             raise ValueError("unique flag must match emptiness of violations")
 
 
+def _check_zero_tol(zero_tol: float) -> None:
+    # An infinite zero_tol would make every entry a zero, and nan no entry.
+    if not 0.0 <= zero_tol < np.inf:
+        raise ValueError(f"zero_tol must be non-negative and finite, not {zero_tol!r}")
+
+
 def _supports(factors: FactorPair, zero_tol: float) -> tuple:
     # The one support test behind the verdict, the anchors and the bounds:
     # masks of W > zero_tol (n x R) and H.T > zero_tol (m x R).  An entry
     # below -zero_tol is neither a zero nor a support, so it is refused.
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be non-negative")
+    _check_zero_tol(zero_tol)
     for name, a in (("W", factors.w), ("H", factors.h)):
         below = np.argwhere(a < -zero_tol)
         if below.size:
@@ -202,7 +207,8 @@ def natural_bounds(factors: FactorPair, zero_tol: float = 0.0) -> list:
     Raises
     ------
     ValueError
-        If ``zero_tol`` is negative or an entry lies below ``-zero_tol``.
+        If ``zero_tol`` is negative or not finite, or an entry lies below
+        ``-zero_tol``.
     DegenerateFactorError
         If some factor index has no entry above ``zero_tol`` in its W column
         or its H row.
@@ -307,8 +313,9 @@ def sample_feasible_A(factors: FactorPair, n_samples: int, seed: int,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, not {step!r}")
+    _check_zero_tol(zero_tol)
     rng = np.random.default_rng(seed)
     w, h = factors.w, factors.h
     rank = factors.rank

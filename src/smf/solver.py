@@ -34,6 +34,7 @@ per restart, 192 KB at 2400x10.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import ctypes
 import functools
@@ -403,34 +404,36 @@ def _openblas_threads():
     return get, set_
 
 
-# The BLAS thread count is one per process: the first of overlapping fits
-# saves the caller's count and pins it to one, and the last restores it.
+# The BLAS thread count is one per process: the first of overlapping pins
+# saves the caller's count and sets it to one, and the last restores it.
 _pin_lock = threading.Lock()
 _pin_users = 0
 _pin_saved = 1
 
 
-def _pin_blas() -> bool:
-    """Pins numpy's OpenBLAS to one thread until :func:`_unpin_blas`;
-    returns False, pinning nothing, where numpy bundles no OpenBLAS."""
+@contextlib.contextmanager
+def _blas_pinned():
+    """Runs its block with numpy's OpenBLAS pinned to one thread, yielding
+    True, or yields False, pinning nothing, where numpy bundles no OpenBLAS.
+    A fit and every CLI command run under it: a fit inside a command only
+    raises the count of pins in flight."""
     global _pin_users, _pin_saved
     calls = _openblas_threads()
     if calls is None:
-        return False
+        yield False
+        return
     with _pin_lock:
         if _pin_users == 0:
             _pin_saved = calls[0]()
             calls[1](1)
         _pin_users += 1
-    return True
-
-
-def _unpin_blas() -> None:
-    global _pin_users
-    with _pin_lock:
-        _pin_users -= 1
-        if _pin_users == 0:
-            _openblas_threads()[1](_pin_saved)
+    try:
+        yield True
+    finally:
+        with _pin_lock:
+            _pin_users -= 1
+            if _pin_users == 0:
+                calls[1](_pin_saved)
 
 
 def _usable_cpus() -> int:
@@ -530,7 +533,6 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
                      config.orientation)
         return _feasible_h(h0, config.orientation)
 
-    pinned = _pin_blas()
     k = config.restarts
     results = [None] * k
     errors = {}
@@ -542,6 +544,8 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     def solve(h, hp=None, after_first_round=None):
         h, rounds, converged = _warm_start(xm, h, config, _WARM_START_ROUNDS, norm,
                                            hp, after_first_round, cancel)
+        if cancel is not None and cancel.is_set():
+            return None  # factorize drops a cancelled restart unscored
         obj, w = _score(xm, h, config)
         return h, obj, rounds, converged, w
 
@@ -571,33 +575,32 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
                                   args=(run_pending,), name="smf-restarts")
         worker.start()
 
-    try:
-        norm = frobenius_norm(xm)
-        # The objective is non-negative, so once a restart ends within
-        # EXACT_FIT_TOL |X|_F no other restart could improve on it by more
-        # than that: restarts 1..k-1 count only if restart 0 ends above.
-        exact = EXACT_FIT_TOL * norm
-        anchored = _anchor_start(xm, config)
-        h0, hp0 = (random_start(0), None) if anchored is None else anchored
-        shared = (pinned and k > 1
-                  and n_rows * n_cols * config.rank >= _SHARED_RESTART_WORK)
-        results[0] = solve(h0, hp0, share_restarts if shared else None)
-        if progress is not None:
-            progress(results[0][2], results[0][1])
-        if results[0][1] > exact:
-            if worker is None:
-                pending.extend((j, random_start(j)) for j in range(1, k))
-            run_pending()
+    with _blas_pinned() as pinned:
+        try:
+            norm = frobenius_norm(xm)
+            # The objective is non-negative, so once a restart ends within
+            # EXACT_FIT_TOL |X|_F no other restart could improve on it by more
+            # than that: restarts 1..k-1 count only if restart 0 ends above.
+            exact = EXACT_FIT_TOL * norm
+            anchored = _anchor_start(xm, config)
+            h0, hp0 = (random_start(0), None) if anchored is None else anchored
+            shared = (pinned and k > 1
+                      and n_rows * n_cols * config.rank >= _SHARED_RESTART_WORK)
+            results[0] = solve(h0, hp0, share_restarts if shared else None)
+            if progress is not None:
+                progress(results[0][2], results[0][1])
+            if results[0][1] > exact:
+                if worker is None:
+                    pending.extend((j, random_start(j)) for j in range(1, k))
+                run_pending()
+                if worker is not None:
+                    worker.join()
+        finally:
+            # An exact restart 0, or an error in this thread, cancels the
+            # restarts still running; none outlives the call.
             if worker is not None:
+                cancel.set()
                 worker.join()
-    finally:
-        # An exact restart 0, or an error in this thread, cancels the
-        # restarts still running; none outlives the call.
-        if worker is not None:
-            cancel.set()
-            worker.join()
-        if pinned:
-            _unpin_blas()
 
     if results[0][1] > exact:
         if errors:

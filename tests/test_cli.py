@@ -31,6 +31,7 @@ from smf import (
 )
 from smf import cli, solver
 from smf.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from smf.solver import InvalidInputError
 
 
 def run_cli(*argv):
@@ -226,10 +227,9 @@ def test_factorize_manifest_records_run(tmp_path):
     digest = hashlib.sha256(x_path.read_bytes()).hexdigest()
     assert entry["sha256"] == digest
     assert manifest["duration_seconds"] >= 0.0
-    assert manifest["blas_threads"] == {
-        name: os.environ.get(name)
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    } | {"cpu_count": os.cpu_count()}
+    # The one BLAS fact is the pin's; the thread settings are not recorded.
+    assert manifest["blas_pinned"] is (solver._openblas_threads() is not None)
+    assert "blas_threads" not in manifest
 
 
 def test_factorize_binary_output(tmp_path):
@@ -433,6 +433,22 @@ def test_analyze_refuses_negative_samples(tmp_path, capsys, monkeypatch):
     assert run_cli("analyze", w_path, h_path, "--samples", -5,
                    "--out-dir", out) == EXIT_INPUT
     assert "--samples must be at least 0, not -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--zero-tol", "--step"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_analyze_refuses_a_tolerance_or_step_that_is_negative_or_not_finite(
+        tmp_path, capsys, flag, value):
+    # An infinite --zero-tol would read as a factor with empty support (a
+    # numerical failure), and a nan or infinite --step would be written into
+    # report.json, which JSON cannot hold: both are input errors.
+    w_path, h_path = worked_factors(tmp_path)
+    out = tmp_path / "run"
+    assert run_cli("analyze", w_path, h_path, "--samples", 20, flag, value,
+                   "--out-dir", out) == EXIT_INPUT
+    name = flag[2:].replace("-", "_")
+    assert f"error: {name} must be " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -728,29 +744,17 @@ def test_rerun_analyze_bitwise(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
-def test_rerun_warns_when_blas_threading_differs(tmp_path, capsys, monkeypatch):
-    x_path, _ = write_instance(tmp_path, seed=5)
-    out1 = tmp_path / "run1"
-    assert run_cli("factorize", x_path, "--rank", 2, "--restarts", 1,
-                   "--out-dir", out1) == EXIT_OK
-    capsys.readouterr()
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
-    out2 = tmp_path / "run2"
-    assert run_cli("rerun", out1 / "manifest.json", "--out-dir", out2) == EXIT_OK
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("warning: BLAS threading") and "'7'" in line
-    for name in ("W.csv", "H.csv", "result.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-def test_rerun_of_a_manifest_without_blas_threads_is_silent(tmp_path, capsys,
-                                                            monkeypatch):
+def test_rerun_of_a_manifest_with_an_old_blas_threads_record_is_silent(
+        tmp_path, capsys, monkeypatch):
+    # Manifests written before every command ran pinned recorded the thread
+    # settings as blas_threads; a rerun ignores the key.
     w_path, h_path = worked_factors(tmp_path)
     out1 = tmp_path / "run1"
     assert run_cli("analyze", w_path, h_path, "--samples", 50,
                    "--out-dir", out1) == EXIT_OK
     manifest = json.loads((out1 / "manifest.json").read_text())
-    del manifest["blas_threads"]
+    manifest["blas_threads"] = {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None,
+                                "MKL_NUM_THREADS": None, "cpu_count": 64}
     (out1 / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
@@ -924,6 +928,85 @@ def test_tol_flag_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------- BLAS pin
+
+
+@pytest.mark.blas_threads
+@pytest.mark.parametrize("raised, code", [(None, EXIT_OK),
+                                          (InvalidInputError, EXIT_INPUT),
+                                          (FloatingPointError, EXIT_NUMERICAL)])
+def test_every_command_runs_pinned_and_restores_the_callers_blas_threads(
+        tmp_path, monkeypatch, raised, code):
+    # A handler runs with numpy's OpenBLAS on one thread; the caller's count
+    # (2 here) is back once main returns, whatever its exit code.
+    calls = solver._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get, set_ = calls
+    seen = []
+
+    def handler(args, out_dir, paths):
+        seen.append(get())
+        if raised is not None:
+            raise raised("from the handler")
+        return EXIT_OK
+
+    monkeypatch.setitem(cli._HANDLERS, "faces-error", handler)
+    x_path, _ = write_instance(tmp_path)
+    out = tmp_path / "run"
+    before = get()
+    try:
+        set_(2)
+        assert run_cli("faces", "error", x_path, x_path, x_path, "--out-dir", out) == code
+        assert (seen, get()) == ([1], 2)
+    finally:
+        set_(before)
+    if raised is None:
+        assert json.loads((out / "manifest.json").read_text())["blas_pinned"] is True
+
+
+@pytest.mark.blas_threads
+def test_commands_outside_the_fit_give_equal_bytes_on_one_and_two_blas_threads(
+        tmp_path):
+    # analyze with its sampler (a non-anchored pair, so the walk moves) and
+    # faces reconstruct, retrieve and error, run in processes started with
+    # OPENBLAS_NUM_THREADS=1 and with 2, on a 2400x81, R=10 pair.
+    x, gt = generate(2400, 81, 10, anchors=False, seed=4,
+                     orientation=Orientation.W_ROWS_SUM_TO_1)
+    x_path, w_path, h_path = (tmp_path / f"{n}.csv" for n in "XWH")
+    for path, m in ((x_path, x), (w_path, gt.w), (h_path, gt.h)):
+        write_matrix_csv(path, m)
+    query = tmp_path / "query.pgm"
+    write_pgm(GrayImage(pixels=x[7].reshape(9, 9)), query)
+    outputs = {
+        "analyze/report.json": ["analyze", w_path, h_path, "--zero-tol", 0,
+                                "--samples", 300],
+        "reconstruct/reconstruction.pgm": ["faces", "reconstruct", w_path, h_path,
+                                           "--row", 7],
+        "retrieve/retrieval.json": ["faces", "retrieve", query, w_path, h_path],
+        "error/error.json": ["faces", "error", x_path, w_path, h_path],
+    }
+    code = """if True:
+        import json, sys
+        from smf.cli import main
+        sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))
+    """
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        argvs = [[str(a) for a in argv] + ["--out-dir", str(out / name.split("/")[0])]
+                 for name, argv in outputs.items()]
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                              capture_output=True, text=True,
+                              env={**_checkout_env(), "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == EXIT_OK, proc.stderr
+        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in outputs})
+    assert digests[0] == digests[1]
+    report = json.loads((tmp_path / "threads2" / "analyze" / "report.json").read_text())
+    assert report["oracle"]["single_axis_checked"] > 0
 
 
 # ----------------------------------------------------------------- plumbing

@@ -152,6 +152,14 @@ def test_an_entry_below_minus_zero_tol_is_refused():
         support_sets(pair(w, h), zero_tol=-1.0)
 
 
+@pytest.mark.parametrize("zero_tol", [np.nan, np.inf, -1.0])
+def test_bounds_refuse_a_zero_tol_that_is_negative_or_not_finite(zero_tol):
+    # An infinite zero_tol would empty every support, which would read as a
+    # degenerate factor, and nan would make no entry a zero.
+    with pytest.raises(ValueError, match="zero_tol must be non-negative and finite"):
+        natural_bounds(pair(WORKED_W, WORKED_H), zero_tol=zero_tol)
+
+
 def test_an_entry_within_zero_tol_below_zero_counts_as_zero():
     w = [[1.0, -1e-7], [1e-7, 1.0]]
     h = [[0.6, 0.4, -1e-7], [0.0, 0.5, 0.5]]
@@ -454,6 +462,15 @@ def test_sampler_is_deterministic():
     assert all(np.array_equal(x.a, y.a) for x, y in zip(a, b))
     c = sample_feasible_A(p, 100, seed=14)
     assert any(not np.array_equal(x.a, y.a) for x, y in zip(a, c))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_sampler_refuses_a_step_or_zero_tol_that_is_negative_or_not_finite(value):
+    p = pair(WORKED_W, WORKED_H)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        sample_feasible_A(p, 10, seed=0, step=value)
+    with pytest.raises(ValueError, match="zero_tol must be non-negative and finite"):
+        sample_feasible_A(p, 10, seed=0, zero_tol=value)
 
 
 def _reference_is_feasible(a, w, h, zero_tol):

@@ -33,6 +33,7 @@ from smf.solver import (
     _feasible_w,
     _full_rank_pinv,
     _init_h,
+    _score,
     _spa,
     _warm_start,
 )
@@ -430,6 +431,33 @@ def test_no_thread_outlives_factorize(shared, monkeypatch):
     # One worker for each of the three fits, where the pin holds.
     assert len(shared.started) == 3 * int(pinned)
     assert not any(t.is_alive() for t in shared.started)
+
+
+@pytest.mark.blas_threads
+def test_a_cancelled_restart_is_not_scored(shared, monkeypatch):
+    # Restart 0 fits a noiseless, non-anchored X exactly after many rounds;
+    # the worker's restart, held until the exact fit cancels it, returns
+    # from its warm start at once and is dropped without a score, so the
+    # fit scores restart 0 alone.
+    x, _ = generate(40, 12, 3, anchors=False, seed=0)
+    scored, uncancelled = [], []
+
+    def counting(*args):
+        scored.append(threading.current_thread().name)
+        return _score(*args)
+
+    def held(x, h, config, rounds, norm, hp=None, after=None, cancel=None):
+        if hp is None and not cancel.wait(timeout=10):
+            uncancelled.append(h)
+        return _warm_start(x, h, config, rounds, norm, hp, after, cancel)
+
+    monkeypatch.setattr(solver, "_score", counting)
+    monkeypatch.setattr(solver, "_warm_start", held)
+    res = factorize(x, cfg(rank=3, restarts=5))
+    assert res.iterations > 1 and res.restart_objectives == [res.objective]
+    assert len(shared.started) == int(res.blas_pinned)
+    assert uncancelled == []
+    assert scored == [threading.current_thread().name]
 
 
 @pytest.mark.blas_threads
