@@ -41,7 +41,7 @@ from . import __version__
 from .factors import FactorPair, Orientation
 from .faces import (downsample_2x2, read_pgm, reconstruct, reconstruction_error,
                     retrieve, write_pgm)
-from .identify import (DEFAULT_ZERO_TOL_ESTIMATED, DegenerateFactorError,
+from .identify import (DEFAULT_ZERO_TOL_ESTIMATED, DegenerateFactorError, _check_step,
                        analysis_report, sample_feasible_A)
 from .matrixio import read_matrix, write_matrix_binary, write_matrix_csv
 from .solver import (EXACT_FIT_TOL, InvalidInputError, Mode, RankDeficientError,
@@ -159,6 +159,11 @@ def _cmd_factorize(args, out_dir: str, paths: list) -> int:
 def _cmd_analyze(args, out_dir: str, paths: list) -> int:
     if args.samples < 0:
         raise InvalidInputError(f"--samples must be at least 0, not {args.samples}")
+    # The sampler's step and seed are checked even when it does not run, so
+    # a manifest never records a value the sampler would refuse.
+    _check_step(args.step)
+    if args.seed < 0:
+        raise InvalidInputError(f"--seed must be at least 0, not {args.seed}")
     factors = _load_factors(args.w, args.h, Orientation(args.orientation))
     report = analysis_report(factors, zero_tol=args.zero_tol)
     if args.samples > 0:

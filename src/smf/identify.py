@@ -102,6 +102,13 @@ def _check_zero_tol(zero_tol: float) -> None:
         raise ValueError(f"zero_tol must be non-negative and finite, not {zero_tol!r}")
 
 
+def _check_step(step: float) -> None:
+    # A step that is not positive makes no move; a nan or infinite one would
+    # reach report.json and manifest.json, which JSON cannot hold.
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, not {step!r}")
+
+
 def _supports(factors: FactorPair, zero_tol: float) -> tuple:
     # The one support test behind the verdict, the anchors and the bounds:
     # masks of W > zero_tol (n x R) and H.T > zero_tol (m x R).  An entry
@@ -313,8 +320,7 @@ def sample_feasible_A(factors: FactorPair, n_samples: int, seed: int,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if not 0.0 < step < np.inf:
-        raise ValueError(f"step must be positive and finite, not {step!r}")
+    _check_step(step)
     _check_zero_tol(zero_tol)
     rng = np.random.default_rng(seed)
     w, h = factors.w, factors.h

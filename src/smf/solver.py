@@ -16,7 +16,7 @@ A fit runs with numpy's bundled OpenBLAS pinned to one thread, so its bits
 do not depend on the BLAS thread setting, and a large fit on two CPUs runs
 restarts 1..k-1 on a worker thread beside restart 0 (see :func:`factorize`).
 On the benchmark's topics fit (800x356, R=20, 2 restarts; 2-core x86-64) a
-fit took 151-209 ms serial and 117-150 ms shared, over 10 alternating runs.
+fit took 138-151 ms serial and 93-120 ms shared, over 10 alternating runs.
 
 A warm start projects each round's W = X pinv(Y) onto its feasible set.  A
 row-stochastic W of N rows and R columns with N >= 64 R goes through
@@ -40,7 +40,6 @@ import ctypes
 import functools
 import os
 import threading
-from collections import deque
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -123,6 +122,9 @@ class SolverConfig:
             raise InvalidInputError("rank must be at least 1")
         if self.restarts < 1:
             raise InvalidInputError("restarts must be at least 1")
+        # numpy refuses a negative seed, but only at the first random restart.
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be at least 0, not {self.seed}")
         self.mode = Mode(self.mode)
 
 
@@ -290,21 +292,23 @@ _ORDERED_ROWS_PER_FACTOR = 64
 # Restarts 1..k-1 go to a second thread only when n m R, the size of a
 # round's X pinv(Y) and W'X products, is at least this.  Smaller rounds
 # spend most of their time holding the interpreter lock, and two restarts
-# then wait on each other: with two CPUs and one BLAS thread, 2-restart fits
-# of 1.0e6 to 1.5e6 ran 0.7x to 1.12x their serial time, and of 1.6e6 to
-# 5.8e6 0.59x to 0.84x; 3-restart fits of 1.1e3 to 2.4e5 ran 1.35x to 2.2x.
+# then wait on each other.  With two CPUs and one BLAS thread, measured
+# while the worker started after restart 0's first round: 2-restart fits of
+# 1.0e6 to 1.5e6 ran 0.7x to 1.12x their serial time, and of 1.6e6 to 5.8e6
+# 0.59x to 0.84x; 3-restart fits of 1.1e3 to 2.4e5 ran 1.35x to 2.2x.  With
+# the worker started before restart 0, noisy 2-restart fits (median of 7)
+# ran 0.87x to 1.14x below 1.6e6 (2400x42 and 2400x62 at R=10, 4000x62 at
+# R=4, 800x64 at R=20) and 0.58x to 0.97x from 1.6e6 to 2.4e6 (2400x81 and
+# 2400x100, 4000x100 and 4000x150, 800x100 and 800x150).
 _SHARED_RESTART_WORK = 1_600_000
 
 
 def _warm_start(x, h, config: SolverConfig, rounds: int, norm: float, hp=None,
-                after_first_round: Optional[Callable[[], None]] = None,
                 cancel: Optional[threading.Event] = None):
     """Extrapolated projected alternating least squares on the bilinear loss;
     returns ``(h, rounds_run, converged)``.  ``norm`` is |X|_F, and ``hp``,
     when given, is pinv(h), which the first round then does not compute.
-    ``after_first_round``, when given, is called once the first round has
-    run without ending the warm start; a set ``cancel`` stops it unconverged
-    before its next round.
+    A set ``cancel`` stops it unconverged before its next round.
 
     Each round refreshes W = X pinv(Y), projects it feasible, then takes
     three Lipschitz-step projected gradient updates on H from Y for that
@@ -338,8 +342,6 @@ def _warm_start(x, h, config: SolverConfig, rounds: int, norm: float, hp=None,
     beta, ceil = _BETA_START, _BETA_CEIL_START
     extrapolated = rose = False
     for t in range(rounds):
-        if t == 1 and after_first_round is not None:
-            after_first_round()
         if cancel is not None and cancel.is_set():
             return acc, t, False
         if t or hp is None:
@@ -462,14 +464,18 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
 
     The fit runs with numpy's bundled OpenBLAS pinned to one thread, and
     the caller's thread count is restored on return.  Under the pin, with
-    at least two usable CPUs and n m R of at least ``_SHARED_RESTART_WORK``,
-    restarts 1..k-1 go to one worker thread once restart 0 has run a round
-    without ending, and the caller takes those still pending when restart 0
-    ends; an exact restart 0 cancels them and drops their results and
-    errors.  Otherwise they run after restart 0, one at a time.  Either way
-    each restart gives the bits of a serial run, and an error a restart
-    raises reaches the caller only if the serial path would have raised
-    it: restart 0 not exact, and the first failing restart by index.
+    k > 1, n m R of at least ``_SHARED_RESTART_WORK`` and at least two
+    usable CPUs, one worker thread starts before restart 0 and takes
+    restarts 1..k-1 in index order beside it; the caller takes those left
+    once restart 0 ends.  An exact restart 0 cancels the worker and drops
+    its results and errors; the worker's round in flight and the wait for
+    it are the cost: noiseless anchored 3-restart fits on two CPUs took
+    7-10 ms at 2400x81 (R=10) against 5-7 ms serial, and 11-17 ms at
+    800x356 (R=20) against 9-13 ms.  Otherwise the restarts run after
+    restart 0, one at a time.  Either way each restart gives the bits of a
+    serial run, and an error a restart raises reaches the caller only if
+    the serial path would have raised it: restart 0 not exact, and the
+    first failing restart by index.
 
     A warm start forms a residual the size of X only in near-exact rounds,
     and the score forms one, so a fit's traced peak memory is about one
@@ -536,44 +542,32 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     k = config.restarts
     results = [None] * k
     errors = {}
-    # (index, start) of the random restarts no thread has taken yet, in
-    # index order.  Their starts are built in the caller's thread.
-    pending = deque()
-    worker = cancel = None
+    # Restarts 1..k-1, taken in index order by the threads that run them.
+    todo = iter(range(1, k))
+    cancel = threading.Event()
+    worker = None
 
-    def solve(h, hp=None, after_first_round=None):
+    def solve(h, hp=None):
         h, rounds, converged = _warm_start(xm, h, config, _WARM_START_ROUNDS, norm,
-                                           hp, after_first_round, cancel)
-        if cancel is not None and cancel.is_set():
+                                           hp, cancel)
+        if cancel.is_set():
             return None  # factorize drops a cancelled restart unscored
         obj, w = _score(xm, h, config)
         return h, obj, rounds, converged, w
 
-    def run_pending():
-        # After a failure every pending index is above the failed one, so
-        # none of them can change which error is raised.
-        while not (errors or cancel and cancel.is_set()):
-            try:
-                j, h0 = pending.popleft()
-            except IndexError:
+    def run_restarts():
+        # next() on a range iterator holds the interpreter lock, so each index
+        # goes to one thread, and an index taken always runs.  After a failure
+        # every index not yet taken is above the failed one, so none of them
+        # can change which error is raised.
+        while not (errors or cancel.is_set()):
+            j = next(todo, None)
+            if j is None:
                 return
             try:
-                results[j] = solve(h0)
+                results[j] = solve(random_start(j))
             except Exception as exc:  # raised in the caller, by index
                 errors[j] = exc
-
-    def share_restarts():
-        # Restart 0 has run a round without ending: a second CPU takes
-        # restarts 1..k-1 beside it.  One BLAS thread per fit keeps the bits
-        # those of a serial run.
-        nonlocal worker, cancel
-        if _usable_cpus() < 2:
-            return
-        pending.extend((j, random_start(j)) for j in range(1, k))
-        cancel = threading.Event()
-        worker = threading.Thread(target=contextvars.copy_context().run,
-                                  args=(run_pending,), name="smf-restarts")
-        worker.start()
 
     with _blas_pinned() as pinned:
         try:
@@ -582,17 +576,21 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
             # EXACT_FIT_TOL |X|_F no other restart could improve on it by more
             # than that: restarts 1..k-1 count only if restart 0 ends above.
             exact = EXACT_FIT_TOL * norm
+            if (pinned and k > 1
+                    and n_rows * n_cols * config.rank >= _SHARED_RESTART_WORK
+                    and _usable_cpus() > 1):
+                # A second CPU runs restarts 1..k-1 beside restart 0.  One BLAS
+                # thread per fit keeps the bits those of a serial run.
+                worker = threading.Thread(target=contextvars.copy_context().run,
+                                          args=(run_restarts,), name="smf-restarts")
+                worker.start()
             anchored = _anchor_start(xm, config)
             h0, hp0 = (random_start(0), None) if anchored is None else anchored
-            shared = (pinned and k > 1
-                      and n_rows * n_cols * config.rank >= _SHARED_RESTART_WORK)
-            results[0] = solve(h0, hp0, share_restarts if shared else None)
+            results[0] = solve(h0, hp0)
             if progress is not None:
                 progress(results[0][2], results[0][1])
             if results[0][1] > exact:
-                if worker is None:
-                    pending.extend((j, random_start(j)) for j in range(1, k))
-                run_pending()
+                run_restarts()
                 if worker is not None:
                     worker.join()
         finally:

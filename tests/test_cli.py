@@ -300,6 +300,31 @@ def block_corpus_files(tmp_path):
     return tmp_path / "doc_term.csv", tmp_path / "vocab.txt", tmp_path / "X.csv"
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_factorize_refuses_a_negative_seed(tmp_path, capsys, sigma):
+    # numpy refuses a negative seed only at a random restart, which an exact
+    # fit never reaches: the config refuses it on exact and noisy input
+    # alike, before any restart runs, and so does a rerun of a manifest that
+    # records one.
+    x, _ = generate(20, 8, 2, anchors=True, noise_sigma=sigma, seed=0,
+                    orientation=Orientation.W_ROWS_SUM_TO_1)
+    path = tmp_path / "X.csv"
+    write_matrix_csv(path, x)
+    out = tmp_path / "run"
+    assert run_cli("factorize", path, "--rank", 2, "--restarts", 3, "--seed", -2,
+                   "--out-dir", out) == EXIT_INPUT
+    assert "seed must be at least 0, not -2" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("factorize", path, "--rank", 2, "--restarts", 3,
+                   "--out-dir", out) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["options"]["seed"] = -2
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("rerun", out / "manifest.json", "--out-dir", tmp_path / "again") == EXIT_INPUT
+    assert "seed must be at least 0, not -2" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
+
+
 @pytest.mark.parametrize("command", ["factorize", "topics-fit"])
 def test_infeasible_fit_exits_numerical_after_writing(tmp_path, capsys, command,
                                                      monkeypatch):
@@ -449,6 +474,23 @@ def test_analyze_refuses_a_tolerance_or_step_that_is_negative_or_not_finite(
                    "--out-dir", out) == EXIT_INPUT
     name = flag[2:].replace("-", "_")
     assert f"error: {name} must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--step", "nan"), ("--step", "inf"),
+                                         ("--step", "-1"), ("--seed", "-1")])
+def test_analyze_refuses_a_bad_step_or_seed_without_sampling(tmp_path, capsys,
+                                                             monkeypatch, flag, value):
+    # --samples 0 runs no sampler, but its step and seed are still checked
+    # before the report is built: a nan step would reach manifest.json,
+    # which JSON cannot hold.
+    monkeypatch.setattr(cli, "analysis_report",
+                        lambda *a, **k: pytest.fail("the report was built"))
+    w_path, h_path = worked_factors(tmp_path)
+    out = tmp_path / "run"
+    assert run_cli("analyze", w_path, h_path, "--samples", 0, flag, value,
+                   "--out-dir", out) == EXIT_INPUT
+    assert f"{flag[2:]} must be " in capsys.readouterr().err
     assert not out.exists()
 
 

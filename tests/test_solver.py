@@ -51,6 +51,8 @@ def test_config_validation():
         cfg(rank=0)
     with pytest.raises(InvalidInputError):
         cfg(restarts=0)
+    with pytest.raises(InvalidInputError, match="seed must be at least 0"):
+        cfg(seed=-2)
     # The exact-fit tolerance is the fixed solver.EXACT_FIT_TOL.
     with pytest.raises(TypeError):
         cfg(conv_tol=1e-8)
@@ -343,10 +345,10 @@ def shared(monkeypatch):
 def failing_random_restarts(monkeypatch, fail):
     # Wraps _warm_start so that a random restart (one given no pinv) calls
     # fail(start) first; restart 0 starts from the anchors with their pinv.
-    def wrapped(x, h, config, rounds, norm, hp=None, *hooks):
+    def wrapped(x, h, config, rounds, norm, hp=None, cancel=None):
         if hp is None:
             fail(h)
-        return _warm_start(x, h, config, rounds, norm, hp, *hooks)
+        return _warm_start(x, h, config, rounds, norm, hp, cancel)
 
     monkeypatch.setattr(solver, "_warm_start", wrapped)
 
@@ -378,12 +380,23 @@ def test_threaded_restarts_match_sequential(shared):
 
 
 @pytest.mark.blas_threads
-def test_exact_fit_starts_no_thread(shared):
-    # A one-round exact restart 0 ends before a worker could start.
+def test_exact_fit_on_two_cpus_returns_restart_0_alone(shared):
+    # The worker starts before restart 0; a one-round exact restart 0
+    # cancels it, so the fit returns restart 0 alone with the bytes of a
+    # one-CPU fit, and no worker is left running.
     x, _ = generate(40, 12, 3, anchors=True, orientation=Orientation.BOTH, seed=6)
-    res = factorize(x, cfg(rank=3, orientation=Orientation.BOTH, restarts=5))
-    assert (res.iterations, res.restart_objectives) == (1, [res.objective])
+    c = cfg(rank=3, orientation=Orientation.BOTH, restarts=5)
+    shared.cpus(1)
+    seq = factorize(x, c)
     assert shared.started == []
+    shared.cpus(2)
+    res = factorize(x, c)
+    assert (res.iterations, res.restart_objectives) == (1, [res.objective])
+    assert res.restart_objectives == seq.restart_objectives
+    assert res.factors.w.tobytes() == seq.factors.w.tobytes()
+    assert res.factors.h.tobytes() == seq.factors.h.tobytes()
+    assert len(shared.started) == int(res.blas_pinned)
+    assert not any(t.is_alive() for t in shared.started)
 
 
 @pytest.mark.blas_threads
@@ -401,17 +414,16 @@ def test_small_fits_keep_their_restarts_in_the_callers_thread(shared, monkeypatc
 def test_no_thread_outlives_factorize(shared, monkeypatch):
     noisy, _ = generate(60, 14, 3, anchors=True, noise_sigma=0.03, seed=17)
     # Noiseless but not anchored: restart 0 takes many rounds to fit exactly,
-    # so the worker starts, and its restart runs until the exact fit cancels
-    # it; what it raises then is dropped, as the serial path would not have
-    # run it.
+    # and the worker's restart runs until the exact fit cancels it; what it
+    # raises then is dropped, as the serial path would not have run it.
     exact, _ = generate(40, 12, 3, anchors=False, seed=0)
     c = cfg(rank=3, restarts=5)
     pinned = factorize(noisy, c).blas_pinned
     uncancelled = []
 
-    def until_cancelled(x, h, config, rounds, norm, hp=None, after=None, cancel=None):
+    def until_cancelled(x, h, config, rounds, norm, hp=None, cancel=None):
         if hp is not None:
-            return _warm_start(x, h, config, rounds, norm, hp, after, cancel)
+            return _warm_start(x, h, config, rounds, norm, hp, cancel)
         if not cancel.wait(timeout=10):
             uncancelled.append(h)
         raise ValueError("random restart")
@@ -446,10 +458,10 @@ def test_a_cancelled_restart_is_not_scored(shared, monkeypatch):
         scored.append(threading.current_thread().name)
         return _score(*args)
 
-    def held(x, h, config, rounds, norm, hp=None, after=None, cancel=None):
+    def held(x, h, config, rounds, norm, hp=None, cancel=None):
         if hp is None and not cancel.wait(timeout=10):
             uncancelled.append(h)
-        return _warm_start(x, h, config, rounds, norm, hp, after, cancel)
+        return _warm_start(x, h, config, rounds, norm, hp, cancel)
 
     monkeypatch.setattr(solver, "_score", counting)
     monkeypatch.setattr(solver, "_warm_start", held)
@@ -464,19 +476,19 @@ def test_a_cancelled_restart_is_not_scored(shared, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_first_failing_restart_in_index_order_is_raised(shared, monkeypatch, cpus):
     # Restart 1 fails after a full warm start and restarts 2..4 at once, so
-    # on two CPUs the caller's restart 2 fails first; the serial path raises
-    # restart 1's error, and so does the shared one.
+    # on two CPUs the caller's restart 2 can fail first; the serial path
+    # raises restart 1's error, and so does the shared one.
     x, _ = generate(60, 14, 3, anchors=True, noise_sigma=0.03, seed=17)
     c = cfg(rank=3, restarts=5)
     starts = [_feasible_h(_init_h(np.random.default_rng(c.seed + j), c.rank, x.shape[1],
                                   c.orientation), c.orientation)
               for j in range(c.restarts)]
 
-    def wrapped(x, h, config, rounds, norm, hp=None, *hooks):
+    def wrapped(x, h, config, rounds, norm, hp=None, cancel=None):
         j = next((j for j in range(1, c.restarts) if np.array_equal(h, starts[j])), 0)
         if j > 1:
             raise ValueError(f"restart {j}")
-        out = _warm_start(x, h, config, rounds, norm, hp, *hooks)
+        out = _warm_start(x, h, config, rounds, norm, hp, cancel)
         if j == 1:
             raise ValueError("restart 1")
         return out
