@@ -12,11 +12,14 @@ pinned to one thread, as every command does where numpy bundles it (the
 fit's pin, see ``solver._blas_pinned``).  ``smf rerun manifest.json``
 refuses input files added, missing or changed since the recorded run,
 re-executes the run and reproduces all output files byte for byte (the
-manifest itself carries the duration and is excluded from that guarantee);
-where the pin holds, that does not depend on the BLAS thread setting, and
-an unpinned run reproduces only under the same BLAS threading.  A key the
-manifest holds beyond the command, options and inputs is not read, so an
-older manifest's ``blas_threads`` record reruns as any other.
+manifest itself carries the duration and is excluded from that guarantee).
+A recorded option must be a value its flag's parser could give, of the type
+it converts to and among its choices; one that is not is refused, never
+coerced.  Where the pin holds, the rerun's bytes do not depend on the BLAS
+thread setting, and an unpinned run reproduces only under the same BLAS
+threading.  A key the manifest holds beyond the command, options and
+inputs is not read, so an older manifest's ``blas_threads`` record reruns
+as any other.
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure.  A fit
 whose factors are not feasible within ``EPS_FEAS_PROJECTED`` exits 3 after
@@ -475,11 +478,44 @@ def _hash_inputs(paths: list, recorded) -> list:
     return inputs
 
 
+def _flag_parser(command: str) -> argparse.ArgumentParser:
+    # The subcommand parser that a fresh run of command parses its flags with.
+    parser = _build_parser()
+    for name in command.split("-", 1):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    return parser
+
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a float", str: "a string"}
+
+
+def _check_recorded(command: str, options: dict) -> None:
+    # A rerun's options must be values that parsing their flags could give:
+    # of the type the flag converts to (a string where it converts none or
+    # makes a path), a bool for a switch, None only where that is the
+    # default, and one of the flag's choices.  Nothing is coerced.
+    for action in _flag_parser(command)._actions:
+        value = options.get(action.dest)
+        if action.dest not in options or (value is None and action.default is None):
+            continue  # a missing option is refused where the run reads it
+        want = (bool if isinstance(action, argparse._StoreTrueAction)
+                else action.type if action.type in (int, float) else str)
+        if type(value) is not want or (action.choices and value not in action.choices):
+            what = (f"one of {', '.join(map(repr, action.choices))}" if action.choices
+                    else _KINDS[want])
+            raise InvalidInputError(f"manifest option {action.dest!r} is "
+                                    f"{json.dumps(value)}, not {what}")
+
+
 def _execute(command: str, options: dict, recorded=None) -> int:
     # Everything a run reads is decided and hashed before its handler runs,
-    # so the manifest records the inputs as they were read.
+    # so the manifest records the inputs as they were read.  A rerun's
+    # options are checked against the flags first.
     args = _Options(**options)
     _check_out_dir(args.out_dir)
+    if recorded is not None:
+        _check_recorded(command, options)
     paths = _input_paths(command, args)
     inputs = _hash_inputs(paths, recorded)
     start = time.monotonic()

@@ -40,6 +40,7 @@ import ctypes
 import functools
 import os
 import threading
+from collections import namedtuple
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -118,13 +119,14 @@ class SolverConfig:
     max_iter: InitVar[Optional[int]] = None
 
     def __post_init__(self, max_iter):
-        if self.rank < 1:
-            raise InvalidInputError("rank must be at least 1")
-        if self.restarts < 1:
-            raise InvalidInputError("restarts must be at least 1")
-        # numpy refuses a negative seed, but only at the first random restart.
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be at least 0, not {self.seed}")
+        # numpy refuses a negative or non-integer seed, but only at the first
+        # random restart, after restart 0 has run.
+        for name, low in (("rank", 1), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidInputError(f"{name} must be an integer, not {value!r}")
+            if value < low:
+                raise InvalidInputError(f"{name} must be at least {low}, not {value}")
         self.mode = Mode(self.mode)
 
 
@@ -135,8 +137,7 @@ class SolveResult:
     # [objective]: each restart is scored once, where its warm start ends.
     objective_trace: list[float]
     # The winning restart's warm-start rounds, and whether its warm start
-    # stopped at the loss floor or a plateau (not at the round cap, on a
-    # second rise in a row, or on a rank-deficient point or zero W).
+    # converged: stop_reason is "floor" or "plateau" (see _warm_start).
     iterations: int
     converged: bool
     best_restart: int
@@ -150,6 +151,11 @@ class SolveResult:
     # Whether the fit ran with numpy's OpenBLAS pinned to one thread, which
     # makes its bits those of a one-thread run on any BLAS thread setting.
     blas_pinned: bool = False
+    # Why the winning restart's warm start stopped, and for each restart
+    # that ran, by index, {"index", "rounds", "discarded", "stop_reason"}:
+    # its rounds, the discarded extrapolated rounds among them, its reason.
+    stop_reason: Optional[str] = None
+    stats: list[dict] = field(default_factory=list)
 
 
 def _check_x(x) -> np.ndarray:
@@ -301,14 +307,23 @@ _ORDERED_ROWS_PER_FACTOR = 64
 # R=4, 800x64 at R=20) and 0.58x to 0.97x from 1.6e6 to 2.4e6 (2400x81 and
 # 2400x100, 4000x100 and 4000x150, 800x100 and 800x150).
 _SHARED_RESTART_WORK = 1_600_000
+# What factorize keeps of a restart: its H, its score and the W the score
+# used (None at a rank-deficient H), and its warm start's rounds, discarded
+# rounds and stop reason.
+_Restart = namedtuple("_Restart", "h objective w rounds discarded reason")
+# The cancel event of a fit without a worker thread: nothing sets it.
+_NEVER = threading.Event()
 
 
 def _warm_start(x, h, config: SolverConfig, rounds: int, norm: float, hp=None,
                 cancel: Optional[threading.Event] = None):
     """Extrapolated projected alternating least squares on the bilinear loss;
-    returns ``(h, rounds_run, converged)``.  ``norm`` is |X|_F, and ``hp``,
-    when given, is pinv(h), which the first round then does not compute.
-    A set ``cancel`` stops it unconverged before its next round.
+    returns ``(h, rounds_run, discarded, reason)``: the H it ends at, the
+    rounds it ran, the discarded extrapolated rounds among them, and why it
+    stopped.  ``norm`` is |X|_F, and ``hp``, when given, is pinv(h), which
+    the first round then does not compute.  A set ``cancel`` stops it before
+    its next round, with the reason ``"cancelled"``, which ``factorize``
+    drops unscored.
 
     Each round refreshes W = X pinv(Y), projects it feasible, then takes
     three Lipschitz-step projected gradient updates on H from Y for that
@@ -321,13 +336,23 @@ def _warm_start(x, h, config: SolverConfig, rounds: int, norm: float, hp=None,
     start, since a round with a projected W need not descend; a second
     such round in a row stops the restart.
 
-    It stops converged when the loss falls below 1e-13 |X|_F (returning the
-    new H) or plateaus, falling by less than 1e-13 times H_acc's loss
-    (returning the new H, or H_acc if the new loss is higher).  Both tests
-    are relative, so where to stop does not depend on the scale of X.  It
-    stops unconverged, returning H_acc (its start if no round was accepted),
-    on a second rise in a row, when Y is rank-deficient or W is zero
-    (converged if X is zero too), and at the round cap.  A round's loss
+    The reasons, of which ``"floor"`` and ``"plateau"`` count as converged:
+
+    - ``"floor"``: the loss fell below 1e-13 |X|_F, returning the new H; a
+      zero X, whose W is zero and whose loss is 0, stops here too;
+    - ``"plateau"``: the loss fell by less than 1e-13 times H_acc's loss,
+      returning the new H;
+    - ``"second_rise"``: a second plain round in a row rose above H_acc's
+      loss;
+    - ``"rank_deficient"``: Y lacks full row rank;
+    - ``"zero_w"``: the projected W is zero and X is not;
+    - ``"cap"``: ``rounds`` rounds ran.
+
+    The last four return H_acc (the start if no round was accepted).  The
+    floor and plateau tests are relative, so where to stop does not depend
+    on the scale of X.  One chain decides each scored round: stop at the
+    floor, discard, keep a first rise, stop on a plateau or a second rise,
+    or accept.  A round's loss
     comes from the R×m products it already forms,
     |X - W H|^2 = |X|^2 - 2 <W'X, H> + <W'W H, H> (Gillis & Glineur, 2012);
     only a near-exact round forms X - W H, in one buffer the size of X
@@ -341,13 +366,14 @@ def _warm_start(x, h, config: SolverConfig, rounds: int, norm: float, hp=None,
     prev = np.inf
     beta, ceil = _BETA_START, _BETA_CEIL_START
     extrapolated = rose = False
+    discarded = 0
     for t in range(rounds):
         if cancel is not None and cancel.is_set():
-            return acc, t, False
+            return acc, t, discarded, "cancelled"
         if t or hp is None:
             hp = _full_rank_pinv(y)
         if hp is None:
-            return acc, t, False
+            return acc, t, discarded, "rank_deficient"
         if ordered:
             w, order = _simplex_rows_ordered(x @ hp, order)
         else:
@@ -357,8 +383,8 @@ def _warm_start(x, h, config: SolverConfig, rounds: int, norm: float, hp=None,
         # largest singular value) without its per-call overhead.
         lip = np.linalg.svd(gram, compute_uv=False)[0]
         if not lip > 0.0:
-            # W = 0 leaves the loss at |X|, so only a zero X has converged.
-            return acc, t, norm == 0.0
+            # W = 0 leaves the loss at |X|, which only a zero X has at the floor.
+            return acc, t, discarded, "floor" if norm == 0.0 else "zero_w"
         wtx = w.T @ x
         new = y
         for _ in range(3):
@@ -369,23 +395,26 @@ def _warm_start(x, h, config: SolverConfig, rounds: int, norm: float, hp=None,
             sq = np.square(np.subtract(x, z, out=z), out=z).sum()
         loss = np.sqrt(sq)
         if loss < floor:
-            return new, t + 1, True
-        if extrapolated and loss > prev:
+            return new, t + 1, discarded, "floor"
+        elif extrapolated and loss > prev:
             # A discarded round: the next one starts plain from H_acc.
             ceil, beta = beta, beta / _BETA_SHRINK
             y, extrapolated = acc, False
+            discarded += 1
         elif loss > prev and not rose:
             # A plain round whose loss rose: the next one starts plain from it.
             y, rose = new, True
         elif prev - loss < 1e-13 * prev:
             # A plateau, or (loss above H_acc's) a second rise in a row.
-            return (new, t + 1, True) if loss <= prev else (acc, t + 1, False)
+            if loss <= prev:
+                return new, t + 1, discarded, "plateau"
+            return acc, t + 1, discarded, "second_rise"
         else:
             y = _feasible_h(new + beta * (new - acc), config.orientation)
             acc, prev = new, loss
             beta, ceil = min(ceil, _BETA_GROW * beta), min(1.0, _BETA_CEIL_GROW * ceil)
             extrapolated, rose = True, False
-    return acc, rounds, False
+    return acc, rounds, discarded, "cap"
 
 
 @functools.lru_cache(maxsize=None)
@@ -502,9 +531,12 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     Returns
     -------
     SolveResult
-        ``iterations`` and ``converged`` describe the winning restart's warm
-        start, ``objective_trace`` is ``[objective]``, and ``blas_pinned``
-        says whether the pin held.
+        ``iterations``, ``stop_reason`` and ``converged`` describe the
+        winning restart's warm start, ``converged`` being ``stop_reason in
+        ("floor", "plateau")``; ``stats`` gives each restart that ran its
+        rounds, discarded rounds and stop reason, in index order.
+        ``objective_trace`` is ``[objective]``, and ``blas_pinned`` says
+        whether the pin held.
 
     Raises
     ------
@@ -544,16 +576,16 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
     errors = {}
     # Restarts 1..k-1, taken in index order by the threads that run them.
     todo = iter(range(1, k))
-    cancel = threading.Event()
-    worker = None
+    # Only a fit with a worker can cancel, and it makes its own event; an
+    # Event costs a few microseconds, about 1% of a small exact fit.
+    cancel, worker = _NEVER, None
 
     def solve(h, hp=None):
-        h, rounds, converged = _warm_start(xm, h, config, _WARM_START_ROUNDS, norm,
-                                           hp, cancel)
+        h, rounds, discarded, reason = _warm_start(xm, h, config, _WARM_START_ROUNDS,
+                                                   norm, hp, cancel)
         if cancel.is_set():
             return None  # factorize drops a cancelled restart unscored
-        obj, w = _score(xm, h, config)
-        return h, obj, rounds, converged, w
+        return _Restart(h, *_score(xm, h, config), rounds, discarded, reason)
 
     def run_restarts():
         # next() on a range iterator holds the interpreter lock, so each index
@@ -581,6 +613,7 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
                     and _usable_cpus() > 1):
                 # A second CPU runs restarts 1..k-1 beside restart 0.  One BLAS
                 # thread per fit keeps the bits those of a serial run.
+                cancel = threading.Event()
                 worker = threading.Thread(target=contextvars.copy_context().run,
                                           args=(run_restarts,), name="smf-restarts")
                 worker.start()
@@ -588,8 +621,8 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
             h0, hp0 = (random_start(0), None) if anchored is None else anchored
             results[0] = solve(h0, hp0)
             if progress is not None:
-                progress(results[0][2], results[0][1])
-            if results[0][1] > exact:
+                progress(results[0].rounds, results[0].objective)
+            if results[0].objective > exact:
                 run_restarts()
                 if worker is not None:
                     worker.join()
@@ -600,27 +633,30 @@ def factorize(x, config: SolverConfig, *, threads: int = 1,
                 cancel.set()
                 worker.join()
 
-    if results[0][1] > exact:
+    if results[0].objective > exact:
         if errors:
             raise errors[min(errors)]
     else:
         del results[1:]
-    finals = [obj for _, obj, _, _, _ in results]
+    finals = [r.objective for r in results]
     best = min(range(len(finals)), key=lambda j: (finals[j], j))
-    h, obj, rounds, converged, w = results[best]
-    if w is None:
+    win = results[best]
+    if win.w is None:
         raise RankDeficientError("every restart ended at an H without full row rank")
-    factors = FactorPair(w=w, h=h, orientation=config.orientation)
+    factors = FactorPair(w=win.w, h=win.h, orientation=config.orientation)
     violation = factors.max_violation()
     return SolveResult(
         factors=factors,
-        objective=obj,
-        objective_trace=[obj],
-        iterations=rounds,
-        converged=converged,
+        objective=win.objective,
+        objective_trace=[win.objective],
+        iterations=win.rounds,
+        converged=win.reason in ("floor", "plateau"),
         best_restart=best,
         max_violation=violation,
         feasible=violation <= EPS_FEAS_PROJECTED,
         restart_objectives=finals,
         blas_pinned=pinned,
+        stop_reason=win.reason,
+        stats=[{"index": j, "rounds": r.rounds, "discarded": r.discarded,
+                "stop_reason": r.reason} for j, r in enumerate(results)],
     )

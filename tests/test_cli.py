@@ -77,13 +77,15 @@ def test_factorize_writes_artifacts(tmp_path):
     assert set(result) == {"objective", "iterations", "converged",
                            "best_restart", "restart_objectives",
                            "objective_trace", "max_violation", "feasible",
-                           "blas_pinned"}
+                           "blas_pinned", "stop_reason", "stats"}
     assert result["feasible"] is (result["max_violation"]
                                   <= solver.EPS_FEAS_PROJECTED)
     assert result["objective"] == result["objective_trace"][-1]
     # On this noiseless input restart 0 is an exact fit (objective at most
     # EXACT_FIT_TOL times |X|_F), so restart 1 does not run.
     assert len(result["restart_objectives"]) == 1
+    assert result["converged"] is (result["stop_reason"] in ("floor", "plateau"))
+    assert [e["index"] for e in result["stats"]] == [0]
     x = read_matrix(x_path)
     assert result["objective"] <= solver.EXACT_FIT_TOL * np.linalg.norm(x)
 
@@ -208,6 +210,17 @@ def test_factorize_lists_every_restart_of_a_noisy_fit(tmp_path):
     result = json.loads((out / "result.json").read_text())
     assert len(result["restart_objectives"]) == 2
     assert result["objective"] == min(result["restart_objectives"])
+    # Each restart that ran, in index order, with why its warm start stopped.
+    stats = result["stats"]
+    assert [e["index"] for e in stats] == [0, 1]
+    assert all(set(e) == {"index", "rounds", "discarded", "stop_reason"} for e in stats)
+    assert all(0 <= e["discarded"] < e["rounds"] for e in stats)
+    assert stats[result["best_restart"]]["rounds"] == result["iterations"]
+    assert stats[result["best_restart"]]["stop_reason"] == result["stop_reason"]
+    again = tmp_path / "again"
+    assert run_cli("rerun", out / "manifest.json", "--out-dir", again) == EXIT_OK
+    for name in ("W.csv", "H.csv", "result.json"):
+        assert (out / name).read_bytes() == (again / name).read_bytes()
 
 
 def test_factorize_manifest_records_run(tmp_path):
@@ -882,6 +895,46 @@ def test_rerun_rejects_malformed_manifest(tmp_path, capsys, manifest, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option, value, kind", [
+    ("factorize", "seed", 1.5, "an integer"),
+    ("factorize", "rank", "3", "an integer"),
+    ("factorize", "restarts", 2.0, "an integer"),
+    ("factorize", "seed", True, "an integer"),
+    ("factorize", "binary", "yes", "true or false"),
+    ("factorize", "orientation", 1, "one of 'w-rows', 'h-rows', 'both'"),
+    ("analyze", "samples", "50", "an integer"),
+    ("analyze", "zero_tol", "0", "a float"),
+    ("analyze", "step", "0.05", "a float"),
+    ("faces-reconstruct", "row", "0", "an integer"),
+    ("faces-reconstruct", "w", 3, "a string"),
+])
+def test_rerun_refuses_a_mistyped_manifest_option(tmp_path, capsys, command, option,
+                                                  value, kind):
+    # A recorded option must be what parsing its flag could give, checked
+    # against the flag's type and choices and never coerced: a float seed
+    # used to crash after restart 0 of a noisy fit, and "yes" ran as
+    # --binary.  The refused rerun exits 2 and leaves no output directory.
+    if command == "factorize":
+        x, _ = generate(20, 8, 2, seed=0, noise_sigma=0.05,
+                        orientation=Orientation.W_ROWS_SUM_TO_1)
+        write_matrix_csv(tmp_path / "X.csv", x)
+        argv = ["factorize", tmp_path / "X.csv", "--rank", 2, "--restarts", 2]
+    elif command == "analyze":
+        argv = ["analyze", *worked_factors(tmp_path), "--samples", 20]
+    else:
+        _, _, w_path, h_path = faces_model(tmp_path)
+        argv = ["faces", "reconstruct", w_path, h_path, "--row", 0]
+    out1 = tmp_path / "run1"
+    assert run_cli(*argv, "--out-dir", out1) == EXIT_OK
+    edit_options(out1 / "manifest.json", **{option: value})
+    capsys.readouterr()
+    out2 = tmp_path / "run2"
+    assert run_cli("rerun", out1 / "manifest.json", "--out-dir", out2) == EXIT_INPUT
+    assert (f"manifest option {option!r} is {json.dumps(value)}, not {kind}"
+            in capsys.readouterr().err)
+    assert not out2.exists()
+
+
 def edit_options(manifest_path, **changes):
     manifest = json.loads(manifest_path.read_text())
     manifest["options"].update(changes)
@@ -896,7 +949,9 @@ def test_rerun_rejects_a_penalty_mode_manifest(tmp_path, capsys):
     edit_options(out1 / "manifest.json", mode="penalty")
     code = run_cli("rerun", out1 / "manifest.json", "--out-dir", tmp_path / "run2")
     assert code == EXIT_INPUT
-    assert "penalty mode was removed" in capsys.readouterr().err
+    # The mode flag's choices, as a fresh run with --mode penalty is refused.
+    assert ("manifest option 'mode' is \"penalty\", not one of 'projected'"
+            in capsys.readouterr().err)
     # The refused run creates no output directory, parents included ...
     assert not (tmp_path / "run2").exists()
     manifest = out1 / "manifest.json"

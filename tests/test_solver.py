@@ -56,6 +56,20 @@ def test_config_validation():
     # The exact-fit tolerance is the fixed solver.EXACT_FIT_TOL.
     with pytest.raises(TypeError):
         cfg(conv_tol=1e-8)
+    # numpy integers are integers.
+    assert cfg(rank=np.int64(3), restarts=np.int32(2), seed=np.uint8(4)).rank == 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rank", 2.0), ("rank", "3"), ("rank", True), ("restarts", 2.0),
+    ("restarts", None), ("seed", 1.5), ("seed", "3"), ("seed", True),
+    ("seed", np.float64(1.0)),
+])
+def test_config_refuses_a_count_that_is_not_an_integer(field, value):
+    # A float seed used to fail only at restart 1, in numpy, after restart
+    # 0 had run; a bool is not a count.
+    with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+        cfg(**{field: value})
 
 
 def test_default_penalty_weights():
@@ -272,7 +286,7 @@ def test_fit_raises_when_every_restart_ends_rank_deficient(monkeypatch):
     def degenerate(x, h, config, rounds, *_):
         h = h.copy()
         h[1] = h[0]
-        return h, 1, False
+        return h, 1, 0, "cap"
 
     monkeypatch.setattr(solver, "_warm_start", degenerate)
     with pytest.raises(RankDeficientError):
@@ -663,6 +677,9 @@ def test_warm_start_round_cap_is_not_convergence(monkeypatch):
     res = factorize(x, cfg(rank=3, mode=Mode.PROJECTED))
     assert not res.converged
     assert res.iterations == 2
+    assert res.stop_reason == "cap"
+    assert [(e["index"], e["rounds"], e["stop_reason"]) for e in res.stats] == [
+        (j, 2, "cap") for j in range(5)]
 
 
 def test_seed_changes_initialization():
@@ -727,6 +744,8 @@ def test_rank_deficient_anchor_start_falls_back_to_seeded_start(orientation,
         assert _anchor_start(np.zeros_like(x), c) is None
         zero = factorize(np.zeros_like(x), c)
         assert zero.objective == 0.0 and zero.converged is True
+        # Its W is zero, at loss 0: the loss floor, not a zero-W stop.
+        assert zero.stop_reason == "floor"
     # The seeded start of restart 0 fits this input exactly under h-rows and
     # both, which would end the 2-restart run before restart 1; a tolerance
     # below every objective lets restart 1 run.
@@ -778,7 +797,10 @@ def test_exact_fit_runs_restart_0_alone(mode, orientation, monkeypatch):
     assert len(res.restart_objectives) == 1
     assert res.best_restart == 0
     assert res.objective <= solver.EXACT_FIT_TOL * frobenius_norm(x)
-    assert res.converged
+    assert res.converged and res.stop_reason in ("floor", "plateau")
+    assert res.stats == [{"index": 0, "rounds": res.iterations,
+                          "discarded": res.stats[0]["discarded"],
+                          "stop_reason": res.stop_reason}]
     assert res.iterations >= 1
     assert res.objective_trace == [res.objective]
     assert res.feasible
@@ -811,10 +833,9 @@ def reference_warm_start(x, h, config, rounds):
     # and np.linalg.norm(gram, 2) for the step.  The solver's
     # version must reproduce it bit for bit.  Returns the final H, the
     # number of rounds that updated H before the stop (None at the cap),
-    # whether the stop is convergence (the loss floor or a plateau), the
-    # accepted losses, the number of discarded rounds, the number of
-    # accepted rounds whose new beta is the ceiling and the number of plain
-    # rounds whose loss rose without ending the run.
+    # the stop reason, the accepted losses, the number of discarded rounds,
+    # the number of accepted rounds whose new beta is the ceiling and the
+    # number of plain rounds whose loss rose without ending the run.
     floor = 1e-13 * frobenius_norm(x)
     prev = np.inf
     beta, ceil = 0.5, 1.0
@@ -824,19 +845,21 @@ def reference_warm_start(x, h, config, rounds):
     for t in range(rounds):
         s = np.linalg.svd(y, compute_uv=False)
         if s[0] <= 0.0 or s[-1] <= DEFAULT_RANK_TOL * s[0]:
-            return acc, t, False, accepted, discarded, capped, rises
+            return acc, t, "rank_deficient", accepted, discarded, capped, rises
         w = _feasible_w(x @ pseudoinverse(y, DEFAULT_RANK_TOL), config.orientation)
         gram = w.T @ w
         lip = float(np.linalg.norm(gram, 2))
         if lip <= 0.0:
-            return acc, t, False, accepted, discarded, capped, rises
+            # A zero W: the loss is |X|, at the floor only for a zero X.
+            reason = "floor" if not x.any() else "zero_w"
+            return acc, t, reason, accepted, discarded, capped, rises
         wtx = w.T @ x
         new = y
         for _ in range(3):
             new = _feasible_h(new - (gram @ new - wtx) / lip, config.orientation)
         loss = frobenius_norm(x - w @ new)
         if loss < floor:
-            return new, t + 1, True, accepted, discarded, capped, rises
+            return new, t + 1, "floor", accepted, discarded, capped, rises
         if extrapolated and loss > prev:
             ceil, beta = beta, beta / 1.5
             y, extrapolated = acc, False
@@ -850,14 +873,14 @@ def reference_warm_start(x, h, config, rounds):
         if prev - loss < 1e-13 * prev:
             # A plateau converges; a second rise in a row is a stall.
             if loss <= prev:
-                return new, t + 1, True, accepted, discarded, capped, rises
-            return acc, t + 1, False, accepted, discarded, capped, rises
+                return new, t + 1, "plateau", accepted, discarded, capped, rises
+            return acc, t + 1, "second_rise", accepted, discarded, capped, rises
         y = _feasible_h(new + beta * (new - acc), config.orientation)
         acc, prev, extrapolated = new, loss, True
         accepted.append(loss)
         capped += ceil < 1.01 * beta
         beta, ceil = min(ceil, 1.01 * beta), min(1.0, 1.005 * ceil)
-    return acc, None, False, accepted, discarded, capped, rises
+    return acc, None, "cap", accepted, discarded, capped, rises
 
 
 # Per orientation, a (seed, noise) instance whose first restart climbs back
@@ -876,6 +899,7 @@ def test_warm_start_matches_reference_bitwise(mode, orientation):
     # (two equal rows) that stops at once; on the first instance the
     # ceiling on beta binds.
     discarded = capped = rises = 0
+    reasons = set()
     for seed, sigma in [CEILING_INSTANCES[orientation]] + [(s, 0.02 * s) for s in range(3)]:
         x, _ = generate(30, 9, 3, seed=seed, noise_sigma=sigma,
                         orientation=orientation)
@@ -887,11 +911,12 @@ def test_warm_start_matches_reference_bitwise(mode, orientation):
         for rounds in (1, 7, 200, 2000):
             runs = [reference_warm_start(x, h, c, rounds) for h in h0]
             for h, run in zip(h0, runs):
-                got, got_rounds, got_converged = _warm_start(x, h, c, rounds,
-                                                             frobenius_norm(x))
+                got, got_rounds, got_discarded, got_reason = _warm_start(
+                    x, h, c, rounds, frobenius_norm(x))
                 assert np.array_equal(got, run[0])
                 assert got_rounds == (rounds if run[1] is None else run[1])
-                assert got_converged == run[2]
+                assert (got_discarded, got_reason) == (run[4], run[2])
+                reasons.add(got_reason)
         for _, _, _, accepted, n_discarded, n_capped, n_rises in runs:
             assert all(b < a for a, b in zip(accepted, accepted[1:]))
             discarded += n_discarded
@@ -908,6 +933,7 @@ def test_warm_start_matches_reference_bitwise(mode, orientation):
     assert discarded > 0
     assert capped > 0
     assert rises > 0
+    assert {"rank_deficient", "second_rise", "cap"} <= reasons
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -921,10 +947,11 @@ def test_warm_start_goes_on_after_one_rising_round(mode):
     h0 = _feasible_h(_init_h(np.random.default_rng(20), 3, x.shape[1], c.orientation),
                      c.orientation)
     _, _, _, first, _, _, first_rises = reference_warm_start(x, h0, c, 7)
-    h, stop, converged, accepted, _, _, _ = reference_warm_start(x, h0, c, 2000)
-    got, got_stop, got_converged = _warm_start(x, h0, c, 2000, frobenius_norm(x))
+    h, stop, reason, accepted, discarded, _, _ = reference_warm_start(x, h0, c, 2000)
+    got, got_stop, got_discarded, got_reason = _warm_start(x, h0, c, 2000,
+                                                           frobenius_norm(x))
     assert np.array_equal(got, h)
-    assert (got_stop, got_converged) == (stop, converged)
+    assert (got_stop, got_discarded, got_reason) == (stop, discarded, reason)
     assert first_rises == 1
     assert stop > 20
     assert accepted[-1] < first[-1] / 3.0
@@ -944,11 +971,57 @@ def test_warm_start_matches_reference_where_gram_rounding_is_largest(mode, seed,
     c = cfg(rank=5, mode=mode)
     h0 = _feasible_h(_init_h(np.random.default_rng(seed), 5, x.shape[1], c.orientation),
                      c.orientation)
-    h, stop, converged, accepted, _, _, _ = reference_warm_start(x, h0, c, 2000)
-    got, got_stop, got_converged = _warm_start(x, h0, c, 2000, frobenius_norm(x))
+    h, stop, reason, accepted, discarded, _, _ = reference_warm_start(x, h0, c, 2000)
+    got, got_stop, got_discarded, got_reason = _warm_start(x, h0, c, 2000,
+                                                           frobenius_norm(x))
     assert np.array_equal(got, h)
-    assert (got_stop, got_converged) == (stop, converged)
+    assert (got_stop, got_discarded, got_reason) == (stop, discarded, reason)
     assert 1e3 < frobenius_norm(x) ** 2 / accepted[-1] ** 2 < 1e6
+
+
+def stop_reason_instance(reason):
+    # (X, start H, config, rounds) whose warm start stops for reason.
+    if reason == "zero_w":
+        # X lives on columns that no row of H touches, so X pinv(H) = 0 and
+        # the free W clipped at 0 is zero while X is not.
+        x = np.zeros((8, 6))
+        x[:, 4:] = np.random.default_rng(0).uniform(0.1, 1.0, (8, 2))
+        h0 = np.array([[0.5, 0.5, 0, 0, 0, 0], [0, 0, 0.25, 0.75, 0, 0]])
+        return x, h0, cfg(rank=2, orientation=Orientation.H_ROWS_SUM_TO_1), 10
+    if reason == "floor":
+        # Noiseless anchored input from its own H: the first round is exact.
+        x, gt = generate(40, 12, 3, anchors=True, seed=6,
+                         orientation=Orientation.W_ROWS_SUM_TO_1)
+        return x, gt.h, cfg(rank=3), 2000
+    # A plateau's last fall is below 1e-13 of the loss, so the Gram score
+    # and the reference's residual may part there; on this instance they
+    # do not.
+    orientation, seed, sigma = ((Orientation.H_ROWS_SUM_TO_1, 3, 0.02)
+                                if reason in ("plateau", "cap")
+                                else (Orientation.W_ROWS_SUM_TO_1, 1, 0.005))
+    x, _ = generate(30, 9, 3, anchors=False, seed=seed, noise_sigma=sigma,
+                    orientation=orientation)
+    h0 = _feasible_h(_init_h(np.random.default_rng(seed), 3, 9, orientation),
+                     orientation)
+    if reason == "rank_deficient":
+        h0[1] = h0[0]
+    return x, h0, cfg(rank=3, orientation=orientation), 7 if reason == "cap" else 2000
+
+
+@pytest.mark.parametrize("reason", ["floor", "plateau", "second_rise", "rank_deficient",
+                                    "zero_w", "cap"])
+def test_each_stop_reason_is_reached(reason):
+    # Every exit of the warm start names why it stopped, and the reference
+    # takes the same exit with the same bits and discarded rounds.
+    x, h0, c, rounds = stop_reason_instance(reason)
+    got, got_rounds, got_discarded, got_reason = _warm_start(x, h0, c, rounds,
+                                                             frobenius_norm(x))
+    h, stop, want, _, discarded, _, _ = reference_warm_start(x, h0, c, rounds)
+    assert got_reason == want == reason
+    assert np.array_equal(got, h)
+    assert (got_rounds, got_discarded) == (rounds if stop is None else stop, discarded)
+    if reason in ("rank_deficient", "zero_w"):
+        assert got_rounds == 0 and got is h0
 
 
 # ------------------------------------------------------- tall W projection
